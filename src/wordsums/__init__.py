@@ -11,7 +11,6 @@ from .core import (
     FiniteWord,
     GuardError,
     Interval,
-    NotFoundError,
     WordStream,
     count_symbol,
     factor,

@@ -1,14 +1,18 @@
-"""Command line front end.
+"""Command line front end: each command reads word specs and writes CSV or JSON.
 
-Words are described by a small spec language; every command takes one
-(or two) word specs plus options and writes CSV or JSON.  Exit codes:
-0 for success or an affirmative answer, 1 for a well-formed negative
-answer (no power found, morphism is not an anchor), 2 for bad input.
+Exit codes: 0 for success or an affirmative answer, 1 for a well-formed
+negative answer (no power found, morphism is not an anchor), 2 for bad input.
 
-Word specs:
+A word spec is family:key=value;... with fields split on ';' outside
+brackets; periodic takes a plain list instead and sec24 has no body.
+Values are comma-separated integers, but [<spec>|<spec>|...] holds a list
+of specs and (<spec>) nests one spec.  A repeated key is an error.  The
+splice schedule is the last field: one row per round, one length per source.
+
     periodic:<c1,c2,...>
     morphic:<s>=<c,...>;...;seed=<s>
-    mechanical:cf=<a1,...>[;repeat=<r>]
+    mechanical:cf=<a1,...>
+    mechanical:cf=<a1,...>;repeat=<r>
     enum:k=<k>
     thm11:k=<k>
     sec24
@@ -26,6 +30,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import io
 import json
 import sys
@@ -34,31 +40,13 @@ from pathlib import Path
 from typing import Optional
 
 from .core import GuardError, WordStream, from_finite
-from .complexity import (
-    LatticeMap,
-    factor_set_intersection,
-    profile,
-)
+from .complexity import LatticeMap, factor_set_intersection, profile
 from .generators import (
-    SeparatedIntervalSet,
-    SpliceSchedule,
-    constant_complexity_word,
-    constant_tail_word,
-    contract,
-    enumeration_word,
-    mechanical,
-    morphic_fixed_point,
-    periodic,
-    splice,
-    unbounded_gap_word,
+    SeparatedIntervalSet, SpliceSchedule, constant_complexity_word, constant_tail_word, contract,
+    enumeration_word, mechanical, morphic_fixed_point, periodic, splice, unbounded_gap_word,
 )
 from .morphisms import Morphism, is_anchor
-from .powers import (
-    find_additive_kpower,
-    find_anchored_power,
-    find_kpower_mod_mu,
-    verify_power,
-)
+from .powers import find_additive_kpower, find_anchored_power, find_kpower_mod_mu, verify_power
 from .slopes import chi_factorization, chi_sequence, slope_estimate
 
 DEFAULT_PREFIX = 100_000
@@ -70,31 +58,25 @@ class WordSpecError(ValueError):
     """Malformed word, morphism, or lattice-map spec."""
 
 
-# -- spec parsing ---------------------------------------------------------
+# -- spec grammar ---------------------------------------------------------
 
 
 def _split_top(s: str, sep: str) -> list[str]:
     """Split on sep outside any [] or () nesting."""
-    parts, cur, depth = [], [], 0
-    for ch in s:
-        if ch in "[(":
-            depth += 1
-        elif ch in "])":
-            depth -= 1
-            if depth < 0:
-                raise WordSpecError(f"unbalanced brackets in {s!r}")
+    parts, start, depth = [], 0, 0
+    for i, ch in enumerate(s):
+        depth += (ch in "[(") - (ch in "])")
+        if depth < 0:
+            raise WordSpecError(f"unbalanced brackets in {s!r}")
         if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
+            parts.append(s[start:i])
+            start = i + 1
     if depth != 0:
         raise WordSpecError(f"unbalanced brackets in {s!r}")
-    parts.append("".join(cur))
-    return parts
+    return parts + [s[start:]]
 
 
-def _int_list(s: str, what: str = "integer list") -> list[int]:
+def _ints(s: str, what: str) -> list[int]:
     try:
         return [int(tok) for tok in s.split(",")] if s else []
     except ValueError:
@@ -105,43 +87,68 @@ def _fmt_ints(xs) -> str:
     return ",".join(str(int(x)) for x in xs)
 
 
-def _rules_from(body: str, what: str) -> dict[int, list[int]]:
-    rules: dict[int, list[int]] = {}
+def _fields(body: str, what: str, raw: tuple[str, ...] = ()) -> dict:
+    """Split key=value;... into a dict; values become int lists, except keys in raw.
+
+    A field without '=', a bad integer and a repeated key raise WordSpecError.
+    """
+    fields: dict = {}
     for field in _split_top(body, ";"):
-        k, eq, v = field.partition("=")
+        key, eq, val = field.partition("=")
+        key = key.strip()
         if not eq:
-            raise WordSpecError(f"bad {what} rule {field!r}")
-        try:
-            letter = int(k)
-        except ValueError:
-            raise WordSpecError(f"bad {what} letter {k!r}") from None
-        rules[letter] = _int_list(v, what)
-    if not rules:
-        raise WordSpecError(f"empty {what}")
+            raise WordSpecError(f"bad {what} field {field!r}")
+        if key in fields:
+            raise WordSpecError(f"duplicate {what} field {key!r}")
+        fields[key] = val if key in raw else _ints(val, f"{what} field {key!r}")
+    return fields
+
+
+def _pop_int(fields: dict, key: str, usage: str) -> int:
+    """Remove fields[key], which must hold one integer, and return that integer."""
+    val = fields.pop(key, None)
+    if val is None or len(val) != 1:
+        raise WordSpecError(f"expected {usage}")
+    return val[0]
+
+
+def _letters(fields: dict, what: str) -> dict[int, list[int]]:
+    """The <s>=<c,...> rules of a morphism or lattice map, keyed by integer letter."""
+    try:
+        rules = {int(k): v for k, v in fields.items()}
+    except ValueError:
+        raise WordSpecError(f"bad {what} letter in {sorted(fields)}") from None
+    if len(rules) != len(fields):
+        raise WordSpecError(f"duplicate {what} letter in {sorted(fields)}")
     return rules
 
 
+def _spec_errors(parse):
+    """Report a ValueError raised while parsing or building as a WordSpecError."""
+    @functools.wraps(parse)
+    def wrapped(spec: str):
+        try:
+            return parse(spec)
+        except WordSpecError:
+            raise
+        except ValueError as e:
+            raise WordSpecError(str(e)) from None
+    return wrapped
+
+
+@_spec_errors
 def parse_morphism_spec(spec: str) -> Morphism:
     """<s>=<c,...>;<s>=<c,...> with integer letters."""
-    try:
-        return Morphism(_rules_from(spec.strip(), "morphism"))
-    except ValueError as e:
-        raise WordSpecError(str(e)) from None
+    return Morphism(_letters(_fields(spec.strip(), "morphism"), "morphism"))
 
 
-def format_morphism(phi: Morphism) -> str:
-    return repr(phi)
-
-
+@_spec_errors
 def parse_mu_spec(spec: str) -> LatticeMap:
     """mu:<s>=<v1,v2,...>;... lattice map images."""
     spec = spec.strip()
     if not spec.startswith("mu:"):
         raise WordSpecError(f"lattice map spec must start with 'mu:': {spec!r}")
-    try:
-        return LatticeMap(_rules_from(spec[3:], "lattice map"))
-    except ValueError as e:
-        raise WordSpecError(str(e)) from None
+    return LatticeMap(_letters(_fields(spec[3:], "lattice map"), "lattice map"))
 
 
 def parse_slope(s: str) -> Fraction:
@@ -151,16 +158,96 @@ def parse_slope(s: str) -> Fraction:
         raise WordSpecError(f"bad slope {s!r}; expected p/q or an integer") from None
 
 
-def _kv_fields(body: str, what: str) -> dict[str, str]:
-    fields = {}
-    for field in _split_top(body, ";"):
-        k, eq, v = field.partition("=")
-        if not eq:
-            raise WordSpecError(f"bad {what} field {field!r}")
-        fields[k.strip()] = v
-    return fields
+def _periodic(body: str) -> tuple[WordStream, str]:
+    pat = _ints(body, "period")
+    return periodic(pat), f"periodic:{_fmt_ints(pat)}"
 
 
+def _morphic(body: str) -> tuple[WordStream, str]:
+    fields = _fields(body, "morphic")
+    seed = _pop_int(fields, "seed", "morphic:<s>=<c,...>;...;seed=<s>")
+    phi = Morphism(_letters(fields, "morphic"))
+    return morphic_fixed_point(phi, seed), f"morphic:{phi!r};seed={seed}"
+
+
+def _mechanical(body: str) -> tuple[WordStream, str]:
+    usage = "mechanical:cf=<a1,...>[;repeat=<r>]"
+    fields = _fields(body, "mechanical")
+    cf = fields.pop("cf", None)
+    repeat = _pop_int(fields, "repeat", usage) if "repeat" in fields else None
+    if cf is None or fields:
+        raise WordSpecError(f"expected {usage}")
+    canon = f"mechanical:cf={_fmt_ints(cf)}" + ("" if repeat is None else f";repeat={repeat}")
+    return mechanical(cf, repeat), canon
+
+
+def _one_int(head: str, key: str, build, body: str) -> tuple[WordStream, str]:
+    """The families that take exactly one key=<int> field."""
+    fields = _fields(body, head)
+    val = _pop_int(fields, key, f"{head}:{key}=<int>")
+    if fields:
+        raise WordSpecError(f"unknown {head} fields {sorted(fields)}")
+    return build(val), f"{head}:{key}={val}"
+
+
+def _splice(body: str) -> tuple[WordStream, str]:
+    parts = _split_top(body, ";")
+    srcs, sched = parts[0], ";".join(parts[1:])
+    if not (srcs.startswith("[") and srcs.endswith("]") and sched.startswith("sched=")):
+        raise WordSpecError("expected splice:[<spec>|<spec>|...];sched=<l11,l21,...;l12,...>")
+    parsed = [parse_word_spec(sub) for sub in _split_top(srcs[1:-1], "|")]
+    rows = [_ints(row, "schedule row") for row in sched[len("sched=") :].split(";")]
+    stream = splice([s for s, _ in parsed], SpliceSchedule(tuple(tuple(r) for r in rows)))
+    canon_rows = ";".join(_fmt_ints(r) for r in rows)
+    return stream, f"splice:[{'|'.join(c for _, c in parsed)}];sched={canon_rows}"
+
+
+def _contract(body: str) -> tuple[WordStream, str]:
+    fields = _fields(body, "contract", raw=("base", "ivals"))
+    base, iv = fields.get("base", ""), fields.get("ivals")
+    if set(fields) != {"base", "ivals"} or not (base.startswith("(") and base.endswith(")")):
+        raise WordSpecError("expected contract:base=(<spec>);ivals=...")
+    sub, sub_canon = parse_word_spec(base[1:-1])
+    if iv.startswith("arith:"):
+        nums = _ints(iv[len("arith:") :], "arithmetic interval rule")
+        if len(nums) != 3:
+            raise WordSpecError("arith takes <start>,<period>,<width>")
+        ivals, canon_iv = SeparatedIntervalSet.arithmetic(*nums), f"arith:{_fmt_ints(nums)}"
+    else:
+        pairs = [_ints(tok.replace("-", ",", 1), "interval lo-hi") for tok in iv.split(",")]
+        if any(len(p) != 2 for p in pairs):
+            raise WordSpecError(f"bad intervals {iv!r}; expected lo-hi,...")
+        ivals, canon_iv = SeparatedIntervalSet(pairs), ",".join(f"{a}-{b}" for a, b in pairs)
+    return contract(sub, ivals), f"contract:base=({sub_canon});ivals={canon_iv}"
+
+
+def _file(body: str) -> tuple[WordStream, str]:
+    try:
+        symbols = [int(t) for t in Path(body).read_text().split()]
+    except OSError as e:
+        raise WordSpecError(f"cannot read {body!r}: {e}") from None
+    except ValueError:
+        raise WordSpecError(f"{body!r} must contain whitespace-separated integers") from None
+    if not symbols:
+        raise WordSpecError(f"{body!r} holds no symbols")
+    return from_finite(symbols, label=f"file:{body}"), f"file:{body}"
+
+
+# family head -> builder(body) returning (stream, canonical spec)
+_FAMILIES = {
+    "periodic": _periodic,
+    "morphic": _morphic,
+    "mechanical": _mechanical,
+    "enum": functools.partial(_one_int, "enum", "k", enumeration_word),
+    "thm11": functools.partial(_one_int, "thm11", "k", constant_complexity_word),
+    "ladder": functools.partial(_one_int, "ladder", "n", constant_tail_word),
+    "splice": _splice,
+    "contract": _contract,
+    "file": _file,
+}
+
+
+@_spec_errors
 def parse_word_spec(spec: str) -> tuple[WordStream, str]:
     """Build the stream and return it with a canonical rendering of the spec."""
     spec = spec.strip()
@@ -169,134 +256,14 @@ def parse_word_spec(spec: str) -> tuple[WordStream, str]:
     head, colon, body = spec.partition(":")
     if not colon or not body:
         raise WordSpecError(f"bad word spec {spec!r}")
-    if head == "periodic":
-        pat = _int_list(body, "period")
-        if not pat:
-            raise WordSpecError("periodic needs at least one symbol")
-        return periodic(pat), f"periodic:{_fmt_ints(pat)}"
-    if head == "morphic":
-        fields = _split_top(body, ";")
-        seed: Optional[int] = None
-        rules: dict[int, list[int]] = {}
-        for field in fields:
-            k, eq, v = field.partition("=")
-            if not eq:
-                raise WordSpecError(f"bad morphic field {field!r}")
-            if k.strip() == "seed":
-                seed = int(v)
-            else:
-                rules[int(k)] = _int_list(v, "image")
-        if seed is None:
-            raise WordSpecError("morphic needs a seed=<s> field")
-        try:
-            phi = Morphism(rules)
-            stream = morphic_fixed_point(phi, seed)
-        except ValueError as e:
-            raise WordSpecError(str(e)) from None
-        return stream, f"morphic:{phi!r};seed={seed}"
-    if head == "mechanical":
-        fields = _kv_fields(body, "mechanical")
-        if "cf" not in fields:
-            raise WordSpecError("mechanical needs cf=<a1,...>")
-        cf = _int_list(fields.pop("cf"), "continued fraction")
-        repeat = None
-        if "repeat" in fields:
-            repeat = int(fields.pop("repeat"))
-        if fields:
-            raise WordSpecError(f"unknown mechanical fields {sorted(fields)}")
-        try:
-            stream = mechanical(cf, repeat)
-        except ValueError as e:
-            raise WordSpecError(str(e)) from None
-        canon = f"mechanical:cf={_fmt_ints(cf)}"
-        if repeat is not None:
-            canon += f";repeat={repeat}"
-        return stream, canon
-    if head in ("enum", "thm11", "ladder"):
-        fields = _kv_fields(body, head)
-        key = "n" if head == "ladder" else "k"
-        if set(fields) != {key}:
-            raise WordSpecError(f"{head} takes exactly {key}=<int>")
-        val = int(fields[key])
-        try:
-            if head == "enum":
-                return enumeration_word(val), f"enum:k={val}"
-            if head == "thm11":
-                return constant_complexity_word(val), f"thm11:k={val}"
-            return constant_tail_word(val), f"ladder:n={val}"
-        except ValueError as e:
-            raise WordSpecError(str(e)) from None
-    if head == "splice":
-        if not body.startswith("["):
-            raise WordSpecError("splice needs [<spec>|<spec>|...]")
-        depth = 0
-        end = -1
-        for i, ch in enumerate(body):
-            if ch in "[(":
-                depth += 1
-            elif ch in "])":
-                depth -= 1
-                if depth == 0:
-                    end = i
-                    break
-        if end < 0 or body[end] != "]":
-            raise WordSpecError(f"unbalanced source list in {spec!r}")
-        inner, rest = body[1:end], body[end + 1 :]
-        if not rest.startswith(";sched="):
-            raise WordSpecError("splice needs ;sched=<l11,l21,...;l12,...>")
-        parsed = [parse_word_spec(sub) for sub in _split_top(inner, "|")]
-        rounds = [
-            _int_list(row, "schedule row") for row in rest[len(";sched=") :].split(";")
-        ]
-        try:
-            sched = SpliceSchedule(tuple(tuple(r) for r in rounds))
-            stream = splice([s for s, _ in parsed], sched)
-        except ValueError as e:
-            raise WordSpecError(str(e)) from None
-        canon_rows = ";".join(_fmt_ints(r) for r in rounds)
-        canon = f"splice:[{'|'.join(c for _, c in parsed)}];sched={canon_rows}"
-        return stream, canon
-    if head == "contract":
-        fields = _kv_fields(body, "contract")
-        if set(fields) != {"base", "ivals"}:
-            raise WordSpecError("contract needs base=(<spec>) and ivals=...")
-        base = fields["base"]
-        if not (base.startswith("(") and base.endswith(")")):
-            raise WordSpecError("contract base must be wrapped in parentheses")
-        sub, sub_canon = parse_word_spec(base[1:-1])
-        iv = fields["ivals"]
-        try:
-            if iv.startswith("arith:"):
-                nums = _int_list(iv[len("arith:") :], "arithmetic interval rule")
-                if len(nums) != 3:
-                    raise WordSpecError("arith takes <start>,<period>,<width>")
-                ivals = SeparatedIntervalSet.arithmetic(*nums)
-                canon_iv = f"arith:{_fmt_ints(nums)}"
-            else:
-                pairs = []
-                for tok in iv.split(","):
-                    lo, dash, hi = tok.partition("-")
-                    if not dash:
-                        raise WordSpecError(f"bad interval {tok!r}; expected lo-hi")
-                    pairs.append((int(lo), int(hi)))
-                ivals = SeparatedIntervalSet(pairs)
-                canon_iv = ",".join(f"{a}-{b}" for a, b in pairs)
-        except ValueError as e:
-            raise WordSpecError(str(e)) from None
-        return contract(sub, ivals), f"contract:base=({sub_canon});ivals={canon_iv}"
-    if head == "file":
-        path = Path(body)
-        try:
-            tokens = path.read_text().split()
-            symbols = [int(t) for t in tokens]
-        except OSError as e:
-            raise WordSpecError(f"cannot read {body!r}: {e}") from None
-        except ValueError:
-            raise WordSpecError(f"{body!r} must contain whitespace-separated integers") from None
-        if not symbols:
-            raise WordSpecError(f"{body!r} holds no symbols")
-        return from_finite(symbols, label=f"file:{body}"), f"file:{body}"
-    raise WordSpecError(f"unknown word family {head!r}")
+    if head not in _FAMILIES:
+        raise WordSpecError(f"unknown word family {head!r}")
+    return _FAMILIES[head](body)
+
+
+def _morphism_and_canon(spec: str) -> tuple[Morphism, str]:
+    phi = parse_morphism_spec(spec)
+    return phi, repr(phi)
 
 
 # -- output helpers -------------------------------------------------------
@@ -315,85 +282,30 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _emit_table(header: list[str], rows: list[list], args) -> None:
     if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return
+        return _emit(json.dumps([dict(zip(header, r)) for r in rows], indent=2) + "\n", args.out)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     _emit(buf.getvalue(), args.out)
 
 
-def _check_prefix(args) -> None:
-    if args.prefix_length < 1:
-        raise WordSpecError("prefix length must be >= 1")
-    if args.prefix_length > LARGE_PREFIX and not args.unsafe_large:
-        raise WordSpecError(
-            f"L = {args.prefix_length} is past {LARGE_PREFIX}; pass --unsafe-large to proceed"
-        )
-
-
-def _power_limit(args) -> int:
-    return 100 * LARGE_PREFIX if args.unsafe_large else LARGE_PREFIX
-
-
-def _explain(args, canonicals: list[str]) -> bool:
-    if getattr(args, "explain", False):
-        for c in canonicals:
-            print(c)
-        return True
-    return False
-
-
 # -- commands -------------------------------------------------------------
+# main parses the specs and passes the parsed objects; None returned means exit 0.
 
 
-def _cmd_profile(args) -> int:
-    _check_prefix(args)
-    w, canon = parse_word_spec(args.word)
-    if _explain(args, [canon]):
-        return 0
+def _cmd_profile(args, w) -> Optional[int]:
+    """profile and spread; spread leaves out the count column."""
     mu = parse_mu_spec(args.mu) if args.mu else None
     prof = profile(w, args.n_max, args.prefix_length, kind=args.kind, mu=mu)
-    _emit_table(
-        ["n", "count", "spread"],
-        [[r.n, r.count, r.spread] for r in prof.rows],
-        args,
-    )
-    return 0
+    cols = ["n", "count", "spread"] if args.command == "profile" else ["n", "spread"]
+    _emit_table(cols, [[getattr(r, c) for c in cols] for r in prof.rows], args)
 
 
-def _cmd_spread(args) -> int:
-    _check_prefix(args)
-    w, canon = parse_word_spec(args.word)
-    if _explain(args, [canon]):
-        return 0
-    mu = parse_mu_spec(args.mu) if args.mu else None
-    prof = profile(w, args.n_max, args.prefix_length, kind=args.kind, mu=mu)
-    _emit_table(["n", "spread"], [[r.n, r.spread] for r in prof.rows], args)
-    return 0
+def _cmd_slope(args, w) -> Optional[int]:
+    rows = [[n, s.numerator, s.denominator] for n, s in slope_estimate(w, args.prefix_length)]
+    _emit_table(["n", "slope_p", "slope_q"], rows, args)
 
 
-def _cmd_slope(args) -> int:
-    _check_prefix(args)
-    w, canon = parse_word_spec(args.word)
-    if _explain(args, [canon]):
-        return 0
-    est = slope_estimate(w, args.prefix_length)
-    _emit_table(
-        ["n", "slope_p", "slope_q"],
-        [[n, s.numerator, s.denominator] for n, s in est],
-        args,
-    )
-    return 0
-
-
-def _cmd_chi(args) -> int:
-    _check_prefix(args)
-    w, canon = parse_word_spec(args.word)
-    if _explain(args, [canon]):
-        return 0
+def _cmd_chi(args, w) -> Optional[int]:
     alpha = parse_slope(args.slope)
     m_max = args.m_max or args.prefix_length // alpha.denominator
     if m_max < 1:
@@ -402,33 +314,20 @@ def _cmd_chi(args) -> int:
         raise WordSpecError("m-max needs a prefix past L; raise -L or pass --unsafe-large")
     colors = chi_sequence(w, alpha, m_max)
     _emit_table(["m", "chi"], [[m + 1, int(c)] for m, c in enumerate(colors)], args)
-    return 0
 
 
-def _cmd_factorize(args) -> int:
-    _check_prefix(args)
-    w, canon = parse_word_spec(args.word)
-    if _explain(args, [canon]):
-        return 0
-    alpha = parse_slope(args.slope)
-    fact = chi_factorization(w, alpha, args.prefix_length)
+def _cmd_factorize(args, w) -> Optional[int]:
+    fact = chi_factorization(w, parse_slope(args.slope), args.prefix_length)
     if args.format == "json":
-        payload = {
-            "alpha": _frac_str(fact.alpha),
-            "color": fact.color,
-            "cuts": list(fact.cuts),
-        }
+        payload = {"alpha": _frac_str(fact.alpha), "color": fact.color, "cuts": list(fact.cuts)}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         _emit_table(["cut"], [[c] for c in fact.cuts], args)
-    return 0
 
 
-def _cmd_anchor(args) -> int:
-    phi = parse_morphism_spec(args.morphism)
-    if _explain(args, [format_morphism(phi)]):
-        return 0
+def _cmd_anchor(args, phi) -> Optional[int]:
     report = is_anchor(phi)
+    wit = report.witness
     payload = {
         "is_anchor": report.is_anchor,
         "weight": _frac_str(report.weight) if report.weight is not None else None,
@@ -436,85 +335,53 @@ def _cmd_anchor(args) -> int:
         "source": list(phi.source.symbols),
         "target": list(phi.target.symbols),
         "matrix": report.matrix.tolist(),
+        "witness": wit and {"b1": list(wit[0].symbols), "b2": list(wit[1].symbols)},
     }
-    if report.witness is not None:
-        b1, b2 = report.witness
-        payload["witness"] = {"b1": list(b1.symbols), "b2": list(b2.symbols)}
-    else:
-        payload["witness"] = None
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0 if report.is_anchor else 1
 
 
-def _cmd_powers(args) -> int:
-    _check_prefix(args)
-    w, canon = parse_word_spec(args.word)
-    if _explain(args, [canon]):
-        return 0
-    L = args.prefix_length
+def _cmd_powers(args, w) -> Optional[int]:
     if args.slope is not None and args.mu is not None:
         raise WordSpecError("--slope and --mu are mutually exclusive")
     mu = parse_mu_spec(args.mu) if args.mu else None
+    limit = 100 * LARGE_PREFIX if args.unsafe_large else LARGE_PREFIX
     if args.slope is not None:
         alpha = parse_slope(args.slope)
-        witness = find_anchored_power(w, alpha, args.divisor, args.k, L)
+        witness = find_anchored_power(w, alpha, args.divisor, args.k, args.prefix_length)
     elif mu is not None:
-        witness = find_kpower_mod_mu(w, mu, args.k, L, limit=_power_limit(args))
+        witness = find_kpower_mod_mu(w, mu, args.k, args.prefix_length, limit=limit)
     else:
-        witness = find_additive_kpower(w, args.k, L, limit=_power_limit(args))
+        witness = find_additive_kpower(w, args.k, args.prefix_length, limit=limit)
     if witness is None:
         _emit(json.dumps({"found": False}, indent=2) + "\n", args.out)
         return 1
-    payload = {
-        "found": True,
-        "start": witness.start,
-        "block_length": witness.block_length,
-        "count": witness.count,
-        "value": list(witness.value) if isinstance(witness.value, tuple) else witness.value,
-        "verified": verify_power(w, witness, mu),
-    }
+    verified = verify_power(w, witness, mu)
+    payload = {"found": True, **dataclasses.asdict(witness), "verified": verified}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
 
 
-def _cmd_intersect(args) -> int:
-    _check_prefix(args)
-    w1, c1 = parse_word_spec(args.word1)
-    w2, c2 = parse_word_spec(args.word2)
-    if _explain(args, [c1, c2]):
-        return 0
+def _cmd_intersect(args, w1, w2) -> Optional[int]:
     shared = factor_set_intersection(w1, w2, args.n, args.prefix_length)
     _emit_table(["n", "shared"], [[args.n, shared]], args)
-    return 0
 
 
 # -- parser ---------------------------------------------------------------
 
 
-def _add_common(sub, word_args=("word",)) -> None:
-    for name in word_args:
-        sub.add_argument(name, help="word spec (see module docs)")
-    sub.add_argument(
-        "-L",
-        "--prefix-length",
-        type=int,
-        default=DEFAULT_PREFIX,
-        help=f"analyzed prefix length (default {DEFAULT_PREFIX})",
-    )
+def _command(subs, name: str, help: str, func, specs=("word",)):
+    """A subcommand taking word specs and the common prefix and output options."""
+    sub = subs.add_parser(name, help=help)
+    for spec in specs:
+        sub.add_argument(spec, help="word spec (see module docs)")
+    sub.add_argument("-L", "--prefix-length", type=int, default=DEFAULT_PREFIX,
+                     help=f"analyzed prefix length (default {DEFAULT_PREFIX})")
     sub.add_argument("--out", help="write output to this file instead of stdout")
-    sub.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="output format"
-    )
-    sub.add_argument(
-        "--unsafe-large",
-        action="store_true",
-        help="lift the default prefix-size cap",
-    )
-    sub.add_argument(
-        "--explain",
-        action="store_true",
-        help="print the canonical spec and exit",
-    )
+    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    sub.add_argument("--unsafe-large", action="store_true", help="lift the default prefix-size cap")
+    sub.add_argument("--explain", action="store_true", help="print the canonical spec and exit")
+    sub.set_defaults(func=func, specs=specs, parse=parse_word_spec)
+    return sub
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -524,71 +391,56 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("profile", help="counts and spreads for n = 1..n-max")
-    _add_common(p)
-    p.add_argument("--kind", choices=("additive", "abelian", "lattice"), default="additive")
-    p.add_argument("--mu", help="lattice map spec mu:<s>=<v1,...>;... (kind=lattice)")
-    p.add_argument("--n-max", type=int, default=DEFAULT_NMAX)
-    p.set_defaults(func=_cmd_profile)
+    for name, what in (("profile", "counts and spreads"), ("spread", "window-sum spreads")):
+        p = _command(subs, name, f"{what} for n = 1..n-max", _cmd_profile)
+        p.add_argument("--kind", choices=("additive", "abelian", "lattice"), default="additive")
+        p.add_argument("--mu", help="lattice map spec mu:<s>=<v1,...>;... (kind=lattice)")
+        p.add_argument("--n-max", type=int, default=DEFAULT_NMAX)
 
-    p = subs.add_parser("spread", help="window-sum spreads for n = 1..n-max")
-    _add_common(p)
-    p.add_argument("--kind", choices=("additive", "abelian", "lattice"), default="additive")
-    p.add_argument("--mu", help="lattice map spec (kind=lattice)")
-    p.add_argument("--n-max", type=int, default=DEFAULT_NMAX)
-    p.set_defaults(func=_cmd_spread)
+    _command(subs, "slope", "prefix slope estimates at doubling lengths", _cmd_slope)
 
-    p = subs.add_parser("slope", help="prefix slope estimates at doubling lengths")
-    _add_common(p)
-    p.set_defaults(func=_cmd_slope)
-
-    p = subs.add_parser("chi", help="chi coloring values for a rational slope")
-    _add_common(p)
+    p = _command(subs, "chi", "chi coloring values for a rational slope", _cmd_chi)
     p.add_argument("--slope", required=True, help="exact rational p/q")
     p.add_argument("--m-max", type=int, help="how many chi values (default L//q)")
-    p.set_defaults(func=_cmd_chi)
 
-    p = subs.add_parser("factorize", help="equal-slope factorization cut positions")
-    _add_common(p)
+    p = _command(subs, "factorize", "equal-slope factorization cut positions", _cmd_factorize)
     p.add_argument("--slope", required=True, help="exact rational p/q")
-    p.set_defaults(func=_cmd_factorize)
 
     p = subs.add_parser("anchor", help="equal-image-slope report for a morphism")
     p.add_argument("morphism", help="morphism spec <s>=<c,...>;<s>=<c,...>")
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.add_argument("--explain", action="store_true", help="print the canonical spec and exit")
-    p.set_defaults(func=_cmd_anchor)
+    p.set_defaults(func=_cmd_anchor, specs=("morphism",), parse=_morphism_and_canon)
 
-    p = subs.add_parser("powers", help="search for additive k-powers")
-    _add_common(p)
+    p = _command(subs, "powers", "search for additive k-powers", _cmd_powers)
     p.add_argument("--k", type=int, required=True, help="number of blocks")
     p.add_argument("--mu", help="search modulo this lattice map instead of sums")
     p.add_argument("--slope", help="slope-constrained search: exact rational p/q")
-    p.add_argument(
-        "--divisor",
-        type=int,
-        default=1,
-        help="with --slope: block length must be divisible by divisor*q",
-    )
-    p.set_defaults(func=_cmd_powers)
+    p.add_argument("--divisor", type=int, default=1,
+                   help="with --slope: block length must be divisible by divisor*q")
 
-    p = subs.add_parser("intersect", help="count shared length-n factors of two words")
-    _add_common(p, word_args=("word1", "word2"))
+    p = _command(subs, "intersect", "count shared length-n factors of two words", _cmd_intersect,
+                 specs=("word1", "word2"))
     p.add_argument("--n", type=int, required=True, help="factor length")
-    p.set_defaults(func=_cmd_intersect)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (WordSpecError, ValueError, GuardError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+        # The prelude of every command: check -L, parse the specs, then --explain.
+        L = getattr(args, "prefix_length", 1)
+        if L < 1:
+            raise WordSpecError("prefix length must be >= 1")
+        if L > LARGE_PREFIX and not args.unsafe_large:
+            raise WordSpecError(f"L = {L} is past {LARGE_PREFIX}; pass --unsafe-large to proceed")
+        parsed = [args.parse(getattr(args, name)) for name in args.specs]
+        if args.explain:
+            print("\n".join(canon for _, canon in parsed))
+            return 0
+        return args.func(args, *(obj for obj, _ in parsed)) or 0
+    except (ValueError, GuardError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

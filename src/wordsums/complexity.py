@@ -126,14 +126,20 @@ def window_sums(w: WordStream, n: int, L: int) -> np.ndarray:
     return P[n:] - P[:-n]
 
 
-def window_images(w: WordStream, mu: LatticeMap, n: int, L: int) -> np.ndarray:
-    """mu-images of all length-n windows, shape (L-n+1, t)."""
-    _check_window(n, L)
+def image_prefix_sums(w: WordStream, mu: LatticeMap, L: int) -> np.ndarray:
+    """C[i] = mu(w(1..i)) for i = 0..L, shape (L+1, t); refuses int64 overflow."""
     rows = mu.image_rows(w.prefix(L))
     if mu.max_abs() and mu.max_abs() * (L + 1) >= 2**62:
         raise GuardError("lattice prefix sums may overflow int64")
     C = np.zeros((L + 1, mu.dim), dtype=np.int64)
     np.cumsum(rows, axis=0, out=C[1:])
+    return C
+
+
+def window_images(w: WordStream, mu: LatticeMap, n: int, L: int) -> np.ndarray:
+    """mu-images of all length-n windows, shape (L-n+1, t)."""
+    _check_window(n, L)
+    C = image_prefix_sums(w, mu, L)
     return C[n:] - C[:-n]
 
 

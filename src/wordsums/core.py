@@ -27,10 +27,6 @@ class GuardError(RuntimeError):
     """A computation would exceed a configured safety guard."""
 
 
-class NotFoundError(LookupError):
-    """The requested structure does not occur within the scanned range."""
-
-
 class Interval(NamedTuple):
     """Closed 1-based position interval [lo, hi]."""
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import GuardError, WordStream, word_sum
-from .complexity import LatticeMap
+from .complexity import LatticeMap, image_prefix_sums
 from .slopes import Rational, _as_fraction, chi_sequence
 
 _POWER_MAX_PREFIX = 1_000_000
@@ -66,9 +66,7 @@ def find_kpower_mod_mu(
 ) -> Optional[PowerWitness]:
     """Like find_additive_kpower, but blocks must share their mu-image."""
     _check_power_args(k, L, limit)
-    rows = mu.image_rows(w.prefix(L))
-    C = np.zeros((L + 1, mu.dim), dtype=np.int64)
-    np.cumsum(rows, axis=0, out=C[1:])
+    C = image_prefix_sums(w, mu, L)
     js = np.arange(k + 1, dtype=np.int64)
     for start in range(1, L - k + 2):
         bmax = (L - start + 1) // k

@@ -54,6 +54,13 @@ def test_word_spec_errors():
         "ladder:k=1",
         "sec24:x=1",
         "file:/does/not/exist-xyz",
+        "morphic:x=0,1;seed=0",
+        "morphic:0=0,1;1=1,0;seed=x",
+        "enum:k=x",
+        "mechanical:cf=1;repeat=x",
+        "ladder:n=",
+        "thm11:k=2;k=3",                 # duplicate key
+        "morphic:0=0,1;1=1,0;seed=0;seed=1",
     ]:
         with pytest.raises(WordSpecError):
             parse_word_spec(bad)

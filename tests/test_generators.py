@@ -102,9 +102,8 @@ def test_mechanical_matches_floor_formula(cf):
     alpha = cf_value(cf)
     w = mechanical(cf)
     L = 4 * alpha.denominator + 20
-    floors = [
-        math.floor(alpha * i) - math.floor(alpha * (i - 1)) for i in range(1, L + 1)
-    ]
+    p, q = alpha.numerator, alpha.denominator
+    floors = [(p * i) // q - (p * (i - 1)) // q for i in range(1, L + 1)]
     assert _prefix(w, L) == floors
 
 

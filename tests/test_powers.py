@@ -88,6 +88,14 @@ def test_abelian_cube_in_thue_morse(thue_morse):
     assert verify_power(thue_morse, wit, mu)
 
 
+def test_mod_mu_refuses_overflowing_images():
+    # images near 2**62 wrap the int64 prefix sums and would yield a false witness
+    w = from_finite([0, 3, 0, 0, 0, 3, 1, 1])
+    mu = LatticeMap({0: (2**62,), 1: (1,), 2: (2,), 3: (3,)})
+    with pytest.raises(GuardError):
+        find_kpower_mod_mu(w, mu, 2, 8)
+
+
 def _bruteforce_ap(colors, terms, k):
     n = len(colors)
     for a in range(1, n + 1):
