@@ -307,7 +307,9 @@ def _cmd_slope(args, w) -> Optional[int]:
 
 def _cmd_chi(args, w) -> Optional[int]:
     alpha = parse_slope(args.slope)
-    m_max = args.m_max or args.prefix_length // alpha.denominator
+    if args.m_max is not None and args.m_max < 1:
+        raise WordSpecError(f"--m-max must be >= 1, got {args.m_max}")
+    m_max = args.prefix_length // alpha.denominator if args.m_max is None else args.m_max
     if m_max < 1:
         raise WordSpecError(f"prefix too short for one q={alpha.denominator} block")
     if m_max * alpha.denominator > args.prefix_length and not args.unsafe_large:
@@ -348,7 +350,8 @@ def _cmd_powers(args, w) -> Optional[int]:
     limit = 100 * LARGE_PREFIX if args.unsafe_large else LARGE_PREFIX
     if args.slope is not None:
         alpha = parse_slope(args.slope)
-        witness = find_anchored_power(w, alpha, args.divisor, args.k, args.prefix_length)
+        witness = find_anchored_power(w, alpha, args.divisor, args.k, args.prefix_length,
+                                      limit=limit)
     elif mu is not None:
         witness = find_kpower_mod_mu(w, mu, args.k, args.prefix_length, limit=limit)
     else:

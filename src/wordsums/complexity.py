@@ -136,6 +136,21 @@ def image_prefix_sums(w: WordStream, mu: LatticeMap, L: int) -> np.ndarray:
     return C
 
 
+def pack_rows(C: np.ndarray) -> Optional[np.ndarray]:
+    """One int64 key per row of C, linear in the row; None if a key may overflow.
+
+    Column c gets radix 2*(max - min) + 1, so K[i] - K[j] identifies C[i] - C[j].
+    """
+    weights, bound, R = [], 0, 1
+    for lo, hi in zip(C.min(axis=0).tolist(), C.max(axis=0).tolist()):
+        weights.append(R)
+        bound += max(-lo, hi) * R
+        R *= 2 * (hi - lo) + 1
+    if bound >= 2**62 or weights[-1] >= 2**62:
+        return None
+    return C @ np.array(weights, dtype=np.int64)
+
+
 def window_images(w: WordStream, mu: LatticeMap, n: int, L: int) -> np.ndarray:
     """mu-images of all length-n windows, shape (L-n+1, t)."""
     _check_window(n, L)

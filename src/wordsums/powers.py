@@ -2,8 +2,11 @@
 
 A witness (start, b, k) means the blocks w(start .. start+b-1), ...,
 w(start+(k-1)b .. start+kb-1) all share the same sum (or the same
-mu-image).  Scans go start-ascending, then block-length ascending, so
-the returned witness is the lexicographically first one.  Words of
+mu-image).  Every search is one progression scan, start ascending,
+then gap (block length) ascending, so the returned witness is the
+lexicographically first one.  A scan that finds nothing compares about
+L^2/k cells, done gap by gap in numpy; the prefix guard (L <= 10^6
+unless the caller raises `limit`) is what bounds that work.  Words of
 bounded sum spread still contain additive k-powers for every k; the
 slope-constrained search finds them through monochromatic arithmetic
 progressions in the chi coloring.
@@ -17,10 +20,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import GuardError, WordStream, word_sum
-from .complexity import LatticeMap, image_prefix_sums
+from .complexity import LatticeMap, image_prefix_sums, pack_rows
 from .slopes import Rational, _as_fraction, chi_sequence
 
 _POWER_MAX_PREFIX = 1_000_000
+_HEAD_STARTS = 16
 
 
 @dataclass(frozen=True)
@@ -40,25 +44,73 @@ def _check_power_args(k: int, L: int, limit: int) -> None:
         raise GuardError(f"power scan is quadratic; refusing L = {L} > {limit}")
 
 
+def _agree(vals: list) -> np.ndarray:
+    """Mask where every array in vals equals vals[0]; rows compare as wholes."""
+    ok = vals[1] == vals[0]
+    for v in vals[2:]:
+        ok &= v == vals[0]
+    return ok.all(axis=-1) if ok.ndim > 1 else ok
+
+
+def _first_progression(
+    X: np.ndarray, terms: int, step: int, blocks: bool
+) -> Optional[tuple[int, int]]:
+    """Lexicographically first 0-based (start i, gap g) whose terms agree, or None.
+
+    The terms are X[i + j*g] for j < terms, or with blocks=True the blocks
+    X[i + (j+1)*g] - X[i + j*g]; g runs over the multiples of step.  The
+    first _HEAD_STARTS starts go start by start, then the scan goes gap by
+    gap over the starts before the best so far, and finishes start by start
+    once fewer of those starts than gaps remain.
+    """
+    n = len(X)
+    reach = terms if blocks else terms - 1  # a progression spans reach*g
+
+    def start_by_start(starts: range, g0: int) -> Optional[tuple[int, int]]:
+        for i in starts:
+            gmax = (n - 1 - i) // reach
+            if gmax < g0:
+                return None
+            gmax -= (gmax - g0) % step
+            pts = [X[i + j * g0 : i + j * gmax + 1 : j * step] if j else X[i]
+                   for j in range(reach + 1)]
+            ok = _agree([b - a for a, b in zip(pts, pts[1:])] if blocks else pts)
+            if ok.any():
+                return i, g0 + step * int(np.argmax(ok))
+        return None
+
+    head = min(_HEAD_STARTS, n)
+    best, g = start_by_start(range(head), step), step
+    while (hi := min(n - reach * g, best[0] if best else n)) > head:  # starts [head, hi)
+        m = hi - head
+        # at one gap the blocks are values: block j of start i is B[i - head + j*g]
+        B = X[head + g : hi + terms * g] - X[head : hi + (terms - 1) * g] if blocks else X[head:]
+        ok = _agree([B[j * g : j * g + m] for j in range(terms)])
+        if ok.any():
+            best = (head + int(np.argmax(ok)), g)
+        if best and best[0] - head < ((n - 1 - head) // reach - g) // step:
+            return start_by_start(range(head, best[0]), g + step) or best
+        g += step
+    return best
+
+
+def _block_power(X: np.ndarray, C: np.ndarray, k: int) -> Optional[PowerWitness]:
+    """First k-power of blocks whose X-differences agree; its value is read from C."""
+    hit = _first_progression(X, k, 1, blocks=True)
+    if hit is None:
+        return None
+    i, b = hit
+    v = C[i + b] - C[i]
+    return PowerWitness(i + 1, b, k, int(v) if v.ndim == 0 else tuple(int(x) for x in v))
+
+
 def find_additive_kpower(
     w: WordStream, k: int, L: int, limit: int = _POWER_MAX_PREFIX
 ) -> Optional[PowerWitness]:
     """First (start asc, then b asc) run of k equal-length equal-sum blocks."""
     _check_power_args(k, L, limit)
     P = w.prefix_sums(L)
-    js = np.arange(k + 1, dtype=np.int64)
-    for start in range(1, L - k + 2):
-        bmax = (L - start + 1) // k
-        if bmax < 1:
-            break
-        bs = np.arange(1, bmax + 1, dtype=np.int64)
-        ends = P[(start - 1) + np.outer(bs, js)]
-        sums = np.diff(ends, axis=1)
-        ok = np.all(sums == sums[:, :1], axis=1)
-        hit = int(np.argmax(ok))
-        if ok[hit]:
-            return PowerWitness(start, int(bs[hit]), k, int(sums[hit, 0]))
-    return None
+    return _block_power(P, P, k)
 
 
 def find_kpower_mod_mu(
@@ -67,20 +119,8 @@ def find_kpower_mod_mu(
     """Like find_additive_kpower, but blocks must share their mu-image."""
     _check_power_args(k, L, limit)
     C = image_prefix_sums(w, mu, L)
-    js = np.arange(k + 1, dtype=np.int64)
-    for start in range(1, L - k + 2):
-        bmax = (L - start + 1) // k
-        if bmax < 1:
-            break
-        bs = np.arange(1, bmax + 1, dtype=np.int64)
-        ends = C[(start - 1) + np.outer(bs, js)]
-        sums = np.diff(ends, axis=1)
-        ok = np.all(sums == sums[:, :1, :], axis=(1, 2))
-        hit = int(np.argmax(ok))
-        if ok[hit]:
-            value = tuple(int(x) for x in sums[hit, 0])
-            return PowerWitness(start, int(bs[hit]), k, value)
-    return None
+    K = pack_rows(C)
+    return _block_power(C if K is None else K, C, k)
 
 
 def monochromatic_ap(
@@ -96,24 +136,12 @@ def monochromatic_ap(
         raise ValueError("a progression needs at least 2 terms")
     if gap_multiple < 1:
         raise ValueError("gap_multiple must be >= 1")
-    c = np.asarray(colors, dtype=np.int64)
-    n = c.size
-    js = np.arange(terms, dtype=np.int64)
-    for a in range(1, n + 1):
-        gmax = (n - a) // (terms - 1)
-        if gmax < gap_multiple:
-            continue
-        gs = np.arange(gap_multiple, gmax + 1, gap_multiple, dtype=np.int64)
-        rows = c[(a - 1) + np.outer(gs, js)]
-        ok = np.all(rows == rows[:, :1], axis=1)
-        hit = int(np.argmax(ok))
-        if ok[hit]:
-            return a, int(gs[hit])
-    return None
+    hit = _first_progression(np.asarray(colors, dtype=np.int64), terms, gap_multiple, blocks=False)
+    return None if hit is None else (hit[0] + 1, hit[1])
 
 
 def find_anchored_power(
-    w: WordStream, alpha: Rational, k: int, count: int, L: int
+    w: WordStream, alpha: Rational, k: int, count: int, L: int, limit: int = _POWER_MAX_PREFIX
 ) -> Optional[PowerWitness]:
     """An additive power of `count` blocks whose length is a multiple of k*q.
 
@@ -126,6 +154,7 @@ def find_anchored_power(
         raise ValueError("the length divisor k must be >= 1")
     if count < 2:
         raise ValueError("a power needs at least 2 blocks")
+    _check_power_args(count, L, limit)
     a = _as_fraction(alpha)
     p, q = a.numerator, a.denominator
     m_max = L // q

@@ -146,6 +146,15 @@ def test_chi_csv(capsys):
     assert out == ["m,chi", "1,-1", "2,-1", "3,0", "4,-1", "5,-1", "6,0"]
 
 
+@pytest.mark.parametrize("m_max", ["0", "-2"])
+def test_chi_refuses_m_max_below_one(capsys, m_max):
+    rc = main(["chi", "periodic:0,1", "--slope", "1/2", "--m-max", m_max, "-L", "10"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--m-max" in captured.err
+
+
 def test_factorize_csv_and_json(capsys):
     rc = main(["factorize", "thm11:k=1", "--slope", "1", "-L", "50"])
     out = capsys.readouterr().out.splitlines()

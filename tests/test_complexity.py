@@ -22,6 +22,7 @@ from wordsums import (
     sum_spread,
     window_sums,
 )
+from wordsums.complexity import pack_rows
 
 words = st.lists(st.integers(-3, 3), min_size=1, max_size=120)
 
@@ -181,3 +182,25 @@ def test_profile_kinds(thue_morse):
 def test_lattice_profile_spread_is_squared_distance(thue_morse):
     prof = profile(thue_morse, 3, 2000, kind="abelian")
     assert prof.spreads()[1] == 8  # n=2 from the spread test above
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda t: st.lists(
+            st.lists(st.integers(-5, 5), min_size=t, max_size=t), min_size=1, max_size=8
+        )
+    )
+)
+def test_pack_rows_separates_row_differences(rows):
+    C = np.array(rows, dtype=np.int64)
+    K = pack_rows(C)
+    pairs = list(itertools.product(range(len(rows)), repeat=2))
+    for (i, j), (k, l) in itertools.product(pairs, repeat=2):
+        same_rows = np.array_equal(C[j] - C[i], C[l] - C[k])
+        assert same_rows == (K[j] - K[i] == K[l] - K[k])
+
+
+def test_pack_rows_refuses_keys_past_int64():
+    C = np.array([[0, 0], [2**40, 2**40]], dtype=np.int64)
+    assert pack_rows(C) is None
