@@ -6,10 +6,18 @@ complexity counts Parikh vectors, and both are instances of counting
 images under an additive map mu: S* -> Z^t.  Bounded complexity is
 equivalent to bounded spread, where spread is max - min of the sums
 (t = 1) or the max squared Euclidean distance between images (t > 1).
+
+Every count runs one kernel.  The length-n window images W = C[n:] - C[:-n]
+of the prefix sums C (built once per call) are shifted per column by their
+minimum and packed into one int64 key per row in mixed radix max - min + 1.
+Keys are counted with bincount when their range is at most the number of
+windows, else sorted; rows whose radix product reaches 2^62 are not packed
+and go to unique(axis=0).  Distinct keys decode back into image points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -119,19 +127,23 @@ def _check_window(n: int, L: int) -> None:
         raise ValueError(f"need 1 <= n <= L, got n={n}, L={L}")
 
 
+def _windows(C: np.ndarray, n: int) -> np.ndarray:
+    """The window kernel: images of every length-n window, from prefix sums C."""
+    return C[n:] - C[:-n]
+
+
 def window_sums(w: WordStream, n: int, L: int) -> np.ndarray:
     """Sums of w(i..i+n-1) for every window inside the length-L prefix."""
     _check_window(n, L)
-    P = w.prefix_sums(L)
-    return P[n:] - P[:-n]
+    return _windows(w.prefix_sums(L), n)
 
 
 def image_prefix_sums(w: WordStream, mu: LatticeMap, L: int) -> np.ndarray:
-    """C[i] = mu(w(1..i)) for i = 0..L, shape (L+1, t); refuses int64 overflow."""
+    """C[i] = mu(w(1..i)) for i = 0..L, column-major (L+1, t); refuses int64 overflow."""
     rows = mu.image_rows(w.prefix(L))
     if mu.max_abs() and mu.max_abs() * (L + 1) >= 2**62:
         raise GuardError("lattice prefix sums may overflow int64")
-    C = np.zeros((L + 1, mu.dim), dtype=np.int64)
+    C = np.zeros((L + 1, mu.dim), dtype=np.int64, order="F")
     np.cumsum(rows, axis=0, out=C[1:])
     return C
 
@@ -154,13 +166,34 @@ def pack_rows(C: np.ndarray) -> Optional[np.ndarray]:
 def window_images(w: WordStream, mu: LatticeMap, n: int, L: int) -> np.ndarray:
     """mu-images of all length-n windows, shape (L-n+1, t)."""
     _check_window(n, L)
-    C = image_prefix_sums(w, mu, L)
-    return C[n:] - C[:-n]
+    return _windows(image_prefix_sums(w, mu, L), n)
+
+
+def _distinct_images(W: np.ndarray) -> np.ndarray:
+    """The reduction: distinct rows of the window images W, in lexicographic order."""
+    lo = W.min(axis=0).tolist()
+    radix = [h - l + 1 for l, h in zip(lo, W.max(axis=0).tolist())]
+    R = math.prod(radix)
+    if R >= 2**62:
+        return np.unique(W, axis=0)
+    keys = W[:, 0] - lo[0]
+    for c in range(1, len(radix)):
+        keys *= radix[c]
+        keys += W[:, c] - lo[c]
+    if R <= len(keys):
+        keys = np.flatnonzero(np.bincount(keys, minlength=R))
+    else:
+        keys = np.unique(keys)
+    U = np.empty((len(keys), len(radix)), dtype=np.int64)
+    for c in range(len(radix) - 1, 0, -1):
+        keys, U[:, c] = np.divmod(keys, radix[c])
+    U[:, 0] = keys
+    return U + np.array(lo, dtype=np.int64)
 
 
 def additive_complexity(w: WordStream, n: int, L: int) -> int:
     """Number of distinct length-n window sums in the length-L prefix."""
-    return int(np.unique(window_sums(w, n, L)).size)
+    return len(_distinct_images(window_sums(w, n, L)[:, None]))
 
 
 def sum_spread(w: WordStream, n: int, L: int) -> int:
@@ -171,8 +204,7 @@ def sum_spread(w: WordStream, n: int, L: int) -> int:
 
 def lattice_complexity(w: WordStream, mu: LatticeMap, n: int, L: int) -> int:
     """Number of distinct mu-images of length-n windows."""
-    W = window_images(w, mu, n, L)
-    return int(np.unique(W, axis=0).shape[0])
+    return len(_distinct_images(window_images(w, mu, n, L)))
 
 
 def abelian_complexity(w: WordStream, n: int, L: int, alphabet: Optional[Alphabet] = None) -> int:
@@ -192,9 +224,9 @@ def _points_diameter_sq(U: np.ndarray) -> int:
     if D > _DIAMETER_MAX_POINTS:
         raise GuardError(f"{D} distinct images exceed the diameter guard")
     span = int(np.max(U)) - int(np.min(U))
-    if D <= 512 or t * span * span >= 2**62:
+    best = 0
+    if t * span * span >= 2**62:
         pts = [tuple(int(x) for x in row) for row in U]
-        best = 0
         for i in range(len(pts)):
             pi = pts[i]
             for pj in pts[i + 1 :]:
@@ -202,20 +234,22 @@ def _points_diameter_sq(U: np.ndarray) -> int:
                 if d > best:
                     best = d
         return best
-    best = 0
-    step = 2048
+    # Each block holds a (step, D) distance table and one column's differences.
+    step = max(1, _WINDOW_BYTES_LIMIT // (16 * D))
     for i in range(0, D, step):
         blk = U[i : i + step]
-        diff = blk[:, None, :] - U[None, :, :]
-        np.square(diff, out=diff)
-        best = max(best, int(diff.sum(axis=2).max()))
+        d2 = np.zeros((len(blk), D - i), dtype=np.int64)
+        for c in range(t):
+            diff = np.subtract.outer(blk[:, c], U[i:, c])
+            diff *= diff
+            d2 += diff
+        best = max(best, int(d2.max()))
     return best
 
 
 def lattice_spread(w: WordStream, mu: LatticeMap, n: int, L: int) -> int:
     """Max squared Euclidean distance between window images, exact."""
-    W = window_images(w, mu, n, L)
-    return _points_diameter_sq(np.unique(W, axis=0))
+    return _points_diameter_sq(_distinct_images(window_images(w, mu, n, L)))
 
 
 def profile(
@@ -233,28 +267,20 @@ def profile(
     """
     if n_max < 1 or n_max > L:
         raise ValueError(f"need 1 <= n_max <= L, got n_max={n_max}, L={L}")
-    if kind == "additive":
-        if mu is not None:
-            raise ValueError("mu only applies to kind='lattice'")
-        rows = []
-        P = w.prefix_sums(L)
-        for n in range(1, n_max + 1):
-            s = P[n:] - P[:-n]
-            rows.append(ProfileRow(n, int(np.unique(s).size), int(s.max() - s.min())))
-        return ComplexityProfile("additive", L, tuple(rows))
-    if kind == "abelian":
-        if mu is not None:
-            raise ValueError("mu only applies to kind='lattice'")
-        mu = LatticeMap.parikh_map(w.alphabet or w.observed_alphabet(L))
-    elif kind == "lattice":
-        if mu is None:
-            raise ValueError("kind='lattice' needs mu")
-    else:
+    if kind not in ("additive", "abelian", "lattice"):
         raise ValueError(f"unknown profile kind {kind!r}")
+    if kind == "lattice" and mu is None:
+        raise ValueError("kind='lattice' needs mu")
+    if kind != "lattice" and mu is not None:
+        raise ValueError("mu only applies to kind='lattice'")
+    if kind == "abelian":
+        mu = LatticeMap.parikh_map(w.alphabet or w.observed_alphabet(L))
+    C = w.prefix_sums(L)[:, None] if mu is None else image_prefix_sums(w, mu, L)
     rows = []
     for n in range(1, n_max + 1):
-        U = np.unique(window_images(w, mu, n, L), axis=0)
-        rows.append(ProfileRow(n, int(U.shape[0]), _points_diameter_sq(U)))
+        U = _distinct_images(_windows(C, n))
+        spread = int(U[-1, 0]) - int(U[0, 0]) if kind == "additive" else _points_diameter_sq(U)
+        rows.append(ProfileRow(n, len(U), spread))
     return ComplexityProfile(kind, L, tuple(rows))
 
 
@@ -294,5 +320,4 @@ def factor_set_intersection(w1: WordStream, w2: WordStream, n: int, L: int) -> i
     b = np.lib.stride_tricks.sliding_window_view(w2.prefix(L), n)
     ua = np.unique(a, axis=0)
     ub = np.unique(b, axis=0)
-    sa = {row.tobytes() for row in ua}
-    return sum(1 for row in ub if row.tobytes() in sa)
+    return len(ua) + len(ub) - len(np.unique(np.concatenate([ua, ub]), axis=0))

@@ -22,7 +22,8 @@ from wordsums import (
     sum_spread,
     window_sums,
 )
-from wordsums.complexity import pack_rows
+from wordsums import complexity
+from wordsums.complexity import _points_diameter_sq, pack_rows
 
 words = st.lists(st.integers(-3, 3), min_size=1, max_size=120)
 
@@ -204,3 +205,125 @@ def test_pack_rows_separates_row_differences(rows):
 def test_pack_rows_refuses_keys_past_int64():
     C = np.array([[0, 0], [2**40, 2**40]], dtype=np.int64)
     assert pack_rows(C) is None
+
+
+# -- the distinct-count kernel, one test per branch ------------------------
+
+B40, B30 = 2**40, 2**30
+
+
+def _branch(windows):
+    """The branch the kernel takes on these window images, by its rule."""
+    radix = 1
+    for col in zip(*windows):
+        radix *= max(col) - min(col) + 1
+    if radix >= 2**62:
+        return "rows"
+    return "bincount" if radix <= len(windows) else "sort"
+
+
+def _check_profile(xs, kind, n_max, branch, images=None, branch_from=1):
+    """Every row of profile(kind) against the oracle and a brute-force spread.
+
+    Rows n >= branch_from must also take the given kernel branch.
+    """
+    w, L = from_finite(xs), len(xs)
+    mu = LatticeMap(images) if kind == "lattice" else None
+    prof = profile(w, n_max, L, kind=kind, mu=mu)
+    if kind == "additive":
+        imgs, oracle_mu = [(x,) for x in xs], None
+    else:
+        oracle_mu = mu or LatticeMap.parikh_map(Alphabet(xs))
+        imgs = [oracle_mu.images[x] for x in xs]
+    assert [r.n for r in prof.rows] == list(range(1, n_max + 1))
+    for row in prof.rows:
+        n = row.n
+        windows = [tuple(map(sum, zip(*imgs[i : i + n]))) for i in range(L - n + 1)]
+        assert n < branch_from or _branch(windows) == branch
+        seen = set(windows)
+        assert row.count == len(seen) == naive_complexity_oracle(w, oracle_mu, n, L)
+        if kind == "additive":
+            assert row.spread == max(seen)[0] - min(seen)[0]
+        else:
+            assert row.spread == _bruteforce_diameter(seen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(0, 2), min_size=70, max_size=150),
+    st.integers(1, 3),
+    st.dictionaries(st.integers(0, 2), st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                    min_size=3, max_size=3),
+)
+def test_profile_small_ranges_take_bincount(xs, n_max, images):
+    # each column spans at most n + 1 values, so (n+1)^3 <= 64 keys < 68 windows
+    _check_profile(xs, "additive", n_max, "bincount")
+    _check_profile(xs, "abelian", n_max, "bincount")
+    _check_profile(xs, "lattice", n_max, "bincount", images)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from([-1, 1]), st.integers(-3, 3)), max_size=100),
+    st.integers(1, 3),
+    st.lists(st.integers(0, 4), max_size=60),
+    st.integers(4, 6),
+)
+def test_profile_wide_ranges_take_the_sort(pairs, n_max, tail, n_ab):
+    # three +2^40 and three -2^40 up front: every window length <= 3 spans > 2^41 sums
+    xs = [B40] * 3 + [-B40] * 3 + [sgn * B40 + d for sgn, d in pairs]
+    _check_profile(xs, "additive", n_max, "sort")
+    images = {B40: (B30, 1), -B40: (-B30, 0)}
+    images.update({x: (x // 1024, x % 5) for x in xs[6:]})
+    _check_profile(xs, "lattice", n_max, "sort", images)
+    # runs of 8 per letter: all five Parikh columns span 0..n, (n+1)^5 > 150 windows
+    blocks = [s for s in range(5) for _ in range(8)] + tail
+    _check_profile(blocks, "abelian", n_ab, "sort", branch_from=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), max_size=60),
+    st.lists(st.tuples(st.sampled_from([-1, 1]), st.integers(-9, 9)), min_size=6, max_size=6),
+    st.integers(1, 3),
+)
+def test_profile_refuses_to_pack_t3_images_near_2_30(xs, offsets, n_max):
+    # (B, B, B) and (-B, -B, -B) runs up front: three columns each spanning > 2^31
+    signs = iter(offsets)
+    images = {0: (B30, B30, B30), 1: (-B30, -B30, -B30)}
+    images.update({s: tuple(sg * B30 + d for sg, d in (next(signs), next(signs), next(signs)))
+                   for s in (2, 3)})
+    word = [0, 0, 0, 1, 1, 1] + xs
+    _check_profile(word, "lattice", n_max, "rows", images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words, st.data())
+def test_t1_lattice_profile_equals_additive(xs, data):
+    w, L = from_finite(xs), len(xs)
+    n_max = data.draw(st.integers(1, L))
+    add = profile(w, n_max, L)
+    lat = profile(w, n_max, L, kind="lattice", mu=LatticeMap.sum_map(Alphabet(xs)))
+    assert lat.counts() == add.counts()
+    assert lat.spreads() == [s * s for s in add.spreads()]
+
+
+@pytest.mark.parametrize(
+    "D, t, span", [(513, 2, 100), (800, 2, 100), (600, 3, 100), (777, 3, 2**30)]
+)
+def test_diameter_block_path_matches_bruteforce(D, t, span, monkeypatch):
+    # span 2^30 at t = 3 keeps t * span^2 under 2^62, so the numpy path runs
+    rng = np.random.default_rng(D)
+    U = rng.integers(-span // 2, span // 2, size=(D, t))
+    expected = _bruteforce_diameter(map(tuple, U.tolist()))
+    assert _points_diameter_sq(U) == expected
+    # one block row at a time
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 64)
+    assert _points_diameter_sq(U) == expected
+
+
+def test_diameter_overflow_fallback_matches_bruteforce():
+    rng = np.random.default_rng(5)
+    U = rng.integers(-(2**31), 2**31, size=(40, 3))
+    assert 3 * (int(U.max()) - int(U.min())) ** 2 >= 2**62
+    assert _points_diameter_sq(U) == _bruteforce_diameter(map(tuple, U.tolist()))
