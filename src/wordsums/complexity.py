@@ -13,6 +13,8 @@ minimum and packed into one int64 key per row in mixed radix max - min + 1.
 Keys are counted with bincount when their range is at most the number of
 windows, else sorted; rows whose radix product reaches 2^62 are not packed
 and go to unique(axis=0).  Distinct keys decode back into image points.
+Factor-set intersections and the unbounding guess in `morphisms` run the
+same kernel: distinct factor rows, and spreads of Parikh window images.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import Alphabet, FiniteWord, GuardError, WordStream
+from .core import _SUM_LIMIT, Alphabet, FiniteWord, GuardError, WordStream
 
 _ORACLE_MAX_PREFIX = 10_000
 _DIAMETER_MAX_POINTS = 100_000
+_DIAMETER_MAX_PAIRS = 500_000  # about 1 s of the pure-Python overflow fallback
 _WINDOW_BYTES_LIMIT = 200_000_000
 
 
@@ -141,11 +144,23 @@ def window_sums(w: WordStream, n: int, L: int) -> np.ndarray:
 def image_prefix_sums(w: WordStream, mu: LatticeMap, L: int) -> np.ndarray:
     """C[i] = mu(w(1..i)) for i = 0..L, column-major (L+1, t); refuses int64 overflow."""
     rows = mu.image_rows(w.prefix(L))
-    if mu.max_abs() and mu.max_abs() * (L + 1) >= 2**62:
+    if mu.max_abs() and mu.max_abs() * (L + 1) >= _SUM_LIMIT:
         raise GuardError("lattice prefix sums may overflow int64")
     C = np.zeros((L + 1, mu.dim), dtype=np.int64, order="F")
     np.cumsum(rows, axis=0, out=C[1:])
     return C
+
+
+def _pack(W: np.ndarray, lo: list[int], radix: list[int]) -> Optional[np.ndarray]:
+    """One int64 key per row of W - lo in mixed radix, first column most significant;
+    None once the radix product reaches 2^62, where the keys could overflow."""
+    if math.prod(radix) >= _SUM_LIMIT:
+        return None
+    keys = W[:, 0] - lo[0]
+    for c in range(1, len(radix)):
+        keys *= radix[c]
+        keys += W[:, c] - lo[c]
+    return keys
 
 
 def pack_rows(C: np.ndarray) -> Optional[np.ndarray]:
@@ -153,14 +168,8 @@ def pack_rows(C: np.ndarray) -> Optional[np.ndarray]:
 
     Column c gets radix 2*(max - min) + 1, so K[i] - K[j] identifies C[i] - C[j].
     """
-    weights, bound, R = [], 0, 1
-    for lo, hi in zip(C.min(axis=0).tolist(), C.max(axis=0).tolist()):
-        weights.append(R)
-        bound += max(-lo, hi) * R
-        R *= 2 * (hi - lo) + 1
-    if bound >= 2**62 or weights[-1] >= 2**62:
-        return None
-    return C @ np.array(weights, dtype=np.int64)
+    lo = C.min(axis=0).tolist()
+    return _pack(C, lo, [2 * (h - l) + 1 for l, h in zip(lo, C.max(axis=0).tolist())])
 
 
 def window_images(w: WordStream, mu: LatticeMap, n: int, L: int) -> np.ndarray:
@@ -173,15 +182,11 @@ def _distinct_images(W: np.ndarray) -> np.ndarray:
     """The reduction: distinct rows of the window images W, in lexicographic order."""
     lo = W.min(axis=0).tolist()
     radix = [h - l + 1 for l, h in zip(lo, W.max(axis=0).tolist())]
-    R = math.prod(radix)
-    if R >= 2**62:
+    keys = _pack(W, lo, radix)
+    if keys is None:
         return np.unique(W, axis=0)
-    keys = W[:, 0] - lo[0]
-    for c in range(1, len(radix)):
-        keys *= radix[c]
-        keys += W[:, c] - lo[c]
-    if R <= len(keys):
-        keys = np.flatnonzero(np.bincount(keys, minlength=R))
+    if math.prod(radix) <= len(keys):
+        keys = np.flatnonzero(np.bincount(keys))
     else:
         keys = np.unique(keys)
     U = np.empty((len(keys), len(radix)), dtype=np.int64)
@@ -198,8 +203,7 @@ def additive_complexity(w: WordStream, n: int, L: int) -> int:
 
 def sum_spread(w: WordStream, n: int, L: int) -> int:
     """max - min of the length-n window sums; bounded iff complexity is."""
-    s = window_sums(w, n, L)
-    return int(s.max() - s.min())
+    return int(np.ptp(window_sums(w, n, L)))
 
 
 def lattice_complexity(w: WordStream, mu: LatticeMap, n: int, L: int) -> int:
@@ -225,10 +229,11 @@ def _points_diameter_sq(U: np.ndarray) -> int:
         raise GuardError(f"{D} distinct images exceed the diameter guard")
     span = int(np.max(U)) - int(np.min(U))
     best = 0
-    if t * span * span >= 2**62:
-        pts = [tuple(int(x) for x in row) for row in U]
-        for i in range(len(pts)):
-            pi = pts[i]
+    if t * span * span >= _SUM_LIMIT:
+        if D * (D - 1) // 2 > _DIAMETER_MAX_PAIRS:
+            raise GuardError(f"{D} distinct images too wide for the diameter's int64 path")
+        pts = U.tolist()
+        for i, pi in enumerate(pts):
             for pj in pts[i + 1 :]:
                 d = sum((a - b) ** 2 for a, b in zip(pi, pj))
                 if d > best:
@@ -316,8 +321,6 @@ def factor_set_intersection(w1: WordStream, w2: WordStream, n: int, L: int) -> i
     _check_window(n, L)
     if n * L * 8 > _WINDOW_BYTES_LIMIT:
         raise GuardError(f"window table for n={n}, L={L} exceeds the memory guard")
-    a = np.lib.stride_tricks.sliding_window_view(w1.prefix(L), n)
-    b = np.lib.stride_tricks.sliding_window_view(w2.prefix(L), n)
-    ua = np.unique(a, axis=0)
-    ub = np.unique(b, axis=0)
-    return len(ua) + len(ub) - len(np.unique(np.concatenate([ua, ub]), axis=0))
+    da, db = (_distinct_images(np.lib.stride_tricks.sliding_window_view(w.prefix(L), n))
+              for w in (w1, w2))
+    return len(da) + len(db) - len(_distinct_images(np.concatenate([da, db])))

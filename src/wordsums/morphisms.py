@@ -16,6 +16,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .complexity import LatticeMap, _windows, image_prefix_sums
 from .core import Alphabet, FiniteWord, WordStream, word_slope, word_sum
 
 
@@ -181,29 +182,19 @@ def anchor_spread_bound(phi: Morphism) -> int:
 def abelian_unbounding_morphism(w: WordStream, L: int) -> Morphism:
     """Guess a letter-increment morphism that unbalances w's sums.
 
-    Measures, for each letter, how fast the spread of its occurrence
-    counts over length-n windows grows (n at geometric checkpoints up to
-    L/4), picks the steepest letter s (ties to the smallest), and returns
-    s -> s+1 with every other letter fixed.  Purely advisory: the caller
-    checks the image's spread.
+    Measures, for each letter, how much the spread of its occurrence
+    counts over length-n windows (Parikh images from the complexity
+    kernel) grows from n = L/256 to n = L/4, picks the steepest letter s
+    (ties to the smallest), and returns s -> s+1 with every other letter
+    fixed.  Purely advisory: the caller checks the image's spread.
     """
     if L < 8:
         raise ValueError("prefix too short to estimate count growth")
-    prefix = w.prefix(L)
-    letters = np.unique(prefix).tolist()
-    checkpoints = sorted({max(1, L // 256), max(2, L // 64), max(3, L // 16), max(4, L // 4)})
-    best: Optional[tuple[Fraction, int]] = None
-    for s in letters:
-        occ = np.concatenate([[0], np.cumsum(prefix == s)])
-        spreads = []
-        for n in checkpoints:
-            win = occ[n:] - occ[:-n]
-            spreads.append(int(win.max() - win.min()))
-        growth = Fraction(spreads[-1] - spreads[0], checkpoints[-1] - checkpoints[0])
-        key = (growth, -s)
-        if best is None or key > (best[0], -best[1]):
-            best = (growth, int(s))
-    s = best[1]
-    images = {t: (t,) for t in letters if t != s}
+    ab = w.observed_alphabet(L)
+    C = image_prefix_sums(w, LatticeMap.parikh_map(ab), L)
+    # every letter's growth has the same denominator, so spread differences rank them
+    first, last = (np.ptp(_windows(C, n), axis=0) for n in (max(1, L // 256), max(4, L // 4)))
+    s = ab.symbols[int(np.argmax(last - first))]  # argmax keeps the smallest letter on ties
+    images = {t: (t,) for t in ab if t != s}
     images[s] = (s + 1,)
     return Morphism(images)

@@ -6,9 +6,12 @@ mu-image).  Every search is one progression scan, start ascending,
 then gap (block length) ascending, so the returned witness is the
 lexicographically first one.  A scan that finds nothing compares about
 L^2/k cells, done gap by gap in numpy; the prefix guard (L <= 10^6
-unless the caller raises `limit`) is what bounds that work.  Words of
-bounded sum spread still contain additive k-powers for every k; the
-slope-constrained search finds them through monochromatic arithmetic
+unless the caller raises `limit`) is what bounds that work.  mu-images
+compare as one int64 key per prefix row (`complexity.pack_rows`: column
+c in mixed radix 2*(max - min) + 1, so key differences identify row
+differences), or as whole rows once that radix product reaches 2^62.
+Words of bounded sum spread still contain additive k-powers for every k;
+the slope-constrained search finds them through monochromatic arithmetic
 progressions in the chi coloring.
 """
 
@@ -20,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import GuardError, WordStream, word_sum
-from .complexity import LatticeMap, image_prefix_sums, pack_rows
+from .complexity import LatticeMap, _windows, image_prefix_sums, pack_rows
 from .slopes import Rational, _as_fraction, chi_sequence
 
 _POWER_MAX_PREFIX = 1_000_000
@@ -84,7 +87,7 @@ def _first_progression(
     while (hi := min(n - reach * g, best[0] if best else n)) > head:  # starts [head, hi)
         m = hi - head
         # at one gap the blocks are values: block j of start i is B[i - head + j*g]
-        B = X[head + g : hi + terms * g] - X[head : hi + (terms - 1) * g] if blocks else X[head:]
+        B = _windows(X[head : hi + terms * g], g) if blocks else X[head:]
         ok = _agree([B[j * g : j * g + m] for j in range(terms)])
         if ok.any():
             best = (head + int(np.argmax(ok)), g)

@@ -248,6 +248,28 @@ def _check_profile(xs, kind, n_max, branch, images=None, branch_from=1):
             assert row.spread == _bruteforce_diameter(seen)
 
 
+@pytest.mark.parametrize(
+    "letters, n_lo, n_hi, branch",
+    [
+        ((0, 1, 2), 1, 3, "bincount"),  # at most 3^3 = 27 keys, at least 34 windows
+        ((0, 9), 2, 4, "sort"),  # at least 10^2 keys, at most 55 windows
+        ((-B40, 1, B40), 2, 4, "rows"),  # (2^41 + 1)^2 > 2^62
+    ],
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_intersection_branches_match_bruteforce(letters, n_lo, n_hi, branch, data):
+    # both extremes up front, so every factor column spans the whole letter range
+    head = [letters[0], letters[-1]] * 3
+    body = st.lists(st.sampled_from(letters), min_size=30, max_size=50)
+    xs, ys = head + data.draw(body), head + data.draw(body)
+    n, L = data.draw(st.integers(n_lo, n_hi)), min(len(xs), len(ys))
+    for word in (xs, ys):
+        assert _branch([tuple(word[i : i + n]) for i in range(L - n + 1)]) == branch
+    shared = factor_set_intersection(from_finite(xs), from_finite(ys), n, L)
+    assert shared == _bruteforce_shared(xs[:L], ys[:L], n)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.integers(0, 2), min_size=70, max_size=150),
@@ -297,6 +319,12 @@ def test_profile_refuses_to_pack_t3_images_near_2_30(xs, offsets, n_max):
     _check_profile(word, "lattice", n_max, "rows", images)
 
 
+def test_profile_refuses_to_pack_keys_just_past_int64():
+    # radix product (B + 1)^2 is about 2^63.06: packed keys would wrap past int64
+    B = 3_100_000_000
+    _check_profile([0, 1, 1, 0, 2], "lattice", 1, "rows", {0: (0, 0), 1: (B, B), 2: (B, 0)})
+
+
 @settings(max_examples=60, deadline=None)
 @given(words, st.data())
 def test_t1_lattice_profile_equals_additive(xs, data):
@@ -327,3 +355,11 @@ def test_diameter_overflow_fallback_matches_bruteforce():
     U = rng.integers(-(2**31), 2**31, size=(40, 3))
     assert 3 * (int(U.max()) - int(U.min())) ** 2 >= 2**62
     assert _points_diameter_sq(U) == _bruteforce_diameter(map(tuple, U.tolist()))
+
+
+def test_diameter_overflow_fallback_refuses_too_many_pairs():
+    # 1100 points are 604450 pairs, past the pair guard of the Python fallback
+    rng = np.random.default_rng(5)
+    U = rng.integers(-(2**31), 2**31, size=(1100, 3))
+    with pytest.raises(GuardError):
+        _points_diameter_sq(U)

@@ -13,6 +13,7 @@ from wordsums import (
     anchor_matrix,
     anchor_spread_bound,
     apply_morphism,
+    from_finite,
     is_anchor,
     mirror_anchor,
     morphic_fixed_point,
@@ -155,6 +156,40 @@ def test_abelian_unbounding_is_advisory_on_balanced_words():
     moved = [s for s, img in guess.images.items() if img.symbols != (s,)]
     assert len(moved) == 1
     assert guess.image(moved[0]).symbols == (moved[0] + 1,)
+
+
+def _reference_unbounding_letter(xs):
+    """The letter the per-letter loop picks: spreads at four checkpoints,
+    Fraction growth from the first to the last, ties to the smallest."""
+    L, prefix = len(xs), np.array(xs, dtype=np.int64)
+    checkpoints = sorted({max(1, L // 256), max(2, L // 64), max(3, L // 16), max(4, L // 4)})
+    best = None
+    for s in np.unique(prefix).tolist():
+        occ = np.concatenate([[0], np.cumsum(prefix == s)])
+        spreads = []
+        for n in checkpoints:
+            win = occ[n:] - occ[:-n]
+            spreads.append(int(win.max() - win.min()))
+        growth = Fraction(spreads[-1] - spreads[0], checkpoints[-1] - checkpoints[0])
+        if best is None or (growth, -s) > (best[0], -best[1]):
+            best = (growth, s)
+    return best[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 60)), min_size=1, max_size=40),
+    st.data(),
+)
+def test_abelian_unbounding_matches_per_letter_reference(runs, data):
+    # runs of one letter make the letters' growths differ; binary words tie
+    xs = [s for s, r in runs for _ in range(r)]
+    if len(xs) < 8:
+        xs += [0] * 8
+    L = data.draw(st.integers(8, len(xs)))
+    guess = abelian_unbounding_morphism(from_finite(xs), L)
+    s = _reference_unbounding_letter(xs[:L])
+    assert guess.images == {t: FiniteWord([t + (t == s)]) for t in sorted(set(xs[:L]))}
 
 
 def test_morphism_repr_roundtrip():
