@@ -127,7 +127,13 @@ def parikh(B: FiniteWord, alphabet: Alphabet) -> tuple[int, ...]:
 
 def _check_window(n: int, L: int) -> None:
     if not 1 <= n <= L:
-        raise ValueError(f"need 1 <= n <= L, got n={n}, L={L}")
+        raise ValueError(f"window lengths must lie in 1..L, got {n} with L = {L}")
+
+
+def _check_window_table(n: int, L: int) -> None:
+    _check_window(n, L)
+    if n * L * 8 > _WINDOW_BYTES_LIMIT:
+        raise GuardError(f"window table for n={n}, L={L} exceeds the memory guard")
 
 
 def _windows(C: np.ndarray, n: int) -> np.ndarray:
@@ -270,8 +276,7 @@ def profile(
     word's alphabet, "lattice" the given mu.  Spread is max - min for
     additive and the max squared distance otherwise.
     """
-    if n_max < 1 or n_max > L:
-        raise ValueError(f"need 1 <= n_max <= L, got n_max={n_max}, L={L}")
+    _check_window(n_max, L)
     if kind not in ("additive", "abelian", "lattice"):
         raise ValueError(f"unknown profile kind {kind!r}")
     if kind == "lattice" and mu is None:
@@ -318,9 +323,7 @@ def naive_complexity_oracle(
 
 def factor_set_intersection(w1: WordStream, w2: WordStream, n: int, L: int) -> int:
     """How many distinct length-n factors the two prefixes share."""
-    _check_window(n, L)
-    if n * L * 8 > _WINDOW_BYTES_LIMIT:
-        raise GuardError(f"window table for n={n}, L={L} exceeds the memory guard")
+    _check_window_table(n, L)
     da, db = (_distinct_images(np.lib.stride_tricks.sliding_window_view(w.prefix(L), n))
               for w in (w1, w2))
     return len(da) + len(db) - len(_distinct_images(np.concatenate([da, db])))

@@ -129,9 +129,11 @@ class WordStream:
     """An infinite word, materialized lazily into a shared int64 prefix.
 
     `factory` must return a fresh symbol iterator each call and always
-    produce the same sequence; the cache only ever grows, so every
-    reported value is stable across calls.  Extension is serialized with
-    a lock so streams can be shared between threads.
+    produce the same sequence; the word ends where that iterator stops.
+    The cache only ever grows, so every reported value is stable across
+    calls.  Derived words read their sources through `_read` and so end
+    where a finite source ends.  Extension is serialized with a lock so
+    streams can be shared between threads.
     """
 
     def __init__(
@@ -153,9 +155,10 @@ class WordStream:
 
     # -- materialization ------------------------------------------------
 
-    def _ensure(self, n: int) -> None:
+    def _fill(self, n: int) -> int:
+        """Materialize up to w(n), or to the end of a finite word; return the length held."""
         if n <= self._n:
-            return
+            return self._n
         with self._lock:
             if self._it is None:
                 self._it = iter(self._factory())
@@ -184,10 +187,21 @@ class WordStream:
                 np.cumsum(arr, out=self._ps[self._n + 1 : total + 1])
                 self._ps[self._n + 1 : total + 1] += self._ps[self._n]
                 self._n = total
-        if n > self._n:
+        return self._n
+
+    def _ensure(self, n: int) -> None:
+        if self._fill(n) < n:
             raise ValueError(
                 f"{self.label} ends at length {self._n}; cannot reach position {n}"
             )
+
+    def _read(self) -> Iterator[int]:
+        """w(1), w(2), ... as Python ints; stops where a finite word ends."""
+        i = 0
+        while (held := self._fill(i + _CHUNK)) > i:
+            hi = min(held, i + _CHUNK)
+            yield from self._sym[i:hi].tolist()
+            i = hi
 
     # -- access ---------------------------------------------------------
 

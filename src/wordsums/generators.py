@@ -6,7 +6,8 @@ mechanical (Sturmian) words from continued fractions, enumeration words,
 the paired-enumeration family with constant additive complexity 2k+1,
 the bounded-spread word whose equal-slope cuts have unbounded gaps, the
 staircase word with constant complexity n, plus the splice and contract
-combinators.
+combinators.  Derived words read sources through WordStream._read and
+images through Morphism.expand, and end where a finite source ends.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .core import Alphabet, FiniteWord, Interval, WordStream
+from .core import Alphabet, Interval, WordStream
 from .morphisms import Morphism, apply_morphism
 
 __all__ = [
@@ -55,16 +56,14 @@ def morphic_fixed_point(phi: Morphism, seed: int) -> WordStream:
         raise ValueError(f"phi is not prolongable at {seed}: phi({seed}) = {head}")
 
     def gen() -> Iterator[int]:
-        # out is the word itself; expanding out[j] appends phi(out[j]),
-        # and len(out) - j never shrinks, so out[j] always exists.
+        # out is the word itself and stays ahead of the letter read; one
+        # extend per image beats appending phi.expand's symbols one by one.
         out = list(head.symbols)
         yield from out
-        j = 1
-        while True:
-            img = phi.image(out[j]).symbols
+        for s in itertools.islice(out, 1, None):
+            img = phi.image(s).symbols
             out.extend(img)
             yield from img
-            j += 1
 
     return WordStream(gen, alphabet=phi.source, label=f"fixpoint({phi!r}@{seed})")
 
@@ -181,18 +180,11 @@ def unbounded_gap_word() -> WordStream:
     feed = nested_enum_word()
 
     def gen() -> Iterator[int]:
-        i = 1
-        while True:
-            v = feed.symbol(i)
-            if v % 2:
-                yield 0
-                yield from itertools.repeat(1, v)
-                yield 2
-            else:
-                yield 2
-                yield from itertools.repeat(1, v)
-                yield 0
-            i += 1
+        for v in feed._read():
+            first, last = (0, 2) if v % 2 else (2, 0)
+            yield first
+            yield from itertools.repeat(1, v)
+            yield last
 
     return WordStream(gen, alphabet=Alphabet((0, 1, 2)), label="unbounded-gaps")
 
@@ -243,7 +235,8 @@ def splice(sources: Sequence[WordStream], schedule: SpliceSchedule) -> WordStrea
     """Interleave blocks of the sources, each consumed left to right.
 
     Round r takes the next rounds[r][i] unread symbols from source i, in
-    source order; the schedule table repeats forever.  Splicing words of
+    source order; the schedule table repeats until a finite source runs
+    short, and the splice ends with that short block.  Splicing words of
     equal slope and bounded spread keeps the spread bounded.
     """
     if schedule.width != len(sources):
@@ -252,12 +245,13 @@ def splice(sources: Sequence[WordStream], schedule: SpliceSchedule) -> WordStrea
         )
 
     def gen() -> Iterator[int]:
-        pos = [0] * len(sources)
+        readers = [src._read() for src in sources]
         for row in itertools.cycle(schedule.rounds):
-            for i, ln in enumerate(row):
-                if ln:
-                    yield from sources[i].factor(pos[i] + 1, pos[i] + ln).symbols
-                    pos[i] += ln
+            for reader, ln in zip(readers, row):
+                block = list(itertools.islice(reader, ln))
+                yield from block
+                if len(block) < ln:
+                    return
 
     merged: Optional[Alphabet] = None
     if all(s.alphabet is not None for s in sources):
@@ -276,8 +270,8 @@ class SeparatedIntervalSet:
                     f"intervals [{prev.lo},{prev.hi}] and [{nxt.lo},{nxt.hi}] "
                     "are not separated"
                 )
-        self._ivals = ivals
-        self._arith: Optional[tuple[int, int, int]] = None
+        self._intervals: Callable[[], Iterator[Interval]] = lambda: iter(ivals)
+        self._repr = f"SeparatedIntervalSet({[(i.lo, i.hi) for i in ivals]})"
 
     @classmethod
     def arithmetic(cls, start: int, period: int, width: int) -> "SeparatedIntervalSet":
@@ -286,27 +280,19 @@ class SeparatedIntervalSet:
             raise ValueError(
                 f"need start >= 1, width >= 1, period > width; got {start},{period},{width}"
             )
+        start, period, width = int(start), int(period), int(width)
         obj = cls([])
-        obj._arith = (int(start), int(period), int(width))
+        obj._intervals = lambda: (
+            Interval(lo, lo + width - 1) for lo in itertools.count(start, period)
+        )
+        obj._repr = f"SeparatedIntervalSet.arithmetic{(start, period, width)}"
         return obj
 
     def __iter__(self) -> Iterator[Interval]:
-        if self._arith is not None:
-            start, period, width = self._arith
-            for j in itertools.count():
-                lo = start + j * period
-                yield Interval(lo, lo + width - 1)
-        else:
-            yield from self._ivals
-
-    @property
-    def finite(self) -> bool:
-        return self._arith is None
+        return self._intervals()
 
     def __repr__(self) -> str:
-        if self._arith is not None:
-            return f"SeparatedIntervalSet.arithmetic{self._arith}"
-        return f"SeparatedIntervalSet({[(i.lo, i.hi) for i in self._ivals]})"
+        return self._repr
 
 
 def contract(w: WordStream, intervals: SeparatedIntervalSet) -> WordStream:
@@ -314,15 +300,17 @@ def contract(w: WordStream, intervals: SeparatedIntervalSet) -> WordStream:
 
     Deleting blocks whose boundary cuts share one chi color leaves the
     spread within the original bound plus twice the per-block sum error.
+    The contracted word ends where a finite w ends.
     """
 
     def gen() -> Iterator[int]:
-        i = 1
-        for iv in intervals:
-            if iv.lo > i:
-                yield from w.factor(i, iv.lo - 1).symbols
-            i = iv.hi + 1
-        for j in itertools.count(i):
-            yield w.symbol(j)
+        # separated intervals: one step past iv.hi is never inside the next one
+        ivals = iter(intervals)
+        iv = next(ivals, None)
+        for i, s in enumerate(w._read(), start=1):
+            if iv is not None and i > iv.hi:
+                iv = next(ivals, None)
+            if iv is None or i < iv.lo:
+                yield s
 
     return WordStream(gen, alphabet=w.alphabet, label=f"contract({w.label})")

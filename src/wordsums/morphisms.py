@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -50,11 +50,13 @@ class Morphism:
         except KeyError:
             raise ValueError(f"letter {s} has no image") from None
 
+    def expand(self, letters: Iterable[int]) -> Iterator[int]:
+        """phi(s1) phi(s2) ... for the letters s1 s2 ..., lazily."""
+        for s in letters:
+            yield from self.image(s).symbols
+
     def __call__(self, B: FiniteWord) -> FiniteWord:
-        out: list[int] = []
-        for s in B:
-            out.extend(self.image(s).symbols)
-        return FiniteWord(out)
+        return FiniteWord(self.expand(B))
 
     def max_image_len(self) -> int:
         return max(len(w) for w in self.images.values())
@@ -83,14 +85,9 @@ class AnchorReport:
 
 def apply_morphism(phi: Morphism, w: WordStream) -> WordStream:
     """The stream phi(w(1)) phi(w(2)) ...; symbols outside phi's source fail late."""
-
-    def gen():
-        i = 1
-        while True:
-            yield from phi.image(w.symbol(i)).symbols
-            i += 1
-
-    return WordStream(gen, alphabet=phi.target, label=f"image({w.label})")
+    return WordStream(
+        lambda: phi.expand(w._read()), alphabet=phi.target, label=f"image({w.label})"
+    )
 
 
 def anchor_matrix(phi: Morphism) -> tuple[np.ndarray, Callable[[Fraction], list[Fraction]]]:

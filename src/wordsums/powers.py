@@ -155,8 +155,6 @@ def find_anchored_power(
     """
     if k < 1:
         raise ValueError("the length divisor k must be >= 1")
-    if count < 2:
-        raise ValueError("a power needs at least 2 blocks")
     _check_power_args(count, L, limit)
     a = _as_fraction(alpha)
     p, q = a.numerator, a.denominator

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .complexity import _WINDOW_BYTES_LIMIT, _windows
+from .complexity import _check_window_table, _windows
 from .core import _SUM_LIMIT, GuardError, WordStream, word_slope
 
 Rational = Union[int, Fraction]
@@ -180,10 +180,7 @@ def factors_with_slope(w: WordStream, alpha: Rational, L: int, n_max: int) -> in
     longer than 26 letters do not pack, and the row-sort fallback took
     4.9 s against 1.0 s for the set (thm11:k=2, slope 2, n_max 40, L=1e5).
     """
-    if not 1 <= n_max <= L:
-        raise ValueError(f"need 1 <= n_max <= L, got n_max={n_max}, L={L}")
-    if n_max * L * 8 > _WINDOW_BYTES_LIMIT:
-        raise GuardError(f"window table for n_max={n_max}, L={L} exceeds the memory guard")
+    _check_window_table(n_max, L)
     a = _as_fraction(alpha)
     p, q = a.numerator, a.denominator
     prefix = w.prefix(L)

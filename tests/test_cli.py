@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wordsums
 from wordsums.cli import (
     WordSpecError,
     main,
@@ -78,6 +83,26 @@ def test_file_spec(tmp_path):
     bad.write_text("0 1 x")
     with pytest.raises(WordSpecError):
         parse_word_spec(f"file:{bad}")
+
+
+def test_contract_of_a_file_ends_with_it(tmp_path):
+    # runs in a subprocess so that a contraction spinning past the end of
+    # its base fails on the timeout instead of hanging the suite
+    p = tmp_path / "w20.txt"
+    p.write_text(" ".join(map(str, range(1, 21))))
+    spec = f"contract:base=(file:{p});ivals=arith:2,5,2"
+    paths = [str(Path(wordsums.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+    def run(L):
+        return subprocess.run(
+            [sys.executable, "-m", "wordsums", "slope", spec, "-L", str(L)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+
+    assert run(12).returncode == 0  # 20 symbols less the 8 at 2-3, 7-8, 12-13, 17-18
+    past = run(40)
+    assert past.returncode == 2 and "ends at length" in past.stderr
 
 
 def test_parse_helpers():

@@ -13,6 +13,7 @@ from wordsums import (
     constant_tail_word,
     contract,
     enumeration_word,
+    from_finite,
     mechanical,
     morphic_fixed_point,
     nested_enum_word,
@@ -151,6 +152,13 @@ def test_splice_multi_round_consumes_in_order():
     assert _prefix(sp, 9) == [7, 0, 1, 2, 7, 3, 0, 1, 7]
 
 
+def test_splice_ends_with_a_finite_source():
+    sp = splice([from_finite(range(1, 21)), periodic([0])], SpliceSchedule(((2, 1),)))
+    assert _prefix(sp, 30) == [x for i in range(1, 21, 2) for x in (i, i + 1, 0)]
+    with pytest.raises(ValueError):
+        sp.prefix(31)
+
+
 def test_splice_schedule_validation():
     with pytest.raises(ValueError):
         SpliceSchedule(())
@@ -192,18 +200,25 @@ def test_contract_explicit():
 @settings(max_examples=60)
 @given(st.data())
 def test_contract_matches_oracle(data):
-    base = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
-    w = periodic(base)
+    finite = data.draw(st.booleans())
+    base = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=30 if finite else 5))
+    w = from_finite(base) if finite else periodic(base)
     ivals = []
     pos = data.draw(st.integers(1, 4))
     for _ in range(data.draw(st.integers(0, 4))):
         width = data.draw(st.integers(1, 3))
         ivals.append((pos, pos + width - 1))
         pos += width + data.draw(st.integers(1, 3))
-    L = 30
     out = contract(w, SeparatedIntervalSet(ivals))
-    big = _prefix(w, 200)
-    assert _prefix(out, L) == _contract_oracle(big, ivals)[:L]
+    if finite:
+        # the whole contracted word, which may be empty, and nothing after it
+        kept = _contract_oracle(base, ivals)
+        assert _prefix(out, len(kept)) == kept
+        with pytest.raises(ValueError):
+            out.prefix(len(kept) + 1)
+    else:
+        L = 30
+        assert _prefix(out, L) == _contract_oracle(_prefix(w, 200), ivals)[:L]
 
 
 def test_contract_arithmetic_rule():

@@ -47,6 +47,14 @@ def test_apply_morphism_stream():
     assert [int(x) for x in img.prefix(8)] == [0, 2, 1, 1, 0, 2, 1, 1]
 
 
+def test_apply_morphism_finite_source():
+    phi = Morphism({0: (0, 2), 1: (1, 1)})
+    img = apply_morphism(phi, from_finite([0, 1, 1]))
+    assert [int(x) for x in img.prefix(6)] == [0, 2, 1, 1, 1, 1]
+    with pytest.raises(ValueError):
+        img.prefix(7)
+
+
 def test_apply_morphism_foreign_symbol_fails_late():
     phi = Morphism({0: (0,)})
     img = apply_morphism(phi, periodic([0, 7]))  # constructing is fine
