@@ -12,7 +12,8 @@ of the prefix sums C (built once per call) are shifted per column by their
 minimum and packed into one int64 key per row in mixed radix max - min + 1.
 Keys are counted with bincount when their range is at most the number of
 windows, else sorted; rows whose radix product reaches 2^62 are not packed
-and go to unique(axis=0).  Distinct keys decode back into image points.
+and are counted as a set of row bytes instead.  Distinct keys decode back
+into image points.
 Factor-set intersections and the unbounding guess in `morphisms` run the
 same kernel: distinct factor rows, and spreads of Parikh window images.
 """
@@ -29,7 +30,8 @@ from .core import _SUM_LIMIT, Alphabet, FiniteWord, GuardError, WordStream
 
 _ORACLE_MAX_PREFIX = 10_000
 _DIAMETER_MAX_POINTS = 100_000
-_DIAMETER_MAX_PAIRS = 500_000  # about 1 s of the pure-Python overflow fallback
+_DIAMETER_MAX_PAIRS = 500_000  # about 0.3 s of the Python-int overflow path
+_DIAMETER_BLOCK_BYTES = 1 << 20  # cache-sized: faster and leaner than larger blocks
 _WINDOW_BYTES_LIMIT = 200_000_000
 
 
@@ -51,8 +53,11 @@ class LatticeMap:
         self.images = dict(sorted(rows.items()))
         self.alphabet = Alphabet(self.images)
         self.dim = dim
-        self._table = np.array([self.images[s] for s in self.alphabet], dtype=np.int64)
-        self._syms = np.array(self.alphabet.symbols, dtype=np.int64)
+        try:
+            self._table = np.array([self.images[s] for s in self.alphabet], dtype=np.int64)
+            self._syms = np.array(self.alphabet.symbols, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"letters and images of {self!r} must fit int64") from None
 
     @classmethod
     def sum_map(cls, alphabet: Alphabet) -> "LatticeMap":
@@ -78,17 +83,18 @@ class LatticeMap:
                 acc[j] += x
         return tuple(acc)
 
-    def image_rows(self, symbols: np.ndarray) -> np.ndarray:
-        """Per-position images, shape (len, t)."""
+    def letter_indices(self, symbols: np.ndarray) -> np.ndarray:
+        """Per-position row of each letter in the image table, shape (len,)."""
         idx = np.searchsorted(self._syms, symbols)
         idx = np.clip(idx, 0, len(self._syms) - 1)
         if not np.array_equal(self._syms[idx], symbols):
             bad = symbols[self._syms[idx] != symbols][0]
             raise ValueError(f"symbol {int(bad)} outside the map's alphabet")
-        return self._table[idx]
+        return idx
 
     def max_abs(self) -> int:
-        return int(np.max(np.abs(self._table))) if self._table.size else 0
+        """Largest |image coordinate|, exact in Python ints."""
+        return max(abs(x) for v in self.images.values() for x in v)
 
     def __repr__(self) -> str:
         rules = ";".join(f"{s}={','.join(map(str, v))}" for s, v in self.images.items())
@@ -149,11 +155,12 @@ def window_sums(w: WordStream, n: int, L: int) -> np.ndarray:
 
 def image_prefix_sums(w: WordStream, mu: LatticeMap, L: int) -> np.ndarray:
     """C[i] = mu(w(1..i)) for i = 0..L, column-major (L+1, t); refuses int64 overflow."""
-    rows = mu.image_rows(w.prefix(L))
-    if mu.max_abs() and mu.max_abs() * (L + 1) >= _SUM_LIMIT:
+    idx = mu.letter_indices(w.prefix(L))
+    if mu.max_abs() * (L + 1) >= _SUM_LIMIT:
         raise GuardError("lattice prefix sums may overflow int64")
     C = np.zeros((L + 1, mu.dim), dtype=np.int64, order="F")
-    np.cumsum(rows, axis=0, out=C[1:])
+    for c in range(mu.dim):
+        np.cumsum(mu._table[:, c][idx], out=C[1:, c])
     return C
 
 
@@ -185,12 +192,16 @@ def window_images(w: WordStream, mu: LatticeMap, n: int, L: int) -> np.ndarray:
 
 
 def _distinct_images(W: np.ndarray) -> np.ndarray:
-    """The reduction: distinct rows of the window images W, in lexicographic order."""
+    """The reduction: distinct rows of the window images W, in lexicographic order
+    when they pack; rows too wide to pack come from a set of row bytes, unordered."""
     lo = W.min(axis=0).tolist()
     radix = [h - l + 1 for l, h in zip(lo, W.max(axis=0).tolist())]
     keys = _pack(W, lo, radix)
     if keys is None:
-        return np.unique(W, axis=0)
+        if W.strides[-1] != W.itemsize:
+            W = np.ascontiguousarray(W)
+        rows = set(W.view(np.dtype((np.void, W.itemsize * len(radix)))).ravel().tolist())
+        return np.frombuffer(b"".join(rows), dtype=W.dtype).reshape(-1, len(radix))
     if math.prod(radix) <= len(keys):
         keys = np.flatnonzero(np.bincount(keys))
     else:
@@ -234,22 +245,16 @@ def _points_diameter_sq(U: np.ndarray) -> int:
     if D > _DIAMETER_MAX_POINTS:
         raise GuardError(f"{D} distinct images exceed the diameter guard")
     span = int(np.max(U)) - int(np.min(U))
-    best = 0
     if t * span * span >= _SUM_LIMIT:
         if D * (D - 1) // 2 > _DIAMETER_MAX_PAIRS:
             raise GuardError(f"{D} distinct images too wide for the diameter's int64 path")
-        pts = U.tolist()
-        for i, pi in enumerate(pts):
-            for pj in pts[i + 1 :]:
-                d = sum((a - b) ** 2 for a, b in zip(pi, pj))
-                if d > best:
-                    best = d
-        return best
+        U = U.astype(object)
+    best = 0
     # Each block holds a (step, D) distance table and one column's differences.
-    step = max(1, _WINDOW_BYTES_LIMIT // (16 * D))
+    step = max(1, _DIAMETER_BLOCK_BYTES // (16 * D))
     for i in range(0, D, step):
         blk = U[i : i + step]
-        d2 = np.zeros((len(blk), D - i), dtype=np.int64)
+        d2 = np.zeros((len(blk), D - i), dtype=U.dtype)
         for c in range(t):
             diff = np.subtract.outer(blk[:, c], U[i:, c])
             diff *= diff
@@ -289,7 +294,7 @@ def profile(
     rows = []
     for n in range(1, n_max + 1):
         U = _distinct_images(_windows(C, n))
-        spread = int(U[-1, 0]) - int(U[0, 0]) if kind == "additive" else _points_diameter_sq(U)
+        spread = int(U.max()) - int(U.min()) if kind == "additive" else _points_diameter_sq(U)
         rows.append(ProfileRow(n, len(U), spread))
     return ComplexityProfile(kind, L, tuple(rows))
 

@@ -10,6 +10,7 @@ or Fraction.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import threading
 from fractions import Fraction
@@ -75,9 +76,6 @@ class Alphabet:
             return self._index[s]
         except KeyError:
             raise ValueError(f"symbol {s} not in alphabet {self.symbols}") from None
-
-    def max_abs(self) -> int:
-        return max(abs(self.symbols[0]), abs(self.symbols[-1]))
 
     def __repr__(self) -> str:
         return f"Alphabet({list(self.symbols)})"
@@ -156,38 +154,55 @@ class WordStream:
     # -- materialization ------------------------------------------------
 
     def _fill(self, n: int) -> int:
-        """Materialize up to w(n), or to the end of a finite word; return the length held."""
+        """Materialize up to w(n), or to the end of a finite word; return the length held.
+
+        A failure drops the factory iterator; the next call starts a fresh one
+        and skips the symbols already held, so no symbol is lost or repeated.
+        """
         if n <= self._n:
             return self._n
         with self._lock:
-            if self._it is None:
-                self._it = iter(self._factory())
-            while self._n < n and not self._exhausted:
-                chunk = list(itertools.islice(self._it, max(_CHUNK, n - self._n)))
-                if not chunk:
-                    self._exhausted = True
-                    break
-                arr = np.asarray(chunk, dtype=np.int64)
-                m = int(np.max(np.abs(arr))) if arr.size else 0
-                self._max_abs = max(self._max_abs, m)
-                total = self._n + arr.size
-                if self._max_abs and self._max_abs * (total + _CHUNK) >= _SUM_LIMIT:
-                    raise GuardError(
-                        f"prefix sums of {self.label} may overflow int64 at "
-                        f"length {total} with max|s| = {self._max_abs}"
-                    )
-                if total > self._sym.size:
-                    grown = np.empty(max(2 * self._sym.size, total, _CHUNK), dtype=np.int64)
-                    grown[: self._n] = self._sym[: self._n]
-                    self._sym = grown
-                    ps = np.empty(self._sym.size + 1, dtype=np.int64)
-                    ps[: self._n + 1] = self._ps[: self._n + 1]
-                    self._ps = ps
-                self._sym[self._n : total] = arr
-                np.cumsum(arr, out=self._ps[self._n + 1 : total + 1])
-                self._ps[self._n + 1 : total + 1] += self._ps[self._n]
-                self._n = total
+            try:
+                self._extend(n)
+            except BaseException:
+                self._it = None
+                raise
         return self._n
+
+    def _extend(self, n: int) -> None:
+        """Take symbols from the factory until w(n) is held or the word ends; needs the lock."""
+        if self._it is None:
+            self._it = iter(self._factory())
+            collections.deque(itertools.islice(self._it, self._n), maxlen=0)
+        while self._n < n and not self._exhausted:
+            chunk = list(itertools.islice(self._it, max(_CHUNK, n - self._n)))
+            if not chunk:
+                self._exhausted = True
+                break
+            try:
+                arr = np.asarray(chunk, dtype=np.int64)
+            except OverflowError:
+                raise GuardError(f"a symbol of {self.label} does not fit int64") from None
+            # magnitudes in Python ints: np.abs wraps at -2**63
+            m = max(self._max_abs, int(arr.max()), -int(arr.min()))
+            total = self._n + arr.size
+            if m * (total + _CHUNK) >= _SUM_LIMIT:
+                raise GuardError(
+                    f"prefix sums of {self.label} may overflow int64 at "
+                    f"length {total} with max|s| = {m}"
+                )
+            self._max_abs = m
+            if total > self._sym.size:
+                grown = np.empty(max(2 * self._sym.size, total, _CHUNK), dtype=np.int64)
+                grown[: self._n] = self._sym[: self._n]
+                self._sym = grown
+                ps = np.empty(self._sym.size + 1, dtype=np.int64)
+                ps[: self._n + 1] = self._ps[: self._n + 1]
+                self._ps = ps
+            self._sym[self._n : total] = arr
+            np.cumsum(arr, out=self._ps[self._n + 1 : total + 1])
+            self._ps[self._n + 1 : total + 1] += self._ps[self._n]
+            self._n = total
 
     def _ensure(self, n: int) -> None:
         if self._fill(n) < n:

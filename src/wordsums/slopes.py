@@ -15,17 +15,16 @@ from typing import Union
 
 import numpy as np
 
-from .complexity import _check_window_table, _windows
+from .complexity import _check_window_table, _distinct_images, _windows
 from .core import _SUM_LIMIT, GuardError, WordStream, word_slope
 
 Rational = Union[int, Fraction]
 
 
 def _as_fraction(alpha: Rational) -> Fraction:
-    a = Fraction(alpha)
-    if a.denominator < 1:
+    if isinstance(alpha, float):
         raise ValueError(f"slope must be an exact rational, got {alpha!r}")
-    return a
+    return Fraction(alpha)
 
 
 def _scaled_prefix(w: WordStream, alpha: Fraction, L: int) -> np.ndarray:
@@ -175,10 +174,8 @@ def factors_with_slope(w: WordStream, alpha: Rational, L: int, n_max: int) -> in
     """Count distinct factors of length <= n_max and slope exactly alpha.
 
     Only lengths divisible by alpha's denominator can qualify; candidate
-    windows are located through the window kernel and deduplicated as
-    symbol tuples in a set of bytes, not as packed keys: rows over {0..4}
-    longer than 26 letters do not pack, and the row-sort fallback took
-    4.9 s against 1.0 s for the set (thm11:k=2, slope 2, n_max 40, L=1e5).
+    windows are located through the window kernel, and their distinct
+    symbol rows are counted by the complexity reduction.
     """
     _check_window_table(n_max, L)
     a = _as_fraction(alpha)
@@ -191,5 +188,5 @@ def factors_with_slope(w: WordStream, alpha: Rational, L: int, n_max: int) -> in
         hits = np.flatnonzero(_windows(P, n) == target)
         if hits.size:
             windows = np.lib.stride_tricks.sliding_window_view(prefix, n)[hits]
-            total += len({row.tobytes() for row in windows})
+            total += len(_distinct_images(windows))
     return total

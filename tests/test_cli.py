@@ -278,6 +278,17 @@ def test_large_prefix_needs_flag(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("big", [-(2**63), 2**63])
+def test_int64_extremes_exit_2(tmp_path, capsys, big):
+    # -2^63 used to slip past the overflow guards, 2^63 to raise OverflowError
+    p = tmp_path / "w.txt"
+    p.write_text(f"{big} {big} 5")
+    assert main(["slope", f"file:{p}", "-L", "3"]) == 2
+    mu = f"mu:0={big};1=0"
+    assert main(["profile", "periodic:0,1", "--kind", "lattice", "--mu", mu, "-L", "3"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_bad_spec_exits_2(capsys):
     assert main(["profile", "wat:1"]) == 2
     assert main(["chi", "periodic:0,1", "--slope", "1/0"]) == 2

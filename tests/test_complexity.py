@@ -23,7 +23,7 @@ from wordsums import (
     window_sums,
 )
 from wordsums import complexity
-from wordsums.complexity import _points_diameter_sq, pack_rows
+from wordsums.complexity import _distinct_images, _points_diameter_sq, pack_rows
 
 words = st.lists(st.integers(-3, 3), min_size=1, max_size=120)
 
@@ -45,6 +45,17 @@ def test_lattice_map_constructors():
         LatticeMap({0: (1, 0), 1: (1,)})
     with pytest.raises(ValueError):
         pk.of_word(FiniteWord([7]))
+    for images in ({0: (2**63,), 1: (0,)}, {2**63: (1,), 1: (0,)}):  # past int64
+        with pytest.raises(ValueError):
+            LatticeMap(images)
+
+
+def test_lattice_map_guards_an_image_of_minus_2_63():
+    # np.abs(-2**63) wraps to -2**63; the magnitude must come out as 2**63
+    mu = LatticeMap({0: (-(2**63),), 1: (0,)})
+    assert mu.max_abs() == 2**63
+    with pytest.raises(GuardError):
+        lattice_spread(periodic([0, 1]), mu, 1, 3)
 
 
 def test_periodic_profile_counts():
@@ -111,6 +122,12 @@ def test_oracle_matches_fast_path(xs, data):
 def test_oracle_guard():
     with pytest.raises(GuardError):
         naive_complexity_oracle(periodic([0, 1]), None, 2, 20_001)
+
+
+def test_window_table_guard():
+    # 1000 * 30000 * 8 bytes of factor rows is past the 2e8-byte guard
+    with pytest.raises(GuardError):
+        factor_set_intersection(periodic([0, 1]), periodic([1, 0]), 1000, 30_000)
 
 
 def test_lattice_spread_exact_small():
@@ -346,15 +363,34 @@ def test_diameter_block_path_matches_bruteforce(D, t, span, monkeypatch):
     expected = _bruteforce_diameter(map(tuple, U.tolist()))
     assert _points_diameter_sq(U) == expected
     # one block row at a time
-    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 64)
+    monkeypatch.setattr(complexity, "_DIAMETER_BLOCK_BYTES", 64)
     assert _points_diameter_sq(U) == expected
 
 
-def test_diameter_overflow_fallback_matches_bruteforce():
+def test_diameter_overflow_fallback_matches_bruteforce(monkeypatch):
     rng = np.random.default_rng(5)
     U = rng.integers(-(2**31), 2**31, size=(40, 3))
     assert 3 * (int(U.max()) - int(U.min())) ** 2 >= 2**62
-    assert _points_diameter_sq(U) == _bruteforce_diameter(map(tuple, U.tolist()))
+    expected = _bruteforce_diameter(map(tuple, U.tolist()))
+    assert _points_diameter_sq(U) == expected
+    # blocks of three rows: the last one is short
+    monkeypatch.setattr(complexity, "_DIAMETER_BLOCK_BYTES", 16 * 40 * 3)
+    assert _points_diameter_sq(U) == expected
+
+
+def test_diameter_refuses_too_many_points():
+    U = np.stack([np.arange(100_001), np.zeros(100_001, dtype=np.int64)], axis=1)
+    with pytest.raises(GuardError):
+        _points_diameter_sq(U)
+
+
+def test_unpacked_t1_rows_reduce_to_their_set():
+    # no profile reaches this: the prefix guard keeps window-sum ranges under
+    # max|s| * L < 2^62; the spread of these rows is 2^63, past int64
+    W = np.array([[2**62], [0], [-(2**62)], [0], [2**62]], dtype=np.int64)
+    U = _distinct_images(W)
+    assert sorted(U[:, 0].tolist()) == [-(2**62), 0, 2**62]
+    assert int(U.max()) - int(U.min()) == 2**63
 
 
 def test_diameter_overflow_fallback_refuses_too_many_pairs():

@@ -9,7 +9,9 @@ from wordsums import (
     Alphabet,
     FiniteWord,
     GuardError,
+    Morphism,
     WordStream,
+    apply_morphism,
     count_symbol,
     factor,
     from_finite,
@@ -94,14 +96,46 @@ def test_prefix_sums_match_symbols():
 def test_finite_stream_ends():
     w = from_finite([1, 2, 3])
     assert w.factor(1, 3).symbols == (1, 2, 3)
+    assert w.symbol(3) == 3
     with pytest.raises(ValueError):
         w.prefix(4)
+    with pytest.raises(ValueError):
+        w.symbol(4)
 
 
 def test_overflow_guard_trips():
     w = WordStream(lambda: itertools.repeat(2**40), label="huge")
     with pytest.raises(GuardError):
         w.prefix(5_000_000)
+
+
+def test_refused_extension_loses_no_symbols():
+    # the guard refuses 10^5 symbols of this ramp, but 8192 of them fit
+    s = 2**62 // 20_000
+    w = WordStream(lambda: itertools.count(s), label="ramp")
+    with pytest.raises(GuardError):
+        w.prefix(100_000)
+    assert w.prefix(3).tolist() == [s, s + 1, s + 2]
+    assert w.prefix_sums(3).tolist() == [0, s, 2 * s + 1, 3 * s + 3]
+
+
+def test_failing_source_fails_again_at_the_same_place():
+    # the letter 7 has no image; it sits past the first chunk
+    src = [0, 1] * 10_000 + [7]
+    w = apply_morphism(Morphism({0: (0,), 1: (1,)}), from_finite(src))
+    assert w.prefix(10).tolist() == src[:10]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="letter 7 has no image"):
+            w.prefix(30_000)
+    assert w.prefix(20_000).tolist() == src[:20_000]
+
+
+@pytest.mark.parametrize("bad", [-(2**63), 2**63, -(2**63) - 1, 2**70])
+def test_symbols_past_int64_are_refused(bad):
+    # np.abs(-2**63) wraps to -2**63, and 2**63 does not fit int64 at all
+    w = from_finite([bad, bad, 5])
+    with pytest.raises(GuardError):
+        w.prefix(3)
 
 
 def test_concurrent_extension_consistent():

@@ -255,6 +255,8 @@ def test_anchored_power_absent():
     # exist because every chi value is distinct
     w = periodic([1])
     assert find_anchored_power(w, Fraction(1, 2), 1, 2, 40) is None
+    # 7 // 2 = 3 q-blocks hold no 4-term progression
+    assert find_anchored_power(periodic([0, 1]), Fraction(1, 2), 1, 3, 7) is None
 
 
 def test_verify_power_rejects_wrong_witness(thue_morse):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,6 +53,18 @@ def test_chi_rejects_bad_args():
         chi(periodic([0, 1]), Fraction(1, 2), -1)
     with pytest.raises(ValueError):
         chi_sequence(periodic([0, 1]), Fraction(1, 2), 0)
+    with pytest.raises(GuardError):
+        chi_sequence(periodic([0]), 2**61, 2)  # m*p reaches 2^62
+
+
+def test_slopes_must_be_exact():
+    w = periodic([0, 1])
+    with pytest.raises(ValueError, match="exact rational"):
+        deviation_constant(w, 0.4, 100)
+    with pytest.raises(ValueError, match="exact rational"):
+        chi(w, np.float64(0.5), 2)
+    for alpha in (Fraction(1, 2), 1, np.int64(1)):
+        assert deviation_constant(w, alpha, 100).alpha == alpha
 
 
 @settings(max_examples=80, deadline=None)
@@ -150,6 +163,23 @@ def _bruteforce_slope_factors(xs, alpha, n_max):
 )
 def test_factors_with_slope_matches_bruteforce(xs, p, q, n_max):
     alpha = Fraction(p, q)
+    n_max = min(n_max, len(xs))
+    w = from_finite(xs)
+    assert factors_with_slope(w, alpha, len(xs), n_max) == _bruteforce_slope_factors(
+        xs, alpha, n_max
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from([-(2**40), -1, 0, 1, 2**40]), min_size=4, max_size=50),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1)]),
+    st.integers(2, 8),
+)
+def test_factors_with_slope_on_unpacked_rows(xs, alpha, n_max):
+    # at slope 0 the head's rows (B, -B) and (-B, B) span (2^41 + 1)^2 > 2^62,
+    # so those counts always take the unpacked path; slope 1/3 often does
+    xs = [2**40, -(2**40), -(2**40), 2**40] + xs
     n_max = min(n_max, len(xs))
     w = from_finite(xs)
     assert factors_with_slope(w, alpha, len(xs), n_max) == _bruteforce_slope_factors(
