@@ -8,12 +8,16 @@ equivalent to bounded spread, where spread is max - min of the sums
 (t = 1) or the max squared Euclidean distance between images (t > 1).
 
 Every count runs one kernel.  The length-n window images W = C[n:] - C[:-n]
-of the prefix sums C (built once per call) are shifted per column by their
-minimum and packed into one int64 key per row in mixed radix max - min + 1.
-Keys are counted with bincount when their range is at most the number of
-windows, else sorted; rows whose radix product reaches 2^62 are not packed
-and are counted as a set of row bytes instead.  Distinct keys decode back
-into image points.
+of the prefix sums C (built once per call) are shifted per column by a lower
+bound and packed into one int64 key per row in mixed radix hi - lo + 1.
+`profile` takes lo and hi from the box [n * min, n * max] of the letter
+images when its radix product is at most the number of windows; otherwise,
+and in every other caller, they are the measured min and max of W.  Keys
+are marked in a boolean presence table when their range is at most the
+number of windows, else sorted; rows whose radix product reaches 2^62 are
+not packed and are counted as a set of row bytes instead.  Counts come from
+the keys; distinct keys decode back into image points only where the points
+are needed (spreads of t > 1 images, factor-set intersections).
 Factor-set intersections and the unbounding guess in `morphisms` run the
 same kernel: distinct factor rows, and spreads of Parikh window images.
 """
@@ -169,7 +173,8 @@ def _pack(W: np.ndarray, lo: list[int], radix: list[int]) -> Optional[np.ndarray
     None once the radix product reaches 2^62, where the keys could overflow."""
     if math.prod(radix) >= _SUM_LIMIT:
         return None
-    keys = W[:, 0] - lo[0]
+    # t = 1 keys from lo = 0 are W's own column; wider keys are built in place
+    keys = W[:, 0] - lo[0] if lo[0] or len(radix) > 1 else W[:, 0]
     for c in range(1, len(radix)):
         keys *= radix[c]
         keys += W[:, c] - lo[c]
@@ -191,21 +196,36 @@ def window_images(w: WordStream, mu: LatticeMap, n: int, L: int) -> np.ndarray:
     return _windows(image_prefix_sums(w, mu, L), n)
 
 
-def _distinct_images(W: np.ndarray) -> np.ndarray:
-    """The reduction: distinct rows of the window images W, in lexicographic order
-    when they pack; rows too wide to pack come from a set of row bytes, unordered."""
-    lo = W.min(axis=0).tolist()
-    radix = [h - l + 1 for l, h in zip(lo, W.max(axis=0).tolist())]
+def _distinct_keys(W: np.ndarray, box: Optional[tuple] = None) -> Optional[tuple]:
+    """Sorted distinct packed keys of the rows of W with the lo and radix that decode
+    them, or None for rows too wide to pack.  A per-column box (lo, hi) known to hold
+    W replaces the min/max scans whenever its radix product fits the window count."""
+    if box is None or math.prod(h - l + 1 for l, h in zip(*box)) > len(W):
+        box = W.min(axis=0).tolist(), W.max(axis=0).tolist()
+    lo, radix = box[0], [h - l + 1 for l, h in zip(*box)]
     keys = _pack(W, lo, radix)
     if keys is None:
-        if W.strides[-1] != W.itemsize:
-            W = np.ascontiguousarray(W)
-        rows = set(W.view(np.dtype((np.void, W.itemsize * len(radix)))).ravel().tolist())
-        return np.frombuffer(b"".join(rows), dtype=W.dtype).reshape(-1, len(radix))
-    if math.prod(radix) <= len(keys):
-        keys = np.flatnonzero(np.bincount(keys))
+        return None
+    size = math.prod(radix)
+    if size <= len(keys):
+        seen = np.zeros(size, dtype=bool)
+        seen[keys] = True
+        keys = np.flatnonzero(seen)
     else:
         keys = np.unique(keys)
+    return keys, lo, radix
+
+
+def _distinct_images(W: np.ndarray, box: Optional[tuple] = None) -> np.ndarray:
+    """The reduction: distinct rows of the window images W, in lexicographic order
+    when they pack; rows too wide to pack come from a set of row bytes, unordered."""
+    packed = _distinct_keys(W, box)
+    if packed is None:
+        if W.strides[-1] != W.itemsize:
+            W = np.ascontiguousarray(W)
+        rows = set(W.view(np.dtype((np.void, W.itemsize * W.shape[1]))).ravel().tolist())
+        return np.frombuffer(b"".join(rows), dtype=W.dtype).reshape(-1, W.shape[1])
+    keys, lo, radix = packed
     U = np.empty((len(keys), len(radix)), dtype=np.int64)
     for c in range(len(radix) - 1, 0, -1):
         keys, U[:, c] = np.divmod(keys, radix[c])
@@ -213,9 +233,15 @@ def _distinct_images(W: np.ndarray) -> np.ndarray:
     return U + np.array(lo, dtype=np.int64)
 
 
+def _distinct_count(W: np.ndarray) -> int:
+    """How many distinct rows W has; packed keys are counted without decoding them."""
+    packed = _distinct_keys(W)
+    return len(_distinct_images(W) if packed is None else packed[0])
+
+
 def additive_complexity(w: WordStream, n: int, L: int) -> int:
     """Number of distinct length-n window sums in the length-L prefix."""
-    return len(_distinct_images(window_sums(w, n, L)[:, None]))
+    return _distinct_count(window_sums(w, n, L)[:, None])
 
 
 def sum_spread(w: WordStream, n: int, L: int) -> int:
@@ -225,7 +251,7 @@ def sum_spread(w: WordStream, n: int, L: int) -> int:
 
 def lattice_complexity(w: WordStream, mu: LatticeMap, n: int, L: int) -> int:
     """Number of distinct mu-images of length-n windows."""
-    return len(_distinct_images(window_images(w, mu, n, L)))
+    return _distinct_count(window_images(w, mu, n, L))
 
 
 def abelian_complexity(w: WordStream, n: int, L: int, alphabet: Optional[Alphabet] = None) -> int:
@@ -290,12 +316,22 @@ def profile(
         raise ValueError("mu only applies to kind='lattice'")
     if kind == "abelian":
         mu = LatticeMap.parikh_map(w.alphabet or w.observed_alphabet(L))
-    C = w.prefix_sums(L)[:, None] if mu is None else image_prefix_sums(w, mu, L)
+    if mu is None:
+        C, letters = w.prefix_sums(L)[:, None], w.prefix(L)[:, None]
+    else:
+        C, letters = image_prefix_sums(w, mu, L), mu._table
+    # every length-n window image lies in the box [n * lo, n * hi]
+    lo, hi = letters.min(axis=0).tolist(), letters.max(axis=0).tolist()
     rows = []
     for n in range(1, n_max + 1):
-        U = _distinct_images(_windows(C, n))
-        spread = int(U.max()) - int(U.min()) if kind == "additive" else _points_diameter_sq(U)
-        rows.append(ProfileRow(n, len(U), spread))
+        W, box = _windows(C, n), ([n * x for x in lo], [n * x for x in hi])
+        if kind == "additive":
+            # window sums always pack: their range is at most max|s| * L < 2^62
+            keys = _distinct_keys(W, box)[0]
+            rows.append(ProfileRow(n, len(keys), int(keys[-1] - keys[0])))
+        else:
+            U = _distinct_images(W, box)
+            rows.append(ProfileRow(n, len(U), _points_diameter_sq(U)))
     return ComplexityProfile(kind, L, tuple(rows))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .core import Alphabet, Interval, WordStream
+from .core import Alphabet, GuardError, Interval, WordStream
 from .morphisms import Morphism, apply_morphism
 
 __all__ = [
@@ -36,6 +36,16 @@ __all__ = [
     "SeparatedIntervalSet",
     "contract",
 ]
+
+# A length-L prefix shows at most L letters, and the CLI reads at most 10^6 < 2^20
+# symbols without --unsafe-large.  The families below build their whole alphabet
+# before reading a symbol, so a larger one only exhausts memory.
+_MAX_LETTERS = 2**20
+
+
+def _check_letters(count: int, what: str) -> None:
+    if count > _MAX_LETTERS:
+        raise GuardError(f"{what} needs {count} letters, past the {_MAX_LETTERS}-letter guard")
 
 
 def periodic(pattern: Sequence[int], label: str = "") -> WordStream:
@@ -129,6 +139,7 @@ def enumeration_word(k: int) -> WordStream:
     """All words over {0..k} concatenated in length-then-lexicographic order."""
     if k < 0:
         raise ValueError("alphabet bound k must be >= 0")
+    _check_letters(k + 1, f"enum(k={k})")
 
     def gen() -> Iterator[int]:
         syms = tuple(range(k + 1))
@@ -143,6 +154,7 @@ def mirror_anchor(k: int) -> Morphism:
     """i -> i (2k-i) on {0..k}: every image has slope k."""
     if k < 0:
         raise ValueError("weight k must be >= 0")
+    _check_letters(2 * k + 1, f"mirror_anchor({k})")
     return Morphism({i: (i, 2 * k - i) for i in range(k + 1)}, target=Alphabet(range(2 * k + 1)))
 
 
@@ -198,6 +210,7 @@ def constant_tail_word(n: int) -> WordStream:
     """
     if n < 1:
         raise ValueError("need at least one letter")
+    _check_letters(n, f"staircase(n={n})")
     ramp = tuple(range(n))
 
     def gen() -> Iterator[int]:

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .complexity import _check_window_table, _distinct_images, _windows
+from .complexity import _check_window_table, _distinct_count, _windows
 from .core import _SUM_LIMIT, GuardError, WordStream, word_slope
 
 Rational = Union[int, Fraction]
@@ -188,5 +188,5 @@ def factors_with_slope(w: WordStream, alpha: Rational, L: int, n_max: int) -> in
         hits = np.flatnonzero(_windows(P, n) == target)
         if hits.size:
             windows = np.lib.stride_tricks.sliding_window_view(prefix, n)[hits]
-            total += len(_distinct_images(windows))
+            total += _distinct_count(windows)
     return total

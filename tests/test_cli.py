@@ -289,6 +289,13 @@ def test_int64_extremes_exit_2(tmp_path, capsys, big):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("spec", ["enum:k=1048576", "thm11:k=524288", "ladder:n=1048577"])
+def test_large_family_parameters_exit_2(capsys, spec):
+    # each needs 2^20 + 1 letters, one past the alphabet guard
+    assert main(["profile", spec, "-L", "10"]) == 2
+    assert "letter guard" in capsys.readouterr().err
+
+
 def test_bad_spec_exits_2(capsys):
     assert main(["profile", "wat:1"]) == 2
     assert main(["chi", "periodic:0,1", "--slope", "1/0"]) == 2

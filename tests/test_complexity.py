@@ -230,7 +230,8 @@ B40, B30 = 2**40, 2**30
 
 
 def _branch(windows):
-    """The branch the kernel takes on these window images, by its rule."""
+    """The branch the kernel takes on these window images, by its rule;
+    "bincount" is the presence table, sized by the radix product."""
     radix = 1
     for col in zip(*windows):
         radix *= max(col) - min(col) + 1
@@ -242,7 +243,7 @@ def _branch(windows):
 def _check_profile(xs, kind, n_max, branch, images=None, branch_from=1):
     """Every row of profile(kind) against the oracle and a brute-force spread.
 
-    Rows n >= branch_from must also take the given kernel branch.
+    Rows n >= branch_from must also take the given kernel branch, unless it is None.
     """
     w, L = from_finite(xs), len(xs)
     mu = LatticeMap(images) if kind == "lattice" else None
@@ -256,7 +257,7 @@ def _check_profile(xs, kind, n_max, branch, images=None, branch_from=1):
     for row in prof.rows:
         n = row.n
         windows = [tuple(map(sum, zip(*imgs[i : i + n]))) for i in range(L - n + 1)]
-        assert n < branch_from or _branch(windows) == branch
+        assert branch is None or n < branch_from or _branch(windows) == branch
         seen = set(windows)
         assert row.count == len(seen) == naive_complexity_oracle(w, oracle_mu, n, L)
         if kind == "additive":
@@ -340,6 +341,60 @@ def test_profile_refuses_to_pack_keys_just_past_int64():
     # radix product (B + 1)^2 is about 2^63.06: packed keys would wrap past int64
     B = 3_100_000_000
     _check_profile([0, 1, 1, 0, 2], "lattice", 1, "rows", {0: (0, 0), 1: (B, B), 2: (B, 0)})
+
+
+def _box_fits(imgs, n, L):
+    """Whether the box [n * min, n * max] of the letter images fits the window count."""
+    radix = 1
+    for col in zip(*imgs):
+        radix *= n * (max(col) - min(col)) + 1
+    return radix <= L - n + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["additive", "abelian", "lattice"]),
+    st.integers(-6, 6),
+    st.sampled_from([1, B40]),
+    st.lists(st.integers(-2, 2), min_size=2, max_size=100),
+    st.data(),
+)
+def test_profile_rows_on_both_sides_of_the_box_fit(kind, low, scale, ds, data):
+    # letters low + scale*d: negative, a nonzero minimum, or near +-2^41; images in -3..3
+    xs = [low + scale * d for d in ds]
+    images = {x: data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))) for x in set(xs)}
+    if kind == "additive":
+        imgs = [(x,) for x in set(xs)]
+    elif kind == "abelian":
+        imgs = list(LatticeMap.parikh_map(Alphabet(xs)).images.values())
+    else:
+        imgs = list(images.values())
+    # the last n whose box fits, then one to three rows past it
+    last_fit = max([n for n in range(1, len(xs) + 1) if _box_fits(imgs, n, len(xs))], default=0)
+    n_max = min(len(xs), last_fit + data.draw(st.integers(1, 3)))
+    _check_profile(xs, kind, n_max, None, images)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.lists(st.integers(-50, 50), min_size=3, max_size=3),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+             min_size=1, max_size=150),
+    st.lists(st.integers(0, 2), min_size=6, max_size=6),
+)
+def test_distinct_images_with_and_without_a_box_match_unique(t, base, offs, slack):
+    W = np.array(offs, dtype=np.int64)[:, :t] + np.array(base[:t], dtype=np.int64)
+    lo, hi = W.min(axis=0).tolist(), W.max(axis=0).tolist()
+    # a box loose by 0..2 on each side, which may or may not fit len(W), and a
+    # zero lower corner, where t = 1 keys are the images themselves
+    loose = ([x - a for x, a in zip(lo, slack)], [x + b for x, b in zip(hi, slack[3:])])
+    for V, box in ((W, None), (W, loose), (W - lo, ([0] * t, [h - l for l, h in zip(lo, hi)]))):
+        before = V.copy()
+        expected = np.unique(V, axis=0)
+        assert np.array_equal(_distinct_images(V, box), expected)
+        assert complexity._distinct_count(V) == len(expected)
+        assert np.array_equal(V, before)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordsums import (
+    GuardError,
     Morphism,
     SeparatedIntervalSet,
     SpliceSchedule,
@@ -15,6 +16,7 @@ from wordsums import (
     enumeration_word,
     from_finite,
     mechanical,
+    mirror_anchor,
     morphic_fixed_point,
     nested_enum_word,
     periodic,
@@ -97,7 +99,7 @@ def test_cf_value():
     assert cf_value([2, 1, 1, 2]) == Fraction(5, 13)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=6))
 def test_mechanical_matches_floor_formula(cf):
     alpha = cf_value(cf)
@@ -197,7 +199,7 @@ def test_contract_explicit():
     assert _prefix(out, 8) == _contract_oracle(_prefix(w, 13), [(2, 3), (5, 7)])[:8]
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_contract_matches_oracle(data):
     finite = data.draw(st.booleans())
@@ -226,3 +228,15 @@ def test_contract_arithmetic_rule():
     # drop [1,2], [6,7], [11,12], ...: every round loses the first two of five
     out = contract(w, SeparatedIntervalSet.arithmetic(1, 5, 2))
     assert _prefix(out, 9) == [2, 3, 4] * 3
+
+
+def test_large_alphabets_are_refused_before_they_are_built():
+    # one letter past the 2^20-letter guard: the families refuse before allocating
+    with pytest.raises(GuardError):
+        enumeration_word(2**20)  # letters 0..2^20
+    with pytest.raises(GuardError):
+        mirror_anchor(2**19)  # target letters 0..2^20
+    with pytest.raises(GuardError):
+        constant_complexity_word(2**19)
+    with pytest.raises(GuardError):
+        constant_tail_word(2**20 + 1)
