@@ -159,9 +159,9 @@ def window_sums(w: WordStream, n: int, L: int) -> np.ndarray:
 
 def image_prefix_sums(w: WordStream, mu: LatticeMap, L: int) -> np.ndarray:
     """C[i] = mu(w(1..i)) for i = 0..L, column-major (L+1, t); refuses int64 overflow."""
-    idx = mu.letter_indices(w.prefix(L))
     if mu.max_abs() * (L + 1) >= _SUM_LIMIT:
         raise GuardError("lattice prefix sums may overflow int64")
+    idx = mu.letter_indices(w.prefix(L))
     C = np.zeros((L + 1, mu.dim), dtype=np.int64, order="F")
     for c in range(mu.dim):
         np.cumsum(mu._table[:, c][idx], out=C[1:, c])
@@ -216,15 +216,19 @@ def _distinct_keys(W: np.ndarray, box: Optional[tuple] = None) -> Optional[tuple
     return keys, lo, radix
 
 
+def _row_bytes(W: np.ndarray) -> set:
+    """The distinct rows of W as a set of bytes: the fallback for rows too wide to pack."""
+    if W.strides[-1] != W.itemsize:
+        W = np.ascontiguousarray(W)
+    return set(W.view(np.dtype((np.void, W.itemsize * W.shape[1]))).ravel().tolist())
+
+
 def _distinct_images(W: np.ndarray, box: Optional[tuple] = None) -> np.ndarray:
     """The reduction: distinct rows of the window images W, in lexicographic order
     when they pack; rows too wide to pack come from a set of row bytes, unordered."""
     packed = _distinct_keys(W, box)
     if packed is None:
-        if W.strides[-1] != W.itemsize:
-            W = np.ascontiguousarray(W)
-        rows = set(W.view(np.dtype((np.void, W.itemsize * W.shape[1]))).ravel().tolist())
-        return np.frombuffer(b"".join(rows), dtype=W.dtype).reshape(-1, W.shape[1])
+        return np.frombuffer(b"".join(_row_bytes(W)), dtype=W.dtype).reshape(-1, W.shape[1])
     keys, lo, radix = packed
     U = np.empty((len(keys), len(radix)), dtype=np.int64)
     for c in range(len(radix) - 1, 0, -1):
@@ -236,7 +240,7 @@ def _distinct_images(W: np.ndarray, box: Optional[tuple] = None) -> np.ndarray:
 def _distinct_count(W: np.ndarray) -> int:
     """How many distinct rows W has; packed keys are counted without decoding them."""
     packed = _distinct_keys(W)
-    return len(_distinct_images(W) if packed is None else packed[0])
+    return len(_row_bytes(W) if packed is None else packed[0])
 
 
 def additive_complexity(w: WordStream, n: int, L: int) -> int:

@@ -129,9 +129,10 @@ class WordStream:
     `factory` must return a fresh symbol iterator each call and always
     produce the same sequence; the word ends where that iterator stops.
     The cache only ever grows, so every reported value is stable across
-    calls.  Derived words read their sources through `_read` and so end
-    where a finite source ends.  Extension is serialized with a lock so
-    streams can be shared between threads.
+    calls.  Derived words iterate their sources' factories, not their
+    caches, and so end where a finite source ends; only the word a caller
+    reads holds a cache.  Extension is serialized with a lock so streams
+    can be shared between threads.
     """
 
     def __init__(
@@ -152,22 +153,6 @@ class WordStream:
         self.label = label or "word"
 
     # -- materialization ------------------------------------------------
-
-    def _fill(self, n: int) -> int:
-        """Materialize up to w(n), or to the end of a finite word; return the length held.
-
-        A failure drops the factory iterator; the next call starts a fresh one
-        and skips the symbols already held, so no symbol is lost or repeated.
-        """
-        if n <= self._n:
-            return self._n
-        with self._lock:
-            try:
-                self._extend(n)
-            except BaseException:
-                self._it = None
-                raise
-        return self._n
 
     def _extend(self, n: int) -> None:
         """Take symbols from the factory until w(n) is held or the word ends; needs the lock."""
@@ -205,18 +190,23 @@ class WordStream:
             self._n = total
 
     def _ensure(self, n: int) -> None:
-        if self._fill(n) < n:
+        """Materialize up to w(n); ValueError if a finite word ends first.
+
+        A failure drops the factory iterator; the next call starts a fresh one
+        and skips the symbols already held, so no symbol is lost or repeated.
+        """
+        if n <= self._n:
+            return
+        with self._lock:
+            try:
+                self._extend(n)
+            except BaseException:
+                self._it = None
+                raise
+        if self._n < n:
             raise ValueError(
                 f"{self.label} ends at length {self._n}; cannot reach position {n}"
             )
-
-    def _read(self) -> Iterator[int]:
-        """w(1), w(2), ... as Python ints; stops where a finite word ends."""
-        i = 0
-        while (held := self._fill(i + _CHUNK)) > i:
-            hi = min(held, i + _CHUNK)
-            yield from self._sym[i:hi].tolist()
-            i = hi
 
     # -- access ---------------------------------------------------------
 

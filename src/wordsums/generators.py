@@ -6,8 +6,9 @@ mechanical (Sturmian) words from continued fractions, enumeration words,
 the paired-enumeration family with constant additive complexity 2k+1,
 the bounded-spread word whose equal-slope cuts have unbounded gaps, the
 staircase word with constant complexity n, plus the splice and contract
-combinators.  Derived words read sources through WordStream._read and
-images through Morphism.expand, and end where a finite source ends.
+combinators.  Derived words iterate their sources' factories, never their
+caches, apply images through Morphism.expand, and end where a finite
+source ends; only the word a caller reads is materialized.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def unbounded_gap_word() -> WordStream:
     feed = nested_enum_word()
 
     def gen() -> Iterator[int]:
-        for v in feed._read():
+        for v in feed._factory():
             first, last = (0, 2) if v % 2 else (2, 0)
             yield first
             yield from itertools.repeat(1, v)
@@ -258,7 +259,7 @@ def splice(sources: Sequence[WordStream], schedule: SpliceSchedule) -> WordStrea
         )
 
     def gen() -> Iterator[int]:
-        readers = [src._read() for src in sources]
+        readers = [iter(src._factory()) for src in sources]
         for row in itertools.cycle(schedule.rounds):
             for reader, ln in zip(readers, row):
                 block = list(itertools.islice(reader, ln))
@@ -320,7 +321,7 @@ def contract(w: WordStream, intervals: SeparatedIntervalSet) -> WordStream:
         # separated intervals: one step past iv.hi is never inside the next one
         ivals = iter(intervals)
         iv = next(ivals, None)
-        for i, s in enumerate(w._read(), start=1):
+        for i, s in enumerate(w._factory(), start=1):
             if iv is not None and i > iv.hi:
                 iv = next(ivals, None)
             if iv is None or i < iv.lo:

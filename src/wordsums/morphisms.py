@@ -86,7 +86,7 @@ class AnchorReport:
 def apply_morphism(phi: Morphism, w: WordStream) -> WordStream:
     """The stream phi(w(1)) phi(w(2)) ...; symbols outside phi's source fail late."""
     return WordStream(
-        lambda: phi.expand(w._read()), alphabet=phi.target, label=f"image({w.label})"
+        lambda: phi.expand(w._factory()), alphabet=phi.target, label=f"image({w.label})"
     )
 
 

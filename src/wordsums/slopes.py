@@ -86,10 +86,10 @@ def chi_sequence(w: WordStream, alpha: Rational, m_max: int) -> np.ndarray:
     if m_max < 1:
         raise ValueError("need m_max >= 1")
     p, q = a.numerator, a.denominator
-    P = w.prefix_sums(m_max * q)
-    m = np.arange(1, m_max + 1, dtype=np.int64)
     if abs(p) * m_max >= _SUM_LIMIT:
         raise GuardError("m*p may overflow int64")
+    P = w.prefix_sums(m_max * q)
+    m = np.arange(1, m_max + 1, dtype=np.int64)
     return P[m * q] - m * p
 
 

@@ -54,8 +54,10 @@ def test_lattice_map_guards_an_image_of_minus_2_63():
     # np.abs(-2**63) wraps to -2**63; the magnitude must come out as 2**63
     mu = LatticeMap({0: (-(2**63),), 1: (0,)})
     assert mu.max_abs() == 2**63
+    w = periodic([0, 1])
     with pytest.raises(GuardError):
-        lattice_spread(periodic([0, 1]), mu, 1, 3)
+        lattice_spread(w, mu, 1, 3)
+    assert "materialized=0" in repr(w)  # the guard needs no symbol
 
 
 def test_periodic_profile_counts():

@@ -136,6 +136,11 @@ def test_symbols_past_int64_are_refused(bad):
     w = from_finite([bad, bad, 5])
     with pytest.raises(GuardError):
         w.prefix(3)
+    # a derived word refuses a source symbol it keeps, not one it maps away
+    src = from_finite([5, bad])
+    with pytest.raises(GuardError):
+        apply_morphism(Morphism({5: (5,), bad: (bad,)}), src).prefix(2)
+    assert apply_morphism(Morphism({5: (5,), bad: (0,)}), src).prefix(2).tolist() == [5, 0]
 
 
 def test_concurrent_extension_consistent():

@@ -23,6 +23,7 @@ from wordsums import (
     splice,
     unbounded_gap_word,
 )
+from wordsums import generators
 
 
 def _prefix(w, L):
@@ -228,6 +229,32 @@ def test_contract_arithmetic_rule():
     # drop [1,2], [6,7], [11,12], ...: every round loses the first two of five
     out = contract(w, SeparatedIntervalSet.arithmetic(1, 5, 2))
     assert _prefix(out, 9) == [2, 3, 4] * 3
+
+
+def test_derived_words_leave_their_sources_unmaterialized(monkeypatch):
+    made = []
+
+    def recorded(family):
+        def build(*args):
+            made.append(family(*args))
+            return made[-1]
+
+        return build
+
+    for name in ("enumeration_word", "nested_enum_word"):
+        monkeypatch.setattr(generators, name, recorded(getattr(generators, name)))
+    sources = [periodic([0, 1]), from_finite(range(50_000))]
+    words = [
+        constant_complexity_word(2),
+        unbounded_gap_word(),
+        splice(sources, SpliceSchedule(((3, 1),))),
+        contract(sources[1], SeparatedIntervalSet.arithmetic(3, 7, 2)),
+    ]
+    for w in words:
+        w.prefix_sums(30_000)
+    assert len(made) == 2
+    for src in made + sources:
+        assert repr(src).endswith("materialized=0)")
 
 
 def test_large_alphabets_are_refused_before_they_are_built():

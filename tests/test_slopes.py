@@ -55,6 +55,10 @@ def test_chi_rejects_bad_args():
         chi_sequence(periodic([0, 1]), Fraction(1, 2), 0)
     with pytest.raises(GuardError):
         chi_sequence(periodic([0]), 2**61, 2)  # m*p reaches 2^62
+    w = periodic([0, 1])
+    with pytest.raises(GuardError):  # refused before a million symbols are read
+        chi_sequence(w, Fraction(2**61), 10**6)
+    assert "materialized=0" in repr(w)
 
 
 def test_slopes_must_be_exact():
