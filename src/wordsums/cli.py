@@ -24,6 +24,9 @@ splice schedule is the last field: one row per round, one length per source.
 
 Morphisms are written <s>=<c,...>;<s>=<c,...> and lattice maps the same
 with a mu: prefix.  Symbols may be negative.
+
+Each family's constructor labels its stream with the canonical spec, which
+--explain prints and error messages and repr name the word by.
 """
 
 from __future__ import annotations
@@ -81,10 +84,6 @@ def _ints(s: str, what: str) -> list[int]:
         return [int(tok) for tok in s.split(",")] if s else []
     except ValueError:
         raise WordSpecError(f"bad {what}: {s!r}") from None
-
-
-def _fmt_ints(xs) -> str:
-    return ",".join(str(int(x)) for x in xs)
 
 
 def _fields(body: str, what: str, raw: tuple[str, ...] = ()) -> dict:
@@ -158,70 +157,59 @@ def parse_slope(s: str) -> Fraction:
         raise WordSpecError(f"bad slope {s!r}; expected p/q or an integer") from None
 
 
-def _periodic(body: str) -> tuple[WordStream, str]:
-    pat = _ints(body, "period")
-    return periodic(pat), f"periodic:{_fmt_ints(pat)}"
-
-
-def _morphic(body: str) -> tuple[WordStream, str]:
+def _morphic(body: str) -> WordStream:
     fields = _fields(body, "morphic")
     seed = _pop_int(fields, "seed", "morphic:<s>=<c,...>;...;seed=<s>")
-    phi = Morphism(_letters(fields, "morphic"))
-    return morphic_fixed_point(phi, seed), f"morphic:{phi!r};seed={seed}"
+    return morphic_fixed_point(Morphism(_letters(fields, "morphic")), seed)
 
 
-def _mechanical(body: str) -> tuple[WordStream, str]:
+def _mechanical(body: str) -> WordStream:
     usage = "mechanical:cf=<a1,...>[;repeat=<r>]"
     fields = _fields(body, "mechanical")
     cf = fields.pop("cf", None)
     repeat = _pop_int(fields, "repeat", usage) if "repeat" in fields else None
     if cf is None or fields:
         raise WordSpecError(f"expected {usage}")
-    canon = f"mechanical:cf={_fmt_ints(cf)}" + ("" if repeat is None else f";repeat={repeat}")
-    return mechanical(cf, repeat), canon
+    return mechanical(cf, repeat)
 
 
-def _one_int(head: str, key: str, build, body: str) -> tuple[WordStream, str]:
+def _one_int(head: str, key: str, build, body: str) -> WordStream:
     """The families that take exactly one key=<int> field."""
     fields = _fields(body, head)
     val = _pop_int(fields, key, f"{head}:{key}=<int>")
     if fields:
         raise WordSpecError(f"unknown {head} fields {sorted(fields)}")
-    return build(val), f"{head}:{key}={val}"
+    return build(val)
 
 
-def _splice(body: str) -> tuple[WordStream, str]:
+def _splice(body: str) -> WordStream:
     parts = _split_top(body, ";")
     srcs, sched = parts[0], ";".join(parts[1:])
     if not (srcs.startswith("[") and srcs.endswith("]") and sched.startswith("sched=")):
         raise WordSpecError("expected splice:[<spec>|<spec>|...];sched=<l11,l21,...;l12,...>")
-    parsed = [parse_word_spec(sub) for sub in _split_top(srcs[1:-1], "|")]
+    sources = [parse_word_spec(sub)[0] for sub in _split_top(srcs[1:-1], "|")]
     rows = [_ints(row, "schedule row") for row in sched[len("sched=") :].split(";")]
-    stream = splice([s for s, _ in parsed], SpliceSchedule(tuple(tuple(r) for r in rows)))
-    canon_rows = ";".join(_fmt_ints(r) for r in rows)
-    return stream, f"splice:[{'|'.join(c for _, c in parsed)}];sched={canon_rows}"
+    return splice(sources, SpliceSchedule(tuple(tuple(r) for r in rows)))
 
 
-def _contract(body: str) -> tuple[WordStream, str]:
+def _contract(body: str) -> WordStream:
     fields = _fields(body, "contract", raw=("base", "ivals"))
     base, iv = fields.get("base", ""), fields.get("ivals")
     if set(fields) != {"base", "ivals"} or not (base.startswith("(") and base.endswith(")")):
         raise WordSpecError("expected contract:base=(<spec>);ivals=...")
-    sub, sub_canon = parse_word_spec(base[1:-1])
+    sub = parse_word_spec(base[1:-1])[0]
     if iv.startswith("arith:"):
         nums = _ints(iv[len("arith:") :], "arithmetic interval rule")
         if len(nums) != 3:
             raise WordSpecError("arith takes <start>,<period>,<width>")
-        ivals, canon_iv = SeparatedIntervalSet.arithmetic(*nums), f"arith:{_fmt_ints(nums)}"
-    else:
-        pairs = [_ints(tok.replace("-", ",", 1), "interval lo-hi") for tok in iv.split(",")]
-        if any(len(p) != 2 for p in pairs):
-            raise WordSpecError(f"bad intervals {iv!r}; expected lo-hi,...")
-        ivals, canon_iv = SeparatedIntervalSet(pairs), ",".join(f"{a}-{b}" for a, b in pairs)
-    return contract(sub, ivals), f"contract:base=({sub_canon});ivals={canon_iv}"
+        return contract(sub, SeparatedIntervalSet.arithmetic(*nums))
+    pairs = [_ints(tok.replace("-", ",", 1), "interval lo-hi") for tok in iv.split(",")]
+    if any(len(p) != 2 for p in pairs):
+        raise WordSpecError(f"bad intervals {iv!r}; expected lo-hi,...")
+    return contract(sub, SeparatedIntervalSet(pairs))
 
 
-def _file(body: str) -> tuple[WordStream, str]:
+def _file(body: str) -> WordStream:
     try:
         symbols = [int(t) for t in Path(body).read_text().split()]
     except OSError as e:
@@ -230,12 +218,12 @@ def _file(body: str) -> tuple[WordStream, str]:
         raise WordSpecError(f"{body!r} must contain whitespace-separated integers") from None
     if not symbols:
         raise WordSpecError(f"{body!r} holds no symbols")
-    return from_finite(symbols, label=f"file:{body}"), f"file:{body}"
+    return from_finite(symbols, label=f"file:{body}")
 
 
-# family head -> builder(body) returning (stream, canonical spec)
+# family head -> builder(body) returning the stream, whose label is its canonical spec
 _FAMILIES = {
-    "periodic": _periodic,
+    "periodic": lambda body: periodic(_ints(body, "period")),
     "morphic": _morphic,
     "mechanical": _mechanical,
     "enum": functools.partial(_one_int, "enum", "k", enumeration_word),
@@ -249,16 +237,18 @@ _FAMILIES = {
 
 @_spec_errors
 def parse_word_spec(spec: str) -> tuple[WordStream, str]:
-    """Build the stream and return it with a canonical rendering of the spec."""
+    """Build the stream and return it with its label, the canonical form of the spec."""
     spec = spec.strip()
-    if spec == "sec24":
-        return unbounded_gap_word(), "sec24"
     head, colon, body = spec.partition(":")
-    if not colon or not body:
+    if spec == "sec24":
+        w = unbounded_gap_word()
+    elif not colon or not body:
         raise WordSpecError(f"bad word spec {spec!r}")
-    if head not in _FAMILIES:
+    elif head not in _FAMILIES:
         raise WordSpecError(f"unknown word family {head!r}")
-    return _FAMILIES[head](body)
+    else:
+        w = _FAMILIES[head](body)
+    return w, w.label
 
 
 def _morphism_and_canon(spec: str) -> tuple[Morphism, str]:
@@ -372,15 +362,17 @@ def _cmd_intersect(args, w1, w2) -> Optional[int]:
 # -- parser ---------------------------------------------------------------
 
 
-def _command(subs, name: str, help: str, func, specs=("word",)):
-    """A subcommand taking word specs and the common prefix and output options."""
+def _command(subs, name: str, help: str, func, specs=("word",), table=True):
+    """A subcommand taking word specs and the common prefix and output options;
+    --format only where the output is a table (powers always prints JSON)."""
     sub = subs.add_parser(name, help=help)
     for spec in specs:
         sub.add_argument(spec, help="word spec (see module docs)")
     sub.add_argument("-L", "--prefix-length", type=int, default=DEFAULT_PREFIX,
                      help=f"analyzed prefix length (default {DEFAULT_PREFIX})")
     sub.add_argument("--out", help="write output to this file instead of stdout")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    if table:
+        sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     sub.add_argument("--unsafe-large", action="store_true", help="lift the default prefix-size cap")
     sub.add_argument("--explain", action="store_true", help="print the canonical spec and exit")
     sub.set_defaults(func=func, specs=specs, parse=parse_word_spec)
@@ -415,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--explain", action="store_true", help="print the canonical spec and exit")
     p.set_defaults(func=_cmd_anchor, specs=("morphism",), parse=_morphism_and_canon)
 
-    p = _command(subs, "powers", "search for additive k-powers", _cmd_powers)
+    p = _command(subs, "powers", "search for additive k-powers", _cmd_powers, table=False)
     p.add_argument("--k", type=int, required=True, help="number of blocks")
     p.add_argument("--mu", help="search modulo this lattice map instead of sums")
     p.add_argument("--slope", help="slope-constrained search: exact rational p/q")

@@ -158,9 +158,13 @@ def window_sums(w: WordStream, n: int, L: int) -> np.ndarray:
 
 
 def image_prefix_sums(w: WordStream, mu: LatticeMap, L: int) -> np.ndarray:
-    """C[i] = mu(w(1..i)) for i = 0..L, column-major (L+1, t); refuses int64 overflow."""
+    """C[i] = mu(w(1..i)) for i = 0..L, column-major (L+1, t).
+
+    Refuses int64 overflow and a table past the memory guard before reading a symbol."""
     if mu.max_abs() * (L + 1) >= _SUM_LIMIT:
         raise GuardError("lattice prefix sums may overflow int64")
+    if (L + 1) * mu.dim * 8 > _WINDOW_BYTES_LIMIT:
+        raise GuardError(f"image table for L={L}, t={mu.dim} exceeds the memory guard")
     idx = mu.letter_indices(w.prefix(L))
     C = np.zeros((L + 1, mu.dim), dtype=np.int64, order="F")
     for c in range(mu.dim):
@@ -258,10 +262,9 @@ def lattice_complexity(w: WordStream, mu: LatticeMap, n: int, L: int) -> int:
     return _distinct_count(window_images(w, mu, n, L))
 
 
-def abelian_complexity(w: WordStream, n: int, L: int, alphabet: Optional[Alphabet] = None) -> int:
+def abelian_complexity(w: WordStream, n: int, L: int) -> int:
     """Distinct Parikh vectors of length-n windows (lattice with unit images)."""
-    ab = alphabet or w.alphabet or w.observed_alphabet(L)
-    return lattice_complexity(w, LatticeMap.parikh_map(ab), n, L)
+    return lattice_complexity(w, LatticeMap.parikh_map(w.alphabet or w.observed_alphabet(L)), n, L)
 
 
 def _points_diameter_sq(U: np.ndarray) -> int:

@@ -8,7 +8,8 @@ the bounded-spread word whose equal-slope cuts have unbounded gaps, the
 staircase word with constant complexity n, plus the splice and contract
 combinators.  Derived words iterate their sources' factories, never their
 caches, apply images through Morphism.expand, and end where a finite
-source ends; only the word a caller reads is materialized.
+source ends; only the word a caller reads is materialized.  The label of
+each spec family's stream is its canonical spec, e.g. thm11:k=2 (see cli).
 """
 
 from __future__ import annotations
@@ -49,13 +50,13 @@ def _check_letters(count: int, what: str) -> None:
         raise GuardError(f"{what} needs {count} letters, past the {_MAX_LETTERS}-letter guard")
 
 
-def periodic(pattern: Sequence[int], label: str = "") -> WordStream:
+def periodic(pattern: Sequence[int]) -> WordStream:
     """The word pattern pattern pattern ..."""
     pat = tuple(int(s) for s in pattern)
     if not pat:
         raise ValueError("empty period")
-    name = label or f"periodic({','.join(map(str, pat))})"
-    return WordStream(lambda: itertools.cycle(pat), alphabet=Alphabet(pat), label=name)
+    return WordStream(lambda: itertools.cycle(pat), alphabet=Alphabet(pat),
+                      label=f"periodic:{','.join(map(str, pat))}")
 
 
 def morphic_fixed_point(phi: Morphism, seed: int) -> WordStream:
@@ -76,7 +77,7 @@ def morphic_fixed_point(phi: Morphism, seed: int) -> WordStream:
             out.extend(img)
             yield from img
 
-    return WordStream(gen, alphabet=phi.source, label=f"fixpoint({phi!r}@{seed})")
+    return WordStream(gen, alphabet=phi.source, label=f"morphic:{phi!r};seed={seed}")
 
 
 def cf_value(cf: Sequence[int]) -> Fraction:
@@ -112,6 +113,7 @@ def mechanical(cf: Sequence[int], repeat: Optional[int] = None) -> WordStream:
         raise ValueError(f"continued fraction coefficients must be >= 1: {cf}")
     if repeat is not None and not (1 <= repeat <= len(cf)):
         raise ValueError(f"repeat marker {repeat} out of range for {cf}")
+    label = f"mechanical:cf={','.join(map(str, cf))}"
     if repeat is None:
         prev, cur = (1,), (0,)
         for d in _directive(cf, None):
@@ -121,8 +123,9 @@ def mechanical(cf: Sequence[int], repeat: Optional[int] = None) -> WordStream:
             period = cur
         else:
             period = (0,) + cur[:-2] + (1,)
-        alpha = cf_value(cf)
-        return periodic(period, label=f"mechanical({alpha.numerator}/{alpha.denominator})")
+        w = periodic(period)
+        w.label = label
+        return w
 
     def gen() -> Iterator[int]:
         yield 0
@@ -133,14 +136,14 @@ def mechanical(cf: Sequence[int], repeat: Optional[int] = None) -> WordStream:
             yield from cur[emitted:]
             emitted = len(cur)
 
-    return WordStream(gen, alphabet=Alphabet((0, 1)), label=f"mechanical(cf={cf};repeat={repeat})")
+    return WordStream(gen, alphabet=Alphabet((0, 1)), label=f"{label};repeat={repeat}")
 
 
 def enumeration_word(k: int) -> WordStream:
     """All words over {0..k} concatenated in length-then-lexicographic order."""
     if k < 0:
         raise ValueError("alphabet bound k must be >= 0")
-    _check_letters(k + 1, f"enum(k={k})")
+    _check_letters(k + 1, f"enum:k={k}")
 
     def gen() -> Iterator[int]:
         syms = tuple(range(k + 1))
@@ -148,7 +151,7 @@ def enumeration_word(k: int) -> WordStream:
             for tup in itertools.product(syms, repeat=ell):
                 yield from tup
 
-    return WordStream(gen, alphabet=Alphabet(range(k + 1)), label=f"enum(k={k})")
+    return WordStream(gen, alphabet=Alphabet(range(k + 1)), label=f"enum:k={k}")
 
 
 def mirror_anchor(k: int) -> Morphism:
@@ -167,7 +170,7 @@ def constant_complexity_word(k: int) -> WordStream:
     and all of them occur once every block pattern has been enumerated.
     """
     w = apply_morphism(mirror_anchor(k), enumeration_word(k))
-    w.label = f"const-complexity(k={k})"
+    w.label = f"thm11:k={k}"
     return w
 
 
@@ -199,7 +202,7 @@ def unbounded_gap_word() -> WordStream:
             yield from itertools.repeat(1, v)
             yield last
 
-    return WordStream(gen, alphabet=Alphabet((0, 1, 2)), label="unbounded-gaps")
+    return WordStream(gen, alphabet=Alphabet((0, 1, 2)), label="sec24")
 
 
 def constant_tail_word(n: int) -> WordStream:
@@ -211,14 +214,14 @@ def constant_tail_word(n: int) -> WordStream:
     """
     if n < 1:
         raise ValueError("need at least one letter")
-    _check_letters(n, f"staircase(n={n})")
+    _check_letters(n, f"ladder:n={n}")
     ramp = tuple(range(n))
 
     def gen() -> Iterator[int]:
         yield from ramp
         yield from itertools.repeat(n - 1)
 
-    return WordStream(gen, alphabet=Alphabet(ramp), label=f"staircase(n={n})")
+    return WordStream(gen, alphabet=Alphabet(ramp), label=f"ladder:n={n}")
 
 
 @dataclass(frozen=True)
@@ -270,7 +273,9 @@ def splice(sources: Sequence[WordStream], schedule: SpliceSchedule) -> WordStrea
     merged: Optional[Alphabet] = None
     if all(s.alphabet is not None for s in sources):
         merged = Alphabet(t for s in sources for t in s.alphabet)
-    return WordStream(gen, alphabet=merged, label="splice")
+    srcs = "|".join(s.label for s in sources)
+    rows = ";".join(",".join(map(str, row)) for row in schedule.rounds)
+    return WordStream(gen, alphabet=merged, label=f"splice:[{srcs}];sched={rows}")
 
 
 class SeparatedIntervalSet:
@@ -285,7 +290,7 @@ class SeparatedIntervalSet:
                     "are not separated"
                 )
         self._intervals: Callable[[], Iterator[Interval]] = lambda: iter(ivals)
-        self._repr = f"SeparatedIntervalSet({[(i.lo, i.hi) for i in ivals]})"
+        self._repr = ",".join(f"{i.lo}-{i.hi}" for i in ivals)
 
     @classmethod
     def arithmetic(cls, start: int, period: int, width: int) -> "SeparatedIntervalSet":
@@ -299,7 +304,7 @@ class SeparatedIntervalSet:
         obj._intervals = lambda: (
             Interval(lo, lo + width - 1) for lo in itertools.count(start, period)
         )
-        obj._repr = f"SeparatedIntervalSet.arithmetic{(start, period, width)}"
+        obj._repr = f"arith:{start},{period},{width}"
         return obj
 
     def __iter__(self) -> Iterator[Interval]:
@@ -327,4 +332,5 @@ def contract(w: WordStream, intervals: SeparatedIntervalSet) -> WordStream:
             if iv is None or i < iv.lo:
                 yield s
 
-    return WordStream(gen, alphabet=w.alphabet, label=f"contract({w.label})")
+    label = f"contract:base=({w.label});ivals={intervals!r}"
+    return WordStream(gen, alphabet=w.alphabet, label=label)

@@ -16,6 +16,11 @@ from wordsums.cli import (
     parse_slope,
     parse_word_spec,
 )
+from wordsums.generators import (
+    SeparatedIntervalSet, SpliceSchedule, constant_complexity_word, constant_tail_word, contract,
+    enumeration_word, mechanical, morphic_fixed_point, periodic, splice, unbounded_gap_word,
+)
+from wordsums.morphisms import Morphism
 
 SPECS = [
     "periodic:0,1",
@@ -43,6 +48,29 @@ def test_specs_parse_and_canonical_roundtrip(spec):
     assert np.array_equal(w1.prefix(10_000), w2.prefix(10_000))
 
 
+def test_constructor_labels_are_canonical_specs():
+    thm1, spl = constant_complexity_word(1), SpliceSchedule(((1, 2, 2), (3, 0, 1)))
+    words = [
+        periodic([-1, 2, -1]),
+        morphic_fixed_point(Morphism({1: (1, 0), 0: (0, 1)}), 0),
+        mechanical([4, 3]),
+        mechanical([1]),
+        mechanical([1, 2], repeat=1),
+        enumeration_word(2),
+        constant_complexity_word(2),
+        unbounded_gap_word(),
+        constant_tail_word(4),
+        splice([thm1, unbounded_gap_word(), periodic([0, 2])], spl),
+        contract(thm1, SeparatedIntervalSet([(2, 4), (7, 9)])),
+        contract(splice([periodic([1]), thm1], SpliceSchedule(((1, 1),))),
+                 SeparatedIntervalSet.arithmetic(2, 4, 1)),
+    ]
+    for w in words:
+        parsed, canon = parse_word_spec(w.label)
+        assert canon == parsed.label == w.label
+        assert np.array_equal(parsed.prefix(10_000), w.prefix(10_000)), w.label
+
+
 def test_word_spec_errors():
     for bad in [
         "nope:1",
@@ -66,6 +94,11 @@ def test_word_spec_errors():
         "ladder:n=",
         "thm11:k=2;k=3",                 # duplicate key
         "morphic:0=0,1;1=1,0;seed=0;seed=1",
+        "morphic:0=0,1;00=1,0;seed=0",   # the same letter once parsed
+        "enum:k=2;x=1",
+        "thm11:k",
+        "splice:[periodic:0|periodic:1;sched=1,1",
+        "contract:base=(periodic:0);ivals=arith:1,3",
     ]:
         with pytest.raises(WordSpecError):
             parse_word_spec(bad)
@@ -83,6 +116,18 @@ def test_file_spec(tmp_path):
     bad.write_text("0 1 x")
     with pytest.raises(WordSpecError):
         parse_word_spec(f"file:{bad}")
+    empty = tmp_path / "empty.txt"
+    empty.write_text(" \n")
+    with pytest.raises(WordSpecError):
+        parse_word_spec(f"file:{empty}")
+
+
+def test_splice_of_a_file_names_its_spec_where_it_ends(tmp_path, capsys):
+    p = tmp_path / "w3.txt"
+    p.write_text("1 2 3")
+    spec = f"splice:[file:{p}|periodic:0];sched=1,1"
+    assert main(["slope", spec, "-L", "10"]) == 2
+    assert f"error: {spec} ends at length 6; cannot reach position 10" in capsys.readouterr().err
 
 
 def test_contract_of_a_file_ends_with_it(tmp_path):
@@ -102,7 +147,7 @@ def test_contract_of_a_file_ends_with_it(tmp_path):
 
     assert run(12).returncode == 0  # 20 symbols less the 8 at 2-3, 7-8, 12-13, 17-18
     past = run(40)
-    assert past.returncode == 2 and "ends at length" in past.stderr
+    assert past.returncode == 2 and f"error: {spec} ends at length 12" in past.stderr
 
 
 def test_parse_helpers():
@@ -147,6 +192,17 @@ def test_profile_abelian_kind(capsys):
 def test_profile_lattice_requires_mu(capsys):
     rc = main(["profile", "periodic:0,1", "--kind", "lattice", "-L", "100"])
     assert rc == 2
+    # a map without an image for the letter 1
+    rc = main(["profile", "periodic:0,1", "--kind", "lattice", "--mu", "mu:0=1", "-L", "100"])
+    assert rc == 2
+    assert "outside the map's alphabet" in capsys.readouterr().err
+
+
+def test_abelian_image_table_past_the_memory_guard_exits_2(capsys):
+    # 301 Parikh columns at L = 1e5 need a 241 MB image table
+    argv = ["profile", "enum:k=300", "--kind", "abelian", "-L", "100000", "--n-max", "1"]
+    assert main(argv) == 2
+    assert "memory guard" in capsys.readouterr().err
 
 
 def test_spread_csv(capsys):
@@ -239,6 +295,14 @@ def test_powers_anchored(capsys):
     assert rc == 0
     assert payload["block_length"] % 4 == 0
     assert payload["verified"]
+
+
+def test_powers_takes_no_format(capsys):
+    # powers always prints JSON, as anchor does
+    with pytest.raises(SystemExit) as exc:
+        main(["powers", "thm11:k=1", "--k", "4", "-L", "2000", "--format", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_powers_slope_mu_conflict(capsys):

@@ -11,7 +11,9 @@ from wordsums import (
     LatticeMap,
     abelian_complexity,
     additive_complexity,
+    enumeration_word,
     factor_set_intersection,
+    find_kpower_mod_mu,
     from_finite,
     lattice_complexity,
     lattice_spread,
@@ -45,6 +47,8 @@ def test_lattice_map_constructors():
         LatticeMap({0: (1, 0), 1: (1,)})
     with pytest.raises(ValueError):
         pk.of_word(FiniteWord([7]))
+    with pytest.raises(ValueError, match="outside the map's alphabet"):  # no image for 1
+        lattice_complexity(periodic([0, 1]), LatticeMap({0: (1,)}), 1, 10)
     for images in ({0: (2**63,), 1: (0,)}, {2**63: (1,), 1: (0,)}):  # past int64
         with pytest.raises(ValueError):
             LatticeMap(images)
@@ -58,6 +62,20 @@ def test_lattice_map_guards_an_image_of_minus_2_63():
     with pytest.raises(GuardError):
         lattice_spread(w, mu, 1, 3)
     assert "materialized=0" in repr(w)  # the guard needs no symbol
+
+
+def test_image_table_past_the_memory_guard_is_refused(monkeypatch):
+    # an (L + 1) x t table of 8-byte images; t = 4 at L = 1000 takes 32032 bytes
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 32_000)
+    w = enumeration_word(3)
+    with pytest.raises(GuardError):
+        profile(w, 1, 1000, kind="abelian")
+    with pytest.raises(GuardError):
+        lattice_complexity(w, LatticeMap.parikh_map(w.alphabet), 1, 1000)
+    with pytest.raises(GuardError):
+        find_kpower_mod_mu(w, LatticeMap.parikh_map(w.alphabet), 2, 1000)
+    assert "materialized=0" in repr(w)  # refused before reading a symbol
+    assert profile(w, 1, 998, kind="abelian").counts() == [4]  # 31968 bytes fit
 
 
 def test_periodic_profile_counts():

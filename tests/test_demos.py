@@ -1,10 +1,13 @@
-"""Each script in demos/ and the README's quick start run to completion and print their tour."""
+"""Each script in demos/, the README's quick start and its command lines run to completion."""
 
 import re
 import runpy
+import shlex
 from pathlib import Path
 
 import pytest
+
+from wordsums.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -25,3 +28,13 @@ def test_readme_quick_start_prints_what_its_comments_say(capsys):
         "2",
         "PowerWitness(start=1, block_length=2, count=4, value=4)",
     ]
+
+
+def test_readme_command_lines_exit_0_with_output(capsys):
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"## Command line\n.*?```\n(.*?)```", readme, re.S)
+    lines = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert lines and all(argv[0] == "wordsums" for argv in lines)
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv
+        assert capsys.readouterr().out.strip(), argv
