@@ -94,7 +94,7 @@ def _fields(body: str, what: str, raw: tuple[str, ...] = ()) -> dict:
     fields: dict = {}
     for field in _split_top(body, ";"):
         key, eq, val = field.partition("=")
-        key = key.strip()
+        key, val = key.strip(), val.strip()
         if not eq:
             raise WordSpecError(f"bad {what} field {field!r}")
         if key in fields:
@@ -240,6 +240,7 @@ def parse_word_spec(spec: str) -> tuple[WordStream, str]:
     """Build the stream and return it with its label, the canonical form of the spec."""
     spec = spec.strip()
     head, colon, body = spec.partition(":")
+    body = body.strip()
     if spec == "sec24":
         w = unbounded_gap_word()
     elif not colon or not body:

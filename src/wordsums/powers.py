@@ -5,8 +5,11 @@ w(start+(k-1)b .. start+kb-1) all share the same sum (or the same
 mu-image).  Every search is one progression scan, start ascending,
 then gap (block length) ascending, so the returned witness is the
 lexicographically first one.  A scan that finds nothing compares about
-L^2/k cells, done gap by gap in numpy; the prefix guard (L <= 10^6
-unless the caller raises `limit`) is what bounds that work.  mu-images
+L^2/k cells.  Each numpy call compares one tile of about 2^16 cells:
+consecutive gaps × the live starts, read as strided views of one copy of
+the prefix in the narrowest integer dtype (int8 to int64) whose
+wrap-around equality is still exact.  The prefix guard (L <= 10^6 unless
+the caller raises `limit`) is what bounds that work.  mu-images
 compare as one int64 key per prefix row (`complexity.pack_rows`: column
 c in mixed radix 2*(max - min) + 1, so key differences identify row
 differences), or as whole rows once that radix product reaches 2^62.
@@ -17,17 +20,21 @@ progressions in the chi coloring.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .core import GuardError, WordStream, word_sum
-from .complexity import LatticeMap, _windows, image_prefix_sums, pack_rows
+from .complexity import LatticeMap, image_prefix_sums, pack_rows
 from .slopes import Rational, _as_fraction, chi_sequence
 
 _POWER_MAX_PREFIX = 1_000_000
 _HEAD_STARTS = 16
+_FINISH_STARTS = 64
+_TILE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -47,12 +54,19 @@ def _check_power_args(k: int, L: int, limit: int) -> None:
         raise GuardError(f"power scan is quadratic; refusing L = {L} > {limit}")
 
 
-def _agree(vals: list) -> np.ndarray:
-    """Mask where every array in vals equals vals[0]; rows compare as wholes."""
-    ok = vals[1] == vals[0]
-    for v in vals[2:]:
-        ok &= v == vals[0]
-    return ok.all(axis=-1) if ok.ndim > 1 else ok
+def _narrow_copy(X: np.ndarray, blocks: bool, pad: int) -> np.ndarray:
+    """X, then pad zero rows, in the narrowest dtype whose wrap-around equality is exact.
+
+    Two terms that compare differ by at most 2 * (max - min) of X for blocks and by
+    max - min for values; below 2^bits that difference wraps to 0 only if it is 0.
+    """
+    reach = (int(X.max()) - int(X.min())) * (2 if blocks else 1)
+    dt = next((dt for dt in (np.int8, np.int16, np.int32) if reach < 1 << np.iinfo(dt).bits),
+              np.int64)
+    Xp = np.empty((len(X) + pad,) + X.shape[1:], dt)
+    Xp[: len(X)] = X
+    Xp[len(X) :] = 0
+    return Xp
 
 
 def _first_progression(
@@ -61,39 +75,90 @@ def _first_progression(
     """Lexicographically first 0-based (start i, gap g) whose terms agree, or None.
 
     The terms are X[i + j*g] for j < terms, or with blocks=True the blocks
-    X[i + (j+1)*g] - X[i + j*g]; g runs over the multiples of step.  The
-    first _HEAD_STARTS starts go start by start, then the scan goes gap by
-    gap over the starts before the best so far, and finishes start by start
-    once fewer of those starts than gaps remain.
+    X[i + (j+1)*g] - X[i + j*g]; g runs over the multiples of step.  Rows of a
+    2-D X compare as wholes.  The first _HEAD_STARTS starts go start by start,
+    then the scan goes gap-major over the starts before the best so far, and once
+    fewer of those starts than gaps remain it finishes them in blocks of
+    _FINISH_STARTS starts.  Every numpy call compares one tile: about _TILE_CELLS
+    (start, gap) cells of consecutive gaps, read as strided views of X (the head)
+    or of its _narrow_copy (the rest).
     """
     n = len(X)
     reach = terms if blocks else terms - 1  # a progression spans reach*g
+    tail = X.shape[1:]
 
-    def start_by_start(starts: range, g0: int) -> Optional[tuple[int, int]]:
-        for i in starts:
-            gmax = (n - 1 - i) // reach
-            if gmax < g0:
+    def view(buf: np.ndarray, shape: tuple, offset: int, row: int) -> np.ndarray:
+        """buf[offset + t*row + i] for (t, i) in shape, in whole rows of X."""
+        size = buf.itemsize
+        rs = size * (tail[0] if tail else 1)
+        return np.ndarray(shape + tail, buf.dtype, buf, offset * rs,
+                          (row * rs, rs) + (size,) * len(tail))
+
+    def tile(buf: np.ndarray, lo: int, m: int, g0: int, T: int) -> Optional[tuple[int, int]]:
+        """First hit among starts [lo, lo+m) at gaps g0, g0+step, ..., of T gaps."""
+        g1 = g0 + (T - 1) * step
+        if not blocks:
+            vals = [view(buf, (T, m), lo + j * g0, j * step) for j in range(terms)]
+        elif g1 <= m:
+            # the blocks overlap: one windows array W[t, p] = X[lo+p+g_t] - X[lo+p]
+            # holds them all, block j of (t, i) at W[t, i + j*g_t]
+            P = m + (terms - 1) * g1
+            W = np.subtract(view(buf, (T, P), lo + g0, step), view(buf, (T, P), lo, 0),
+                            order="C")
+            vals = [view(W, (T, m), j * g0, P + j * step) for j in range(terms)]
+        else:
+            # blocks lie apart, where most cells of W would go unread: subtract per block
+            pts = [view(buf, (T, m), lo + j * g0, j * step) for j in range(terms + 1)]
+            vals = [b - a for a, b in zip(pts, pts[1:])]
+        ok = vals[1] == vals[0]
+        for v in vals[2:]:
+            ok &= v == vals[0]
+        if ok.ndim > 2:
+            ok = ok.all(axis=-1)
+        if not ok.any():
+            return None
+        c0 = max(0, n - lo - reach * g1)  # the staircase: columns past the word at g1
+        if c0 < m:
+            ends = n - lo - reach * (g0 + step * np.arange(T))
+            ok[:, c0:] &= np.arange(c0, m) < ends[:, None]
+            if not ok.any():
                 return None
-            gmax -= (gmax - g0) % step
-            pts = [X[i + j * g0 : i + j * gmax + 1 : j * step] if j else X[i]
-                   for j in range(reach + 1)]
-            ok = _agree([b - a for a, b in zip(pts, pts[1:])] if blocks else pts)
-            if ok.any():
-                return i, g0 + step * int(np.argmax(ok))
-        return None
+        c = int(np.argmax(ok.any(axis=0)))
+        return lo + c, g0 + step * int(np.argmax(ok[:, c]))
 
+    def scan(buf: np.ndarray, lo: int, hi: int, g: int, split: bool = False):
+        """First hit among starts [lo, hi) at gaps from g, gap-major, and None.
+
+        With split, stop once fewer starts than gaps remain before a hit, and
+        return that hit with the first gap not yet scanned."""
+        best = None
+        while (m := min(hi, n - reach * g) - lo) > 0:
+            gaps = ((n - 1 - lo) // reach - g) // step + 1  # gaps left for start lo
+            T = min(gaps, max(1, _TILE_CELLS // m))
+            hit = tile(buf, lo, m, g, T)
+            g += T * step
+            if hit:
+                best, hi = hit, hit[0]
+                if split and hi - lo < gaps - T:
+                    return best, g
+        return best, None
+
+    # one start never reads past the word, so the head reads X in place and an
+    # early hit pays for no copy
     head = min(_HEAD_STARTS, n)
-    best, g = start_by_start(range(head), step), step
-    while (hi := min(n - reach * g, best[0] if best else n)) > head:  # starts [head, hi)
-        m = hi - head
-        # at one gap the blocks are values: block j of start i is B[i - head + j*g]
-        B = _windows(X[head : hi + terms * g], g) if blocks else X[head:]
-        ok = _agree([B[j * g : j * g + m] for j in range(terms)])
-        if ok.any():
-            best = (head + int(np.argmax(ok)), g)
-        if best and best[0] - head < ((n - 1 - head) // reach - g) // step:
-            return start_by_start(range(head, best[0]), g + step) or best
-        g += step
+    X0 = np.ascontiguousarray(X)
+    for i in range(head):
+        if (hit := scan(X0, i, i + 1, step)[0]):
+            return hit
+    if n - reach * step <= head:  # no later start holds a progression
+        return None
+    # past the head a tile reads at most this far past the word; a hit there is masked
+    Xp = _narrow_copy(X, blocks, min(n, math.isqrt(_TILE_CELLS) * reach * step))
+    best, g = scan(Xp, head, n, step, split=True)
+    if g is not None:
+        for a in range(head, best[0], _FINISH_STARTS):
+            if (hit := scan(Xp, a, min(a + _FINISH_STARTS, best[0]), g)[0]):
+                return hit
     return best
 
 
@@ -126,6 +191,18 @@ def find_kpower_mod_mu(
     return _block_power(C if K is None else K, C, k)
 
 
+def _int64_colors(colors: Sequence[int]) -> np.ndarray:
+    """colors as int64; ValueError for a color that is no integer, GuardError past int64."""
+    a = np.asarray(colors)
+    if a.dtype.kind not in "biu":  # ints past int64 come back as object or float arrays
+        a = np.asarray(colors, dtype=object)
+        if not all(isinstance(c, numbers.Integral) for c in a.flat):
+            raise ValueError("colors must be integers")
+    if a.dtype.kind in "uO" and a.size and not -(2**63) <= int(a.min()) <= int(a.max()) < 2**63:
+        raise GuardError("a color does not fit int64")
+    return a.astype(np.int64, copy=False)
+
+
 def monochromatic_ap(
     colors: Sequence[int], terms: int, gap_multiple: int = 1
 ) -> Optional[tuple[int, int]]:
@@ -139,7 +216,7 @@ def monochromatic_ap(
         raise ValueError("a progression needs at least 2 terms")
     if gap_multiple < 1:
         raise ValueError("gap_multiple must be >= 1")
-    hit = _first_progression(np.asarray(colors, dtype=np.int64), terms, gap_multiple, blocks=False)
+    hit = _first_progression(_int64_colors(colors), terms, gap_multiple, blocks=False)
     return None if hit is None else (hit[0] + 1, hit[1])
 
 

@@ -327,6 +327,19 @@ def test_explain_prints_canonical(capsys):
     assert out == "contract:base=(thm11:k=1);ivals=arith:1,10,3"
 
 
+def test_spaces_around_raw_values_are_stripped(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.txt").write_text("0 1 1 0\n")
+    for spec, canon in [
+        ("file: w.txt", "file:w.txt"),
+        ("contract:base=(thm11:k=1);ivals= arith:1,10,3",
+         "contract:base=(thm11:k=1);ivals=arith:1,10,3"),
+        ("contract:base= (thm11:k=1) ;ivals=2-4, 7-9 ", "contract:base=(thm11:k=1);ivals=2-4,7-9"),
+    ]:
+        assert main(["profile", spec, "--explain"]) == 0
+        assert capsys.readouterr().out.strip() == canon
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "prof.csv"
     rc = main(["profile", "periodic:0,1", "--n-max", "1", "-L", "10", "--out", str(target)])

@@ -1,5 +1,9 @@
+import contextlib
+import gc
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +14,7 @@ from wordsums import (
     Morphism,
     PowerWitness,
     constant_complexity_word,
+    enumeration_word,
     find_additive_kpower,
     find_anchored_power,
     find_kpower_mod_mu,
@@ -19,7 +24,23 @@ from wordsums import (
     periodic,
     verify_power,
 )
+from wordsums import powers
 from wordsums.complexity import image_prefix_sums, pack_rows
+
+DEKKING3 = {0: (0, 0, 1, 2), 1: (1, 1, 2), 2: (0, 2, 2)}
+# base-3 numbers with only the digits 0 and 1 hold no 3-term arithmetic progression
+AP_FREE = [int(f"{i:b}", 3) for i in range(1, 2000)]
+
+# tiles of a few cells and finish blocks of a few starts
+_SMALL_TILES = st.tuples(st.sampled_from([1, 2, 3, 5, 8, 13]), st.sampled_from([1, 2, 3, 5]))
+
+
+@contextlib.contextmanager
+def _tiles(cells, finish):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(powers, "_TILE_CELLS", cells)
+        mp.setattr(powers, "_FINISH_STARTS", finish)
+        yield
 
 
 def _bruteforce_kpower(xs, k, value=sum):
@@ -66,14 +87,18 @@ def test_kpower_matches_bruteforce(xs, k):
     st.integers(0, 30),
     st.lists(st.integers(-2, 2), min_size=2, max_size=170),
     st.integers(2, 4),
+    _SMALL_TILES,
 )
-def test_kpower_past_a_power_free_prefix(quiet, tail, k):
+def test_kpower_past_a_power_free_prefix(quiet, tail, k, tiles):
     # distinct powers of two >= 2**12 outweigh any tail block, so no power
-    # starts inside the quiet prefix and the scan must look past it
+    # starts inside the quiet prefix and the scan must look past it; the
+    # second scan runs in tiles of a few cells
     xs = [2 ** (12 + i) for i in range(quiet)] + tail
-    wit = find_additive_kpower(from_finite(xs), k, len(xs))
     brute = _bruteforce_kpower(xs, k)
-    assert (wit and (wit.start, wit.block_length)) == brute
+    for budget in (contextlib.nullcontext(), _tiles(*tiles)):
+        with budget:
+            wit = find_additive_kpower(from_finite(xs), k, len(xs))
+        assert (wit and (wit.start, wit.block_length)) == brute
 
 
 def test_witness_just_past_the_first_starts():
@@ -135,12 +160,20 @@ def _check_mod_mu_against_bruteforce(xs, images, k):
 
 @settings(max_examples=60, deadline=None)
 @given(
+    st.integers(0, 24),
     st.lists(st.integers(0, 3), min_size=2, max_size=200),
     st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=4, max_size=4),
     st.integers(2, 4),
+    _SMALL_TILES,
 )
-def test_mod_mu_matches_bruteforce(xs, imgs, k):
-    _check_mod_mu_against_bruteforce(xs, dict(enumerate(imgs)), k)
+def test_mod_mu_matches_bruteforce(quiet, tail, imgs, k, tiles):
+    # letters 4, 5, ... of images (2^(12+i), i) keep powers out of the quiet prefix;
+    # the second scan runs in tiles of a few cells
+    images = dict(enumerate(imgs)) | {4 + i: (2 ** (12 + i), i) for i in range(quiet)}
+    xs = [4 + i for i in range(quiet)] + tail
+    for budget in (contextlib.nullcontext(), _tiles(*tiles)):
+        with budget:
+            _check_mod_mu_against_bruteforce(xs, images, k)
 
 
 @settings(max_examples=30, deadline=None)
@@ -154,6 +187,39 @@ def test_mod_mu_unpacked_rows_match_bruteforce(tail, k):
     _check_mod_mu_against_bruteforce(xs, images, k)
 
 
+def _gapwise_rows_kpower(C, k):
+    """Every (start, b) cell checked one block length at a time: the first 1-based hit."""
+    hits = []
+    for b in range(1, (len(C) - 1) // k + 1):
+        W = C[b:] - C[:-b]
+        m = len(C) - k * b
+        ok = np.ones(m, dtype=bool)
+        for j in range(1, k):
+            ok &= (W[j * b : j * b + m] == W[:m]).all(axis=1)
+        if ok.any():
+            hits.append((int(np.argmax(ok)) + 1, b))
+    return min(hits, default=None)
+
+
+def test_mod_mu_unpacked_rows_past_the_head():
+    # Dekking's abelian-cube-free word under images too wide to pack: every start
+    # goes through the gap tiles as whole rows
+    w = morphic_fixed_point(Morphism(DEKKING3), 0)
+    mu = LatticeMap({0: (2**40, 1), 1: (1, 2**40), 2: (2**40 - 1, 2**40)})
+    C = image_prefix_sums(w, mu, 2000)
+    assert pack_rows(C) is None
+    assert find_kpower_mod_mu(w, mu, 3, 2000) is None
+    assert _gapwise_rows_kpower(C, 3) is None
+    # a planted cube at start 101 is found past the head
+    xs = [int(x) for x in w.prefix(2000)]
+    xs[100:103] = [2, 2, 2]
+    planted = from_finite(xs)
+    wit = find_kpower_mod_mu(planted, mu, 3, 2000)
+    C = image_prefix_sums(planted, mu, 2000)
+    assert (wit.start, wit.block_length) == _gapwise_rows_kpower(C, 3)
+    assert verify_power(planted, wit, mu)
+
+
 @pytest.mark.parametrize(
     "rules, k, L, abelian",
     [
@@ -161,7 +227,7 @@ def test_mod_mu_unpacked_rows_match_bruteforce(tail, k):
         ({0: (0, 3), 1: (4, 3), 3: (1,), 4: (0, 1)}, 3, 3000, False),
         # Dekking 1979: no abelian 4th power (binary), no abelian cube (ternary)
         ({0: (0, 0, 0, 1), 1: (0, 1, 1)}, 4, 2000, True),
-        ({0: (0, 0, 1, 2), 1: (1, 1, 2), 2: (0, 2, 2)}, 3, 2000, True),
+        (DEKKING3, 3, 2000, True),
     ],
 )
 def test_power_free_words_have_no_power(rules, k, L, abelian):
@@ -200,6 +266,25 @@ def _bruteforce_ap(colors, terms, k):
     return None
 
 
+def test_monochromatic_ap_refuses_colors_that_are_not_int64():
+    with pytest.raises(ValueError):
+        monochromatic_ap([1.5, 1.2], 2)  # would truncate to (1, 1)
+    with pytest.raises(ValueError):
+        monochromatic_ap(np.array([1.0, 1.0]), 2)
+    with pytest.raises(GuardError):
+        monochromatic_ap([2**70, 1, 2**70], 2)
+    with pytest.raises(GuardError):
+        monochromatic_ap([2**63, -1, 2**63], 2)
+
+
+def test_monochromatic_ap_at_the_int64_extremes():
+    top, bottom = 2**63 - 1, -(2**63)
+    assert monochromatic_ap([top, bottom, top], 2) == (1, 2)
+    colors = list(range(30)) + [top, bottom, bottom, top, bottom]
+    assert monochromatic_ap(colors, 2) == (31, 3) == _bruteforce_ap(colors, 2, 1)
+    assert monochromatic_ap(colors, 3) is None is _bruteforce_ap(colors, 3, 1)
+
+
 def test_monochromatic_ap_example():
     assert monochromatic_ap([0, 1, 0, 1, 0, 1, 0], 4, 2) == (1, 2)
 
@@ -228,10 +313,14 @@ def test_monochromatic_ap_matches_bruteforce(colors, terms, k):
     st.lists(st.integers(0, 3), min_size=2, max_size=240),
     st.integers(2, 5),
     st.integers(1, 3),
+    _SMALL_TILES,
 )
-def test_monochromatic_ap_past_a_distinct_prefix(quiet, tail, terms, k):
+def test_monochromatic_ap_past_a_distinct_prefix(quiet, tail, terms, k, tiles):
     colors = list(range(100, 100 + quiet)) + tail
-    assert monochromatic_ap(colors, terms, k) == _bruteforce_ap(colors, terms, k)
+    brute = _bruteforce_ap(colors, terms, k)
+    assert monochromatic_ap(colors, terms, k) == brute
+    with _tiles(*tiles):
+        assert monochromatic_ap(colors, terms, k) == brute
 
 
 def test_anchored_power_structure():
@@ -262,3 +351,86 @@ def test_anchored_power_absent():
 def test_verify_power_rejects_wrong_witness(thue_morse):
     bogus = PowerWitness(start=1, block_length=1, count=2, value=0)
     assert not verify_power(thue_morse, bogus)
+
+
+# -- the narrowed copy: each side of the int8, int16 and int32 limits ------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([8, 16, 32]),
+    st.booleans(),
+    st.integers(-(2**40), 2**40),
+    st.integers(16, 24),
+    st.integers(1, 3),
+    st.sampled_from([2, 3]),
+)
+def test_colors_each_side_of_a_narrow_dtype(bits, wide, lo, s, g, terms):
+    # colors lo and lo + span alternate along (s, g) past the head; with span = 2^bits
+    # a wrap-around int<bits> compare would take them for one color
+    span = 2**bits if wide else 2**bits - 1
+    colors = [lo + 1 + i for i in range(40)]
+    for j in range(terms):
+        colors[s + j * g] = lo + span * (j % 2)
+    assert monochromatic_ap(colors, terms) is None is _bruteforce_ap(colors, terms, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([8, 16, 32]),
+    st.booleans(),
+    st.integers(16, 18),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+def test_blocks_each_side_of_a_narrow_dtype(bits, wide, s, g, rnd):
+    # prefix sums span, 0, span at (s, s+g, s+2g) make blocks -span and span, which
+    # differ by 2*span = 2^bits when wide; every other prefix sum is AP_FREE scaled
+    # into [1, span/4], each used twice at most, so the word holds no additive square
+    span = 2 ** (bits - 1) if wide else 2 ** (bits - 1) - 1
+    quiet = [v * 2 ** (bits - 8) for v in AP_FREE if v <= 31] * 2
+    rnd.shuffle(quiet)
+    planted, rest = {s: span, s + g: 0, s + 2 * g: span}, iter(quiet)
+    X = [planted[p] if p in planted else next(rest) for p in range(25)]
+    xs = [b - a for a, b in zip(X, X[1:])]
+    assert find_additive_kpower(from_finite(xs), 2, len(xs)) is None is _bruteforce_kpower(xs, 2)
+
+
+@pytest.mark.parametrize("tiles", [None, (3, 1), (13, 5)])
+def test_finish_blocks_find_a_smaller_start_at_a_larger_gap(tiles):
+    # the gap phase meets the square at (60, 1) first; the finish blocks, which scan
+    # starts 16..59 past the gaps already done, must return (30, 50) instead
+    X = [100 + v for v in AP_FREE[:1400]]
+    X[60:63] = [10**6, 10**6 + 1, 10**6 + 2]  # the only value progressions in X
+    X[30], X[80], X[130] = 2 * 10**6, 2 * 10**6 + 5, 2 * 10**6 + 10
+    xs = [b - a for a, b in zip(X, X[1:])]
+    colors = list(range(1400))
+    colors[61], colors[80] = colors[60], colors[30]
+    with _tiles(*tiles) if tiles else contextlib.nullcontext():
+        wit = find_additive_kpower(from_finite(xs), 2, len(xs))
+        assert monochromatic_ap(colors, 2) == (31, 50)
+    assert (wit.start, wit.block_length) == (31, 50)
+    assert _bruteforce_kpower(xs[:141], 2) == (31, 50)
+
+
+def test_scans_hold_no_memory_after_they_return():
+    w = morphic_fixed_point(Morphism(DEKKING3), 0)
+    mu = LatticeMap.parikh_map(Alphabet(DEKKING3))
+    enum = enumeration_word(2)
+    scans = [lambda: find_kpower_mod_mu(w, mu, 3, 2000),
+             lambda: find_anchored_power(enum, 1, 3, 4, 100_000)]
+    for scan in scans:
+        scan()  # materialize the prefixes first
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for scan in scans:
+            for _ in range(20):
+                scan()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 2**20
