@@ -6,27 +6,28 @@ negative answer (no power found, morphism is not an anchor), 2 for bad input.
 A word spec is family:key=value;... with fields split on ';' outside
 brackets; periodic takes a plain list instead and sec24 has no body.
 Values are comma-separated integers, but [<spec>|<spec>|...] holds a list
-of specs and (<spec>) nests one spec.  A repeated key is an error.  The
-splice schedule is the last field: one row per round, one length per source.
+of specs and (<spec>) nests one spec, at most _MAX_DEPTH brackets deep.  A
+repeated key is an error.  The splice schedule is the last field: one row
+per round, one length per source.  Whitespace around a separator or
+inside a bracket is ignored.
 
     periodic:<c1,c2,...>
     morphic:<s>=<c,...>;...;seed=<s>
-    mechanical:cf=<a1,...>
-    mechanical:cf=<a1,...>;repeat=<r>
+    mechanical:cf=<a1,...>[;repeat=<r>]
     enum:k=<k>
     thm11:k=<k>
     sec24
     ladder:n=<n>
     splice:[<spec>|<spec>|...];sched=<l11,l21,...;l12,...>
-    contract:base=(<spec>);ivals=<lo-hi,...>
-    contract:base=(<spec>);ivals=arith:<start>,<period>,<width>
+    contract:base=(<spec>);ivals=<lo-hi,...>|arith:<start>,<period>,<width>
     file:<path>
 
 Morphisms are written <s>=<c,...>;<s>=<c,...> and lattice maps the same
 with a mu: prefix.  Symbols may be negative.
 
-Each family's constructor labels its stream with the canonical spec, which
---explain prints and error messages and repr name the word by.
+Each library word is labelled with its canonical spec, which --explain
+prints and error messages and repr name the word by.  A word with no spec
+(an image, a finite word) has a label <...> that no spec parses to.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .slopes import chi_factorization, chi_sequence, slope_estimate
 DEFAULT_PREFIX = 100_000
 DEFAULT_NMAX = 100
 LARGE_PREFIX = 1_000_000
+_MAX_DEPTH = 32  # a few hundred levels exhaust the interpreter's recursion limit
 
 
 class WordSpecError(ValueError):
@@ -65,18 +67,20 @@ class WordSpecError(ValueError):
 
 
 def _split_top(s: str, sep: str) -> list[str]:
-    """Split on sep outside any [] or () nesting."""
+    """Split on sep outside any [] or () nesting, at most _MAX_DEPTH deep; strip each part."""
     parts, start, depth = [], 0, 0
     for i, ch in enumerate(s):
         depth += (ch in "[(") - (ch in "])")
         if depth < 0:
             raise WordSpecError(f"unbalanced brackets in {s!r}")
+        if depth > _MAX_DEPTH:
+            raise WordSpecError(f"specs nest at most {_MAX_DEPTH} brackets deep")
         if ch == sep and depth == 0:
-            parts.append(s[start:i])
+            parts.append(s[start:i].strip())
             start = i + 1
     if depth != 0:
         raise WordSpecError(f"unbalanced brackets in {s!r}")
-    return parts + [s[start:]]
+    return parts + [s[start:].strip()]
 
 
 def _ints(s: str, what: str) -> list[int]:
@@ -93,13 +97,12 @@ def _fields(body: str, what: str, raw: tuple[str, ...] = ()) -> dict:
     """
     fields: dict = {}
     for field in _split_top(body, ";"):
-        key, eq, val = field.partition("=")
-        key, val = key.strip(), val.strip()
-        if not eq:
+        key, *val = _split_top(field, "=")
+        if len(val) != 1:
             raise WordSpecError(f"bad {what} field {field!r}")
         if key in fields:
             raise WordSpecError(f"duplicate {what} field {key!r}")
-        fields[key] = val if key in raw else _ints(val, f"{what} field {key!r}")
+        fields[key] = val[0] if key in raw else _ints(val[0], f"{what} field {key!r}")
     return fields
 
 
@@ -128,9 +131,7 @@ def _spec_errors(parse):
     def wrapped(spec: str):
         try:
             return parse(spec)
-        except WordSpecError:
-            raise
-        except ValueError as e:
+        except ValueError as e:  # a WordSpecError comes out as itself
             raise WordSpecError(str(e)) from None
     return wrapped
 
@@ -138,21 +139,21 @@ def _spec_errors(parse):
 @_spec_errors
 def parse_morphism_spec(spec: str) -> Morphism:
     """<s>=<c,...>;<s>=<c,...> with integer letters."""
-    return Morphism(_letters(_fields(spec.strip(), "morphism"), "morphism"))
+    return Morphism(_letters(_fields(spec, "morphism"), "morphism"))
 
 
 @_spec_errors
 def parse_mu_spec(spec: str) -> LatticeMap:
     """mu:<s>=<v1,v2,...>;... lattice map images."""
-    spec = spec.strip()
-    if not spec.startswith("mu:"):
+    head, *body = _split_top(spec, ":")
+    if head != "mu" or len(body) != 1:
         raise WordSpecError(f"lattice map spec must start with 'mu:': {spec!r}")
-    return LatticeMap(_letters(_fields(spec[3:], "lattice map"), "lattice map"))
+    return LatticeMap(_letters(_fields(body[0], "lattice map"), "lattice map"))
 
 
 def parse_slope(s: str) -> Fraction:
     try:
-        return Fraction(s.strip())
+        return Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise WordSpecError(f"bad slope {s!r}; expected p/q or an integer") from None
 
@@ -183,13 +184,13 @@ def _one_int(head: str, key: str, build, body: str) -> WordStream:
 
 
 def _splice(body: str) -> WordStream:
-    parts = _split_top(body, ";")
-    srcs, sched = parts[0], ";".join(parts[1:])
-    if not (srcs.startswith("[") and srcs.endswith("]") and sched.startswith("sched=")):
+    srcs, *rows = _split_top(body, ";")
+    sched = _fields(rows.pop(0), "splice") if rows else {}
+    if not (srcs.startswith("[") and srcs.endswith("]") and list(sched) == ["sched"]):
         raise WordSpecError("expected splice:[<spec>|<spec>|...];sched=<l11,l21,...;l12,...>")
     sources = [parse_word_spec(sub)[0] for sub in _split_top(srcs[1:-1], "|")]
-    rows = [_ints(row, "schedule row") for row in sched[len("sched=") :].split(";")]
-    return splice(sources, SpliceSchedule(tuple(tuple(r) for r in rows)))
+    rows = [sched["sched"], *(_ints(row, "schedule row") for row in rows)]
+    return splice(sources, SpliceSchedule(rows))
 
 
 def _contract(body: str) -> WordStream:
@@ -228,6 +229,7 @@ _FAMILIES = {
     "mechanical": _mechanical,
     "enum": functools.partial(_one_int, "enum", "k", enumeration_word),
     "thm11": functools.partial(_one_int, "thm11", "k", constant_complexity_word),
+    "sec24": lambda body: unbounded_gap_word(),
     "ladder": functools.partial(_one_int, "ladder", "n", constant_tail_word),
     "splice": _splice,
     "contract": _contract,
@@ -238,17 +240,14 @@ _FAMILIES = {
 @_spec_errors
 def parse_word_spec(spec: str) -> tuple[WordStream, str]:
     """Build the stream and return it with its label, the canonical form of the spec."""
-    spec = spec.strip()
-    head, colon, body = spec.partition(":")
-    body = body.strip()
-    if spec == "sec24":
-        w = unbounded_gap_word()
-    elif not colon or not body:
-        raise WordSpecError(f"bad word spec {spec!r}")
-    elif head not in _FAMILIES:
+    head, *rest = _split_top(spec, ":")
+    if head.startswith("<"):
+        raise WordSpecError(f"{':'.join([head, *rest])} labels a word that has no spec")
+    if head not in _FAMILIES:
         raise WordSpecError(f"unknown word family {head!r}")
-    else:
-        w = _FAMILIES[head](body)
+    if bool(rest) == (head == "sec24"):  # sec24 has no body, every other family has one
+        raise WordSpecError(f"bad word spec {spec!r}")
+    w = _FAMILIES[head](":".join(rest))
     return w, w.label
 
 

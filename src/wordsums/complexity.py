@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import _SUM_LIMIT, Alphabet, FiniteWord, GuardError, WordStream
+from .core import _SUM_LIMIT, Alphabet, FiniteWord, GuardError, WordStream, _integer
 
 _ORACLE_MAX_PREFIX = 10_000
 _DIAMETER_MAX_POINTS = 100_000
@@ -48,12 +48,12 @@ class LatticeMap:
         rows = {}
         dim = None
         for s, vec in images.items():
-            v = tuple(int(x) for x in vec)
+            v = tuple(map(_integer, vec))
             if dim is None:
                 dim = len(v)
             if len(v) != dim or dim == 0:
                 raise ValueError("all images must share one positive dimension")
-            rows[int(s)] = v
+            rows[_integer(s)] = v
         self.images = dict(sorted(rows.items()))
         self.alphabet = Alphabet(self.images)
         self.dim = dim

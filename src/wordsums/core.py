@@ -2,7 +2,8 @@
 
 Positions in infinite words are 1-based: w(1) is the first symbol and
 factor(w, m, n) is the inclusive block w(m)...w(n).  Finite words are
-ordinary 0-based Python sequences.  All sums are exact: int64 arrays back
+ordinary 0-based Python sequences.  Symbols are integers; a float or a
+string is refused, not truncated.  All sums are exact: int64 arrays back
 the long scans, with a guard that refuses lengths where max|s| * L could
 approach 2**63, and everything crossing the API boundary is a Python int
 or Fraction.
@@ -10,8 +11,10 @@ or Fraction.
 
 from __future__ import annotations
 
+import array
 import collections
 import itertools
+import numbers
 import threading
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -26,6 +29,32 @@ _CHUNK = 1 << 13
 
 class GuardError(RuntimeError):
     """A computation would exceed a configured safety guard."""
+
+
+def _integer(s) -> int:
+    """s as a Python int; ValueError for a symbol that is no integer, so 1.5 is not truncated."""
+    if type(s) is not int and not isinstance(s, numbers.Integral):  # ABC checks are slow
+        raise ValueError(f"symbol {s!r} is not an integer")
+    return int(s)
+
+
+def _int64(values: Sequence[int], what: str) -> np.ndarray:
+    """values as int64; ValueError if one is no integer, GuardError if one is past int64.
+
+    `what` names one value in the message, e.g. "a color".  A list goes through
+    array("q"), which takes only objects with __index__ and is faster than letting
+    numpy infer a dtype; an integer ndarray is converted by numpy.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biu":
+        if values.dtype.kind == "u" and values.size and int(values.max()) >= 2**63:
+            raise GuardError(f"{what} does not fit int64")
+        return values.astype(np.int64, copy=False)
+    try:
+        return np.frombuffer(array.array("q", values), dtype=np.int64)
+    except TypeError as e:
+        raise ValueError(f"{what} is not an integer: {e}") from None
+    except OverflowError:
+        raise GuardError(f"{what} does not fit int64") from None
 
 
 class Interval(NamedTuple):
@@ -49,7 +78,7 @@ class Alphabet:
     __slots__ = ("symbols", "_index")
 
     def __init__(self, symbols: Iterable[int]):
-        syms = sorted(set(int(s) for s in symbols))
+        syms = sorted(set(map(_integer, symbols)))
         if not syms:
             raise ValueError("alphabet must be nonempty")
         self.symbols: tuple[int, ...] = tuple(syms)
@@ -87,7 +116,7 @@ class FiniteWord:
     __slots__ = ("symbols", "_psums")
 
     def __init__(self, symbols: Iterable[int]):
-        self.symbols: tuple[int, ...] = tuple(int(s) for s in symbols)
+        self.symbols: tuple[int, ...] = tuple(map(_integer, symbols))
         self._psums: Optional[tuple[int, ...]] = None
 
     @property
@@ -132,14 +161,16 @@ class WordStream:
     calls.  Derived words iterate their sources' factories, not their
     caches, and so end where a finite source ends; only the word a caller
     reads holds a cache.  Extension is serialized with a lock so streams
-    can be shared between threads.
+    can be shared between threads.  A symbol that is no integer raises
+    ValueError when it is read.  The label names the word: its canonical
+    spec (see cli), or a <...> form for a word that no spec builds.
     """
 
     def __init__(
         self,
         factory: Callable[[], Iterator[int]],
         alphabet: Optional[Alphabet] = None,
-        label: str = "",
+        label: str = "<word>",
     ):
         self._factory = factory
         self._it: Optional[Iterator[int]] = None
@@ -150,7 +181,7 @@ class WordStream:
         self._max_abs = 0
         self._lock = threading.Lock()
         self.alphabet = alphabet
-        self.label = label or "word"
+        self.label = label
 
     # -- materialization ------------------------------------------------
 
@@ -164,10 +195,7 @@ class WordStream:
             if not chunk:
                 self._exhausted = True
                 break
-            try:
-                arr = np.asarray(chunk, dtype=np.int64)
-            except OverflowError:
-                raise GuardError(f"a symbol of {self.label} does not fit int64") from None
+            arr = _int64(chunk, f"a symbol of {self.label}")
             # magnitudes in Python ints: np.abs wraps at -2**63
             m = max(self._max_abs, int(arr.max()), -int(arr.min()))
             total = self._n + arr.size
@@ -240,7 +268,7 @@ class WordStream:
         if m < 1 or m > n:
             raise ValueError(f"bad factor bounds [{m}, {n}]")
         self._ensure(n)
-        return FiniteWord(int(x) for x in self._sym[m - 1 : n])
+        return FiniteWord(self._sym[m - 1 : n].tolist())
 
     def observed_alphabet(self, L: int) -> Alphabet:
         """Alphabet of the symbols actually seen in w(1..L)."""
@@ -275,10 +303,10 @@ def factor(w: WordStream, m: int, n: int) -> FiniteWord:
     return w.factor(m, n)
 
 
-def from_finite(symbols: Sequence[int], label: str = "finite") -> WordStream:
+def from_finite(symbols: Sequence[int], label: str = "<finite word>") -> WordStream:
     """Wrap a finite symbol sequence as a (terminating) stream.
 
     Reads past the end raise ValueError; this backs file-fed words.
     """
-    frozen = tuple(int(s) for s in symbols)
+    frozen = tuple(map(_integer, symbols))
     return WordStream(lambda: iter(frozen), alphabet=Alphabet(frozen) if frozen else None, label=label)

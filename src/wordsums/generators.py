@@ -8,8 +8,8 @@ the bounded-spread word whose equal-slope cuts have unbounded gaps, the
 staircase word with constant complexity n, plus the splice and contract
 combinators.  Derived words iterate their sources' factories, never their
 caches, apply images through Morphism.expand, and end where a finite
-source ends; only the word a caller reads is materialized.  The label of
-each spec family's stream is its canonical spec, e.g. thm11:k=2 (see cli).
+source ends.  Each stream's label is its canonical spec, e.g. thm11:k=2
+(see cli), or <nested enumeration word> for the one word no spec builds.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .core import Alphabet, GuardError, Interval, WordStream
+from .core import Alphabet, GuardError, Interval, WordStream, _integer
 from .morphisms import Morphism, apply_morphism
 
 __all__ = [
@@ -52,7 +52,7 @@ def _check_letters(count: int, what: str) -> None:
 
 def periodic(pattern: Sequence[int]) -> WordStream:
     """The word pattern pattern pattern ..."""
-    pat = tuple(int(s) for s in pattern)
+    pat = tuple(map(_integer, pattern))
     if not pat:
         raise ValueError("empty period")
     return WordStream(lambda: itertools.cycle(pat), alphabet=Alphabet(pat),
@@ -146,9 +146,8 @@ def enumeration_word(k: int) -> WordStream:
     _check_letters(k + 1, f"enum:k={k}")
 
     def gen() -> Iterator[int]:
-        syms = tuple(range(k + 1))
         for ell in itertools.count(1):
-            for tup in itertools.product(syms, repeat=ell):
+            for tup in itertools.product(range(k + 1), repeat=ell):
                 yield from tup
 
     return WordStream(gen, alphabet=Alphabet(range(k + 1)), label=f"enum:k={k}")
@@ -182,7 +181,7 @@ def nested_enum_word() -> WordStream:
             for tup in itertools.product(range(1, n + 1), repeat=n):
                 yield from tup
 
-    return WordStream(gen, label="nested-enum")
+    return WordStream(gen, label="<nested enumeration word>")
 
 
 def unbounded_gap_word() -> WordStream:
@@ -235,8 +234,7 @@ class SpliceSchedule:
         object.__setattr__(self, "rounds", rounds)
         if not rounds:
             raise ValueError("schedule needs at least one round")
-        width = len(rounds[0])
-        if width == 0 or any(len(row) != width for row in rounds):
+        if self.width == 0 or any(len(row) != self.width for row in rounds):
             raise ValueError("all schedule rounds must list every source")
         if any(x < 0 for row in rounds for x in row):
             raise ValueError("block lengths must be >= 0")
@@ -279,10 +277,12 @@ def splice(sources: Sequence[WordStream], schedule: SpliceSchedule) -> WordStrea
 
 
 class SeparatedIntervalSet:
-    """Ascending 1-based intervals with at least one position between them."""
+    """Ascending 1-based intervals, at least one, with at least one position between them."""
 
     def __init__(self, intervals: Iterable[Union[Interval, tuple[int, int]]]):
-        ivals = [Interval(int(a), int(b)).validate() for a, b in intervals]
+        ivals = [Interval(_integer(a), _integer(b)).validate() for a, b in intervals]
+        if not ivals:
+            raise ValueError("an interval list needs at least one interval")
         for prev, nxt in zip(ivals, ivals[1:]):
             if prev.hi + 1 >= nxt.lo:
                 raise ValueError(
@@ -295,12 +295,12 @@ class SeparatedIntervalSet:
     @classmethod
     def arithmetic(cls, start: int, period: int, width: int) -> "SeparatedIntervalSet":
         """[start + j*period, start + j*period + width - 1] for all j >= 0."""
+        start, period, width = map(_integer, (start, period, width))
         if start < 1 or width < 1 or period < width + 1:
             raise ValueError(
                 f"need start >= 1, width >= 1, period > width; got {start},{period},{width}"
             )
-        start, period, width = int(start), int(period), int(width)
-        obj = cls([])
+        obj = cls.__new__(cls)
         obj._intervals = lambda: (
             Interval(lo, lo + width - 1) for lo in itertools.count(start, period)
         )

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .complexity import LatticeMap, _windows, image_prefix_sums
-from .core import Alphabet, FiniteWord, WordStream, word_slope, word_sum
+from .core import Alphabet, FiniteWord, WordStream, _integer, word_slope, word_sum
 
 
 class Morphism:
@@ -36,7 +36,7 @@ class Morphism:
             w = img if isinstance(img, FiniteWord) else FiniteWord(img)
             if len(w) == 0:
                 raise ValueError(f"erasing image for letter {s}")
-            self.images[int(s)] = w
+            self.images[_integer(s)] = w
             seen.update(w.symbols)
         self.source = Alphabet(self.images)
         self.target = target if target is not None else Alphabet(seen)
@@ -84,9 +84,12 @@ class AnchorReport:
 
 
 def apply_morphism(phi: Morphism, w: WordStream) -> WordStream:
-    """The stream phi(w(1)) phi(w(2)) ...; symbols outside phi's source fail late."""
+    """The stream phi(w(1)) phi(w(2)) ...; symbols outside phi's source fail late.
+
+    No spec builds an image, so its label is <image of ...>, naming w.
+    """
     return WordStream(
-        lambda: phi.expand(w._factory()), alphabet=phi.target, label=f"image({w.label})"
+        lambda: phi.expand(w._factory()), alphabet=phi.target, label=f"<image of {w.label}>"
     )
 
 
@@ -155,7 +158,7 @@ def unbounding_stream(phi: Morphism) -> WordStream:
             for _ in range(n):
                 yield from B2.symbols
 
-    return WordStream(gen, alphabet=phi.source, label="unbounding")
+    return WordStream(gen, alphabet=phi.source, label=f"<unbounding word of {phi!r}>")
 
 
 def anchor_spread_bound(phi: Morphism) -> int:

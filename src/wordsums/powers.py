@@ -21,13 +21,12 @@ progressions in the chi coloring.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import GuardError, WordStream, word_sum
+from .core import GuardError, WordStream, _int64, word_sum
 from .complexity import LatticeMap, image_prefix_sums, pack_rows
 from .slopes import Rational, _as_fraction, chi_sequence
 
@@ -191,18 +190,6 @@ def find_kpower_mod_mu(
     return _block_power(C if K is None else K, C, k)
 
 
-def _int64_colors(colors: Sequence[int]) -> np.ndarray:
-    """colors as int64; ValueError for a color that is no integer, GuardError past int64."""
-    a = np.asarray(colors)
-    if a.dtype.kind not in "biu":  # ints past int64 come back as object or float arrays
-        a = np.asarray(colors, dtype=object)
-        if not all(isinstance(c, numbers.Integral) for c in a.flat):
-            raise ValueError("colors must be integers")
-    if a.dtype.kind in "uO" and a.size and not -(2**63) <= int(a.min()) <= int(a.max()) < 2**63:
-        raise GuardError("a color does not fit int64")
-    return a.astype(np.int64, copy=False)
-
-
 def monochromatic_ap(
     colors: Sequence[int], terms: int, gap_multiple: int = 1
 ) -> Optional[tuple[int, int]]:
@@ -216,7 +203,7 @@ def monochromatic_ap(
         raise ValueError("a progression needs at least 2 terms")
     if gap_multiple < 1:
         raise ValueError("gap_multiple must be >= 1")
-    hit = _first_progression(_int64_colors(colors), terms, gap_multiple, blocks=False)
+    hit = _first_progression(_int64(colors, "a color"), terms, gap_multiple, blocks=False)
     return None if hit is None else (hit[0] + 1, hit[1])
 
 

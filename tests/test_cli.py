@@ -1,14 +1,20 @@
+import contextlib
+import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wordsums
 from wordsums.cli import (
+    _MAX_DEPTH,
     WordSpecError,
     main,
     parse_morphism_spec,
@@ -16,11 +22,14 @@ from wordsums.cli import (
     parse_slope,
     parse_word_spec,
 )
+from wordsums.complexity import LatticeMap
+from wordsums.core import WordStream, from_finite
 from wordsums.generators import (
     SeparatedIntervalSet, SpliceSchedule, constant_complexity_word, constant_tail_word, contract,
-    enumeration_word, mechanical, morphic_fixed_point, periodic, splice, unbounded_gap_word,
+    enumeration_word, mechanical, morphic_fixed_point, nested_enum_word, periodic, splice,
+    unbounded_gap_word,
 )
-from wordsums.morphisms import Morphism
+from wordsums.morphisms import Morphism, apply_morphism, unbounding_stream
 
 SPECS = [
     "periodic:0,1",
@@ -69,6 +78,26 @@ def test_constructor_labels_are_canonical_specs():
         parsed, canon = parse_word_spec(w.label)
         assert canon == parsed.label == w.label
         assert np.array_equal(parsed.prefix(10_000), w.prefix(10_000)), w.label
+    # the words no spec builds are marked <...>, and a spec holding one is refused by that label
+    phi = Morphism({0: (0,), 1: (1, 1)})
+    marked = [
+        apply_morphism(phi, periodic([0, 1])),
+        unbounding_stream(phi),
+        nested_enum_word(),
+        from_finite([1, 2, 3]),
+        WordStream(lambda: itertools.repeat(1)),
+    ]
+    assert [w.label for w in marked] == [
+        "<image of periodic:0,1>", "<unbounding word of 0=0;1=1,1>",
+        "<nested enumeration word>", "<finite word>", "<word>",
+    ]
+    for w in marked:
+        for outer in (w, splice([thm1, w], SpliceSchedule(((1, 1),))),
+                      contract(w, SeparatedIntervalSet([(2, 4)]))):
+            assert w.label in outer.label
+            with pytest.raises(WordSpecError) as err:
+                parse_word_spec(outer.label)
+            assert w.label in str(err.value), outer.label
 
 
 def test_word_spec_errors():
@@ -99,6 +128,9 @@ def test_word_spec_errors():
         "thm11:k",
         "splice:[periodic:0|periodic:1;sched=1,1",
         "contract:base=(periodic:0);ivals=arith:1,3",
+        "contract:base=(periodic:0,1);ivals=",
+        "<image of thm11:k=1>",
+        "splice:[<image of thm11:k=1>|periodic:0];sched=1,1",
     ]:
         with pytest.raises(WordSpecError):
             parse_word_spec(bad)
@@ -338,6 +370,161 @@ def test_spaces_around_raw_values_are_stripped(tmp_path, capsys, monkeypatch):
     ]:
         assert main(["profile", spec, "--explain"]) == 0
         assert capsys.readouterr().out.strip() == canon
+
+
+def _main(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_specs_nest_up_to_the_depth_cap():
+    def nest(depth, leaf="periodic:1"):
+        for i in range(depth):
+            leaf = f"splice:[{leaf}];sched=1" if i % 2 else f"contract:base=({leaf});ivals=1-1"
+        return leaf
+
+    at_cap = nest(_MAX_DEPTH)
+    slopes = "n,slope_p,slope_q\n1,1,1\n2,1,1\n4,1,1\n"
+    assert _main(["slope", at_cap, "-L", "4"]) == (0, slopes, "")
+    assert _main(["profile", at_cap, "--explain"]) == (0, at_cap + "\n", "")
+    # 250 nested splices or 340 contractions once raised RecursionError
+    for past in (nest(_MAX_DEPTH + 1), nest(340), "splice:" + "[" * 2000):
+        rc, out, err = _main(["profile", past])
+        assert (rc, out, err[:7]) == (2, "", "error: ")
+
+
+def _csv(xs) -> str:
+    return ",".join(map(str, xs))
+
+
+@st.composite
+def _morphic_specs(draw):
+    letters = sorted(draw(st.sets(st.integers(-2, 2), min_size=1, max_size=3)))
+    seed = draw(st.sampled_from(letters))
+    rules = []
+    for s in letters:
+        img = draw(st.lists(st.sampled_from(letters), min_size=1, max_size=3))
+        rules.append(f"{s}={_csv([s, *img] if s == seed else img)}")  # prolongable at seed
+    return f"morphic:{';'.join(rules)};seed={seed}"
+
+
+@st.composite
+def _mechanical_specs(draw):
+    cf = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    repeat = draw(st.none() | st.integers(1, len(cf)))
+    return f"mechanical:cf={_csv(cf)}" + ("" if repeat is None else f";repeat={repeat}")
+
+
+@st.composite
+def _splice_specs(draw, sources):
+    srcs = draw(st.lists(sources, min_size=1, max_size=3))
+    row = st.lists(st.integers(0, 2), min_size=len(srcs), max_size=len(srcs))
+    rows = draw(st.lists(row, min_size=1, max_size=2))
+    rows[0][0] = max(rows[0][0], 1)  # a schedule that never emits is refused
+    return f"splice:[{'|'.join(srcs)}];sched={';'.join(map(_csv, rows))}"
+
+
+@st.composite
+def _contract_specs(draw, bases):
+    base = draw(bases)
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 2))
+        period = draw(st.integers(2 * width, 2 * width + 3))  # deletes at most half of the base
+        ivals = f"arith:{draw(st.integers(1, 4))},{period},{width}"
+    else:
+        pairs, lo = [], draw(st.integers(1, 4))
+        for _ in range(draw(st.integers(1, 3))):
+            hi = lo + draw(st.integers(0, 2))
+            pairs.append(f"{lo}-{hi}")
+            lo = hi + draw(st.integers(2, 5))
+        ivals = ",".join(pairs)
+    return f"contract:base=({base});ivals={ivals}"
+
+
+def _spec_trees(path: str, depth: int = 3):
+    """Canonical specs over every family, with splices and contractions nested up to depth."""
+    leaves = st.one_of(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(lambda p: f"periodic:{_csv(p)}"),
+        _morphic_specs(),
+        _mechanical_specs(),
+        st.integers(0, 2).map("enum:k={}".format),
+        st.integers(0, 2).map("thm11:k={}".format),
+        st.just("sec24"),
+        st.integers(1, 4).map("ladder:n={}".format),
+        st.just(f"file:{path}"),
+    )
+    if depth == 0:
+        return leaves
+    sub = _spec_trees(path, depth - 1)
+    return st.one_of(leaves, _splice_specs(sub), _contract_specs(sub))
+
+
+_WHITESPACE = st.sampled_from(["", "", " ", "  ", "\t", " \n"])
+# every separator; a '-' is one between two digits (lo-hi), not a minus sign
+_SEPARATORS = re.compile(r"[:;=,|\[\]()]|(?<=\d)-(?=\d)")
+
+
+def _spaced(draw, spec: str) -> str:
+    """spec with drawn whitespace on both sides of each separator and around the whole."""
+    def pad(sep):
+        return draw(_WHITESPACE) + sep.group() + draw(_WHITESPACE)
+
+    return draw(_WHITESPACE) + _SEPARATORS.sub(pad, spec) + draw(_WHITESPACE)
+
+
+def _head(w, n=2000):
+    """w(1..n), or all of w if a file in it ends first."""
+    try:
+        return w.prefix(n)
+    except ValueError:
+        return w.prefix(w._n)
+
+
+@pytest.fixture(scope="module")
+def word_file(tmp_path_factory):
+    p = tmp_path_factory.mktemp("words") / "w.txt"
+    p.write_text(" ".join(str(i * i % 7 - 3) for i in range(60)))
+    assert not _SEPARATORS.search(str(p))
+    return str(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_spec_trees_round_trip_through_their_labels_and_whitespace(word_file, data):
+    spec = data.draw(_spec_trees(word_file))
+    w, label = parse_word_spec(spec)
+    assert label == spec  # the drawn spec is already canonical
+    w2, label2 = parse_word_spec(label)
+    assert label2 == label
+    assert np.array_equal(_head(w), _head(w2))
+    spaced = _spaced(data.draw, spec)
+    assert _main(["profile", spaced, "--explain"]) == (0, spec + "\n", "")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_mangled_spec_exits_0_or_2_never_with_a_traceback(word_file, data):
+    spec = data.draw(_spec_trees(word_file, depth=2))
+    i = data.draw(st.integers(0, len(spec)))
+    cut = data.draw(st.integers(0, 1))
+    mangled = spec[:i] + data.draw(st.sampled_from(list(" :;=,|[]()<>-0x"))) + spec[i + cut :]
+    rc, out, err = _main(["profile", "--explain", "--", mangled])  # it may begin with '-'
+    assert (rc, err) == (0, "") or (rc, out, err[:7]) == (2, "", "error: "), mangled
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_morphism_and_lattice_map_specs_round_trip_through_whitespace(data):
+    letters = data.draw(st.lists(st.integers(-40, 40), min_size=1, max_size=4, unique=True))
+    word = st.lists(st.integers(-40, 40), min_size=1, max_size=4)
+    phi = Morphism({s: data.draw(word) for s in letters})
+    assert parse_morphism_spec(_spaced(data.draw, repr(phi))).images == phi.images
+    dim = data.draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-40, 40), min_size=dim, max_size=dim)
+    mu = LatticeMap({s: data.draw(vec) for s in letters})
+    assert parse_mu_spec(_spaced(data.draw, repr(mu))).images == mu.images
 
 
 def test_out_file(tmp_path, capsys):

@@ -54,6 +54,13 @@ def test_lattice_map_constructors():
             LatticeMap(images)
 
 
+def test_lattice_map_refuses_letters_and_images_that_are_not_integers():
+    with pytest.raises(ValueError, match="not an integer"):
+        LatticeMap({0: (0.5,)})  # kept the image (0,)
+    with pytest.raises(ValueError, match="not an integer"):
+        LatticeMap({1.5: (1,)})
+
+
 def test_lattice_map_guards_an_image_of_minus_2_63():
     # np.abs(-2**63) wraps to -2**63; the magnitude must come out as 2**63
     mu = LatticeMap({0: (-(2**63),), 1: (0,)})

@@ -143,6 +143,37 @@ def test_symbols_past_int64_are_refused(bad):
     assert apply_morphism(Morphism({5: (5,), bad: (0,)}), src).prefix(2).tolist() == [5, 0]
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", np.float64(3.0)])
+def test_finite_word_refuses_symbols_that_are_not_integers(bad):
+    # int() used to truncate them, so a 1.5 read as the letter 1
+    with pytest.raises(ValueError, match="not an integer"):
+        FiniteWord([1, bad])
+    assert FiniteWord([np.int64(3), True]).symbols == (3, 1)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", np.float64(3.0)])
+def test_alphabet_refuses_symbols_that_are_not_integers(bad):
+    with pytest.raises(ValueError, match="not an integer"):
+        Alphabet([1, bad])
+    assert Alphabet([np.int64(3), 1]).symbols == (1, 3)
+
+
+def test_from_finite_refuses_symbols_that_are_not_integers():
+    with pytest.raises(ValueError, match="not an integer"):
+        from_finite([1.5, 1.2, 3.9])
+
+
+def test_stream_refuses_symbols_that_are_not_integers():
+    # a bare stream over these read [1 1 3]
+    w = WordStream(lambda: iter([1.5, 1.2, 3.9]))
+    with pytest.raises(ValueError, match="a symbol of <word> is not an integer: 'float'"):
+        w.prefix(1)
+    with pytest.raises(ValueError, match="not an integer"):
+        WordStream(lambda: iter([1, 2, "3"])).prefix(3)
+    ok = WordStream(lambda: iter([np.int64(-2), 7, np.uint8(4)]))
+    assert ok.prefix(3).tolist() == [-2, 7, 4]
+
+
 def test_concurrent_extension_consistent():
     w = periodic(list(range(17)))
     results = []

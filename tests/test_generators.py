@@ -36,6 +36,11 @@ def test_periodic():
         periodic([])
 
 
+def test_periodic_refuses_symbols_that_are_not_integers():
+    with pytest.raises(ValueError, match="not an integer"):
+        periodic([1.5, 2])  # read as [1 2]
+
+
 def test_thue_morse_prefix(thue_morse):
     assert _prefix(thue_morse, 8) == [0, 1, 1, 0, 1, 0, 0, 1]
 
@@ -212,6 +217,10 @@ def test_contract_matches_oracle(data):
         width = data.draw(st.integers(1, 3))
         ivals.append((pos, pos + width - 1))
         pos += width + data.draw(st.integers(1, 3))
+    if not ivals:
+        with pytest.raises(ValueError):  # its label would end in "ivals=", which is no spec
+            SeparatedIntervalSet(ivals)
+        return
     out = contract(w, SeparatedIntervalSet(ivals))
     if finite:
         # the whole contracted word, which may be empty, and nothing after it

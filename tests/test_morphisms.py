@@ -41,6 +41,13 @@ def test_morphism_validation():
         phi.image(9)
 
 
+def test_morphism_refuses_letters_and_images_that_are_not_integers():
+    with pytest.raises(ValueError, match="not an integer"):
+        Morphism({0: (0.5, 1)})  # kept the image (0, 1)
+    with pytest.raises(ValueError, match="not an integer"):
+        Morphism({0.5: (1,)})
+
+
 def test_apply_morphism_stream():
     phi = Morphism({0: (0, 2), 1: (1, 1)})
     img = apply_morphism(phi, periodic([0, 1]))

@@ -13,6 +13,7 @@ from wordsums import (
     LatticeMap,
     Morphism,
     PowerWitness,
+    WordStream,
     constant_complexity_word,
     enumeration_word,
     find_additive_kpower,
@@ -121,6 +122,15 @@ def test_later_gap_with_earlier_start_wins():
     colors = list(range(40))
     colors[30], colors[22] = colors[29], colors[19]
     assert monochromatic_ap(colors, 2) == (20, 3) == _bruteforce_ap(colors, 2, 1)
+
+
+def test_kpower_scan_refuses_a_word_of_float_symbols():
+    # the truncated word [1 1 3] gave start 1, b = 1, for blocks of sums 1.5 and 1.2
+    with pytest.raises(ValueError, match="not an integer"):
+        find_additive_kpower(from_finite([1.5, 1.2, 3.9]), 2, 3)
+    w = WordStream(lambda: iter([1.5, 1.2, 3.9]))
+    with pytest.raises(ValueError, match="not an integer"):
+        find_additive_kpower(w, 2, 3)
 
 
 def test_kpower_arg_checks():
@@ -275,6 +285,9 @@ def test_monochromatic_ap_refuses_colors_that_are_not_int64():
         monochromatic_ap([2**70, 1, 2**70], 2)
     with pytest.raises(GuardError):
         monochromatic_ap([2**63, -1, 2**63], 2)
+    with pytest.raises(GuardError):
+        monochromatic_ap(np.array([2**63, 1, 2**63], dtype=np.uint64), 2)
+    assert monochromatic_ap(np.array([3, 1, 3], dtype=np.uint64), 2) == (1, 2)
 
 
 def test_monochromatic_ap_at_the_int64_extremes():
