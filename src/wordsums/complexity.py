@@ -11,15 +11,15 @@ Every count runs one kernel.  The length-n window images W = C[n:] - C[:-n]
 of the prefix sums C (built once per call) are shifted per column by a lower
 bound and packed into one int64 key per row in mixed radix hi - lo + 1.
 `profile` takes lo and hi from the box [n * min, n * max] of the letter
-images when its radix product is at most the number of windows; otherwise,
-and in every other caller, they are the measured min and max of W.  Keys
-are marked in a boolean presence table when their range is at most the
-number of windows, else sorted; rows whose radix product reaches 2^62 are
-not packed and are counted as a set of row bytes instead.  Counts come from
-the keys; distinct keys decode back into image points only where the points
-are needed (spreads of t > 1 images, factor-set intersections).
-Factor-set intersections and the unbounding guess in `morphisms` run the
-same kernel: distinct factor rows, and spreads of Parikh window images.
+images (for symbol sums, the letter range the word's cache keeps) when its
+radix product is at most the number of windows; other image counts measure
+the min and max of W.  Keys are marked in a boolean presence table when
+their range is at most the number of windows, else sorted; rows whose radix
+product reaches 2^62 are not packed and are counted as a set of row bytes
+instead.  Counts come from the keys, and distinct keys decode into image
+points only for the spreads of t > 1 images.  Factor-set intersections
+count the shared keys of two words' factor rows, packed under one letter
+box; the unbounding guess in `morphisms` takes spreads of Parikh images.
 """
 
 from __future__ import annotations
@@ -323,12 +323,13 @@ def profile(
         raise ValueError("mu only applies to kind='lattice'")
     if kind == "abelian":
         mu = LatticeMap.parikh_map(w.alphabet or w.observed_alphabet(L))
-    if mu is None:
-        C, letters = w.prefix_sums(L)[:, None], w.prefix(L)[:, None]
-    else:
-        C, letters = image_prefix_sums(w, mu, L), mu._table
     # every length-n window image lies in the box [n * lo, n * hi]
-    lo, hi = letters.min(axis=0).tolist(), letters.max(axis=0).tolist()
+    if mu is None:
+        # the least and greatest letter cached: a range wider than the prefix's is still a box
+        C, lo, hi = w.prefix_sums(L)[:, None], [w._lo], [w._hi]
+    else:
+        C, T = image_prefix_sums(w, mu, L), mu._table
+        lo, hi = T.min(axis=0).tolist(), T.max(axis=0).tolist()
     rows = []
     for n in range(1, n_max + 1):
         W, box = _windows(C, n), ([n * x for x in lo], [n * x for x in hi])
@@ -372,6 +373,7 @@ def naive_complexity_oracle(
 def factor_set_intersection(w1: WordStream, w2: WordStream, n: int, L: int) -> int:
     """How many distinct length-n factors the two prefixes share."""
     _check_window_table(n, L)
-    da, db = (_distinct_images(np.lib.stride_tricks.sliding_window_view(w.prefix(L), n))
-              for w in (w1, w2))
-    return len(da) + len(db) - len(_distinct_images(np.concatenate([da, db])))
+    R1, R2 = (np.lib.stride_tricks.sliding_window_view(w.prefix(L), n) for w in (w1, w2))
+    lo, hi = min(w1._lo, w2._lo), max(w1._hi, w2._hi)  # one box, so equal rows get equal keys
+    K1, K2 = (_pack(R, [lo] * n, [hi - lo + 1] * n) for R in (R1, R2))
+    return len(_row_bytes(R1) & _row_bytes(R2) if K1 is None else np.intersect1d(K1, K2))

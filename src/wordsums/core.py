@@ -3,10 +3,10 @@
 Positions in infinite words are 1-based: w(1) is the first symbol and
 factor(w, m, n) is the inclusive block w(m)...w(n).  Finite words are
 ordinary 0-based Python sequences.  Symbols are integers; a float or a
-string is refused, not truncated.  All sums are exact: int64 arrays back
-the long scans, with a guard that refuses lengths where max|s| * L could
-approach 2**63, and everything crossing the API boundary is a Python int
-or Fraction.
+string is refused, not truncated.  All sums are exact: int64 prefix sums
+back the long scans, with a guard that refuses lengths where max|s| * L
+could approach 2**63, and everything crossing the API boundary is a
+Python int or Fraction.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ class GuardError(RuntimeError):
     """A computation would exceed a configured safety guard."""
 
 
-def _integer(s) -> int:
-    """s as a Python int; ValueError for a symbol that is no integer, so 1.5 is not truncated."""
+def _integer(s, what: str = "symbol") -> int:
+    """s as a Python int; ValueError naming `what` if s is no integer, so 1.5 is not truncated."""
     if type(s) is not int and not isinstance(s, numbers.Integral):  # ABC checks are slow
-        raise ValueError(f"symbol {s!r} is not an integer")
+        raise ValueError(f"{what} {s!r} is not an integer")
     return int(s)
 
 
@@ -153,17 +153,19 @@ class FiniteWord:
 
 
 class WordStream:
-    """An infinite word, materialized lazily into a shared int64 prefix.
+    """An infinite word, cached lazily as one int64 array of prefix sums.
 
     `factory` must return a fresh symbol iterator each call and always
     produce the same sequence; the word ends where that iterator stops.
     The cache only ever grows, so every reported value is stable across
-    calls.  Derived words iterate their sources' factories, not their
-    caches, and so end where a finite source ends; only the word a caller
-    reads holds a cache.  Extension is serialized with a lock so streams
-    can be shared between threads.  A symbol that is no integer raises
-    ValueError when it is read.  The label names the word: its canonical
-    spec (see cli), or a <...> form for a word that no spec builds.
+    calls.  Symbols are read as differences of the prefix sums, and the
+    least and greatest symbol held bound the overflow guard and the letter
+    boxes that pack windows and factors.  Derived words iterate their sources' factories,
+    not their caches, and so end where a finite source ends; only the word
+    a caller reads holds a cache.  Extension is serialized with a lock so
+    streams can be shared between threads.  A symbol that is no integer
+    raises ValueError when it is read.  The label names the word: its
+    canonical spec (see cli), or a <...> form for a word that no spec builds.
     """
 
     def __init__(
@@ -174,11 +176,10 @@ class WordStream:
     ):
         self._factory = factory
         self._it: Optional[Iterator[int]] = None
-        self._sym = np.empty(0, dtype=np.int64)
         self._ps = np.zeros(1, dtype=np.int64)
         self._n = 0
+        self._lo, self._hi = 2**63, -(2**63)  # the symbols' range: empty until a chunk
         self._exhausted = False
-        self._max_abs = 0
         self._lock = threading.Lock()
         self.alphabet = alphabet
         self.label = label
@@ -196,26 +197,23 @@ class WordStream:
                 self._exhausted = True
                 break
             arr = _int64(chunk, f"a symbol of {self.label}")
-            # magnitudes in Python ints: np.abs wraps at -2**63
-            m = max(self._max_abs, int(arr.max()), -int(arr.min()))
+            # the range in Python ints: -lo and np.abs wrap at -2**63
+            lo, hi = min(self._lo, int(arr.min())), max(self._hi, int(arr.max()))
+            m = max(hi, -lo)
             total = self._n + arr.size
             if m * (total + _CHUNK) >= _SUM_LIMIT:
                 raise GuardError(
                     f"prefix sums of {self.label} may overflow int64 at "
                     f"length {total} with max|s| = {m}"
                 )
-            self._max_abs = m
-            if total > self._sym.size:
-                grown = np.empty(max(2 * self._sym.size, total, _CHUNK), dtype=np.int64)
-                grown[: self._n] = self._sym[: self._n]
-                self._sym = grown
-                ps = np.empty(self._sym.size + 1, dtype=np.int64)
+            if total >= self._ps.size:
+                ps = np.empty(max(2 * self._ps.size, total + 1, _CHUNK), dtype=np.int64)
                 ps[: self._n + 1] = self._ps[: self._n + 1]
                 self._ps = ps
-            self._sym[self._n : total] = arr
             np.cumsum(arr, out=self._ps[self._n + 1 : total + 1])
             self._ps[self._n + 1 : total + 1] += self._ps[self._n]
-            self._n = total
+            # stored left to right: a lock-free reader that sees the new length sees its range
+            self._lo, self._hi, self._n = lo, hi, total
 
     def _ensure(self, n: int) -> None:
         """Materialize up to w(n); ValueError if a finite word ends first.
@@ -243,16 +241,13 @@ class WordStream:
         if i < 1:
             raise ValueError(f"positions are 1-based, got {i}")
         self._ensure(i)
-        return int(self._sym[i - 1])
+        return int(self._ps[i] - self._ps[i - 1])
 
     def prefix(self, L: int) -> np.ndarray:
-        """Read-only int64 view of w(1..L)."""
-        if L < 0:
-            raise ValueError(f"negative prefix length {L}")
-        self._ensure(L)
-        view = self._sym[:L].view()
-        view.setflags(write=False)
-        return view
+        """w(1..L) as a fresh read-only int64 array: the differences of P[0..L]."""
+        syms = np.diff(self.prefix_sums(L))
+        syms.setflags(write=False)
+        return syms
 
     def prefix_sums(self, L: int) -> np.ndarray:
         """Read-only int64 view of P[0..L]."""
@@ -268,7 +263,7 @@ class WordStream:
         if m < 1 or m > n:
             raise ValueError(f"bad factor bounds [{m}, {n}]")
         self._ensure(n)
-        return FiniteWord(self._sym[m - 1 : n].tolist())
+        return FiniteWord(np.diff(self._ps[m - 1 : n + 1]).tolist())
 
     def observed_alphabet(self, L: int) -> Alphabet:
         """Alphabet of the symbols actually seen in w(1..L)."""
@@ -295,7 +290,7 @@ def word_slope(B: FiniteWord) -> Fraction:
 
 def count_symbol(B: FiniteWord, s: int) -> int:
     """Number of occurrences of s in B."""
-    return B.symbols.count(int(s))
+    return B.symbols.count(_integer(s))
 
 
 def factor(w: WordStream, m: int, n: int) -> FiniteWord:

@@ -108,7 +108,7 @@ def mechanical(cf: Sequence[int], repeat: Optional[int] = None) -> WordStream:
     0 followed by the characteristic word.  Either way the output matches
     w(i) = floor(alpha*i) - floor(alpha*(i-1)).
     """
-    cf = [int(a) for a in cf]
+    cf = [_integer(a, "coefficient") for a in cf]
     if not cf or any(a < 1 for a in cf):
         raise ValueError(f"continued fraction coefficients must be >= 1: {cf}")
     if repeat is not None and not (1 <= repeat <= len(cf)):
@@ -230,7 +230,7 @@ class SpliceSchedule:
     rounds: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rounds = tuple(tuple(int(x) for x in row) for row in self.rounds)
+        rounds = tuple(tuple(_integer(x, "block length") for x in row) for row in self.rounds)
         object.__setattr__(self, "rounds", rounds)
         if not rounds:
             raise ValueError("schedule needs at least one round")

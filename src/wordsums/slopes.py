@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .complexity import _check_window_table, _distinct_count, _windows
+from .complexity import _check_window_table, _pack, _row_bytes, _windows
 from .core import _SUM_LIMIT, GuardError, WordStream, word_slope
 
 Rational = Union[int, Fraction]
@@ -174,19 +174,21 @@ def factors_with_slope(w: WordStream, alpha: Rational, L: int, n_max: int) -> in
     """Count distinct factors of length <= n_max and slope exactly alpha.
 
     Only lengths divisible by alpha's denominator can qualify; candidate
-    windows are located through the window kernel, and their distinct
-    symbol rows are counted by the complexity reduction.
+    windows are located through the window kernel, and the distinct keys of
+    their rows, packed under the word's letter box, are counted.
     """
     _check_window_table(n_max, L)
     a = _as_fraction(alpha)
     p, q = a.numerator, a.denominator
     prefix = w.prefix(L)
     P = w.prefix_sums(L)
+    lo, hi = w._lo, w._hi
     total = 0
     for n in range(q, n_max + 1, q):
         target = p * (n // q)
         hits = np.flatnonzero(_windows(P, n) == target)
         if hits.size:
-            windows = np.lib.stride_tricks.sliding_window_view(prefix, n)[hits]
-            total += _distinct_count(windows)
+            rows = np.lib.stride_tricks.sliding_window_view(prefix, n)
+            keys = _pack(rows, [lo] * n, [hi - lo + 1] * n)
+            total += len(_row_bytes(rows[hits]) if keys is None else np.unique(keys[hits]))
     return total

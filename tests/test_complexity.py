@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -193,15 +195,19 @@ def _bruteforce_shared(a, b, n):
     return len(fa & fb)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    st.lists(st.integers(0, 2), min_size=4, max_size=60),
-    st.lists(st.integers(0, 2), min_size=4, max_size=60),
+    st.lists(st.integers(-3, 1), min_size=4, max_size=60),
+    st.lists(st.integers(-1, 4), min_size=4, max_size=60),
     st.integers(1, 4),
+    st.sampled_from([0, -9, 7, 2**40]),
 )
-def test_intersection_matches_bruteforce(xs, ys, n):
-    w1, w2 = from_finite(xs), from_finite(ys)
+def test_intersection_matches_bruteforce(xs, ys, n, late):
+    # words over other letter ranges; `late` sits past L, so only the second
+    # stream's cached range holds it, and with 2^40 rows of n >= 2 do not pack
     L = min(len(xs), len(ys))
+    w1, w2 = from_finite(xs), from_finite(ys[:L] + [late])
+    w2.prefix(L + 1)
     assert factor_set_intersection(w1, w2, n, L) == _bruteforce_shared(
         xs[:L], ys[:L], n
     )
@@ -400,6 +406,39 @@ def test_profile_rows_on_both_sides_of_the_box_fit(kind, low, scale, ds, data):
     last_fit = max([n for n in range(1, len(xs) + 1) if _box_fits(imgs, n, len(xs))], default=0)
     n_max = min(len(xs), last_fit + data.draw(st.integers(1, 3)))
     _check_profile(xs, kind, n_max, None, images)
+
+
+@pytest.mark.parametrize("late, fits", [((-1, 2), True), ((B40,), False)])
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=8, max_size=80), st.integers(1, 6), st.data())
+def test_additive_profile_when_the_cache_holds_wider_letters(late, fits, xs, n_max, data):
+    # letters past L widen the cache's range, and so the box, but not the prefix's
+    L = len(xs)
+    tail = data.draw(st.lists(st.sampled_from(late), min_size=1, max_size=5))
+    w = from_finite(xs + tail)
+    w.prefix(L + len(tail))
+    assert _box_fits([(x,) for x in xs + tail], 1, L) == fits
+    assert profile(w, n_max, L) == profile(from_finite(xs), n_max, L)
+
+
+def test_concurrent_profiles_see_the_range_of_what_they_read():
+    # letters grow along the word, so every chunk widens the cached range that
+    # profile reads without the lock
+    xs = [i // 500 for i in range(40_000)]
+    expected = {L: profile(from_finite(xs), 3, L) for L in range(2_000, 40_001, 2_000)}
+    w, got, interval = from_finite(xs), {}, sys.getswitchinterval()
+    threads = [threading.Thread(target=lambda L=L: got.update({L: profile(w, 3, L)}))
+               for L in expected]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,9 +1,10 @@
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wordsums import (
     Alphabet,
@@ -19,6 +20,7 @@ from wordsums import (
     word_slope,
     word_sum,
 )
+from wordsums import core
 
 words = st.lists(st.integers(-5, 5), min_size=1, max_size=60)
 
@@ -49,6 +51,13 @@ def test_slope_and_counts(xs):
     assert word_slope(B) * len(B) == word_sum(B)
     ab = Alphabet(xs)
     assert sum(count_symbol(B, s) for s in ab) == len(B)
+
+
+def test_count_symbol_refuses_symbols_that_are_not_integers():
+    # int() used to truncate 1.9 to 1, which occurs twice
+    with pytest.raises(ValueError, match="not an integer"):
+        count_symbol(FiniteWord([1, 2, 1]), 1.9)
+    assert count_symbol(FiniteWord([1, 2, 1]), np.int64(1)) == 2
 
 
 def test_empty_slope_rejected():
@@ -101,6 +110,48 @@ def test_finite_stream_ends():
         w.prefix(4)
     with pytest.raises(ValueError):
         w.symbol(4)
+
+
+def _check_reads(w, xs, L, m):
+    """prefix, symbol and factor of w(1..L) against xs and the differences of P."""
+    P = w.prefix_sums(L)
+    got = w.prefix(L)
+    assert got.tolist() == xs[:L] == np.diff(P).tolist()
+    assert got.dtype == np.int64 and got.flags.writeable is False
+    assert [w.symbol(i) for i in range(1, L + 1)] == xs[:L]
+    if L:
+        assert w.factor(m, L).symbols == tuple(xs[m - 1 : L])
+    # the cache keeps the range of every symbol it holds
+    assert w._n == 0 or (w._lo, w._hi) == (min(xs[: w._n]), max(xs[: w._n]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=60), st.data())
+def test_chunked_cache_reads_its_differences(xs, data):
+    # a 2**60 letter past three zeros: reading it is refused, reads before it are not
+    ys = xs + [0, 0, 0, 2**60]
+    reads = st.lists(st.integers(0, len(xs)), min_size=1, max_size=5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_CHUNK", 3)
+        w = from_finite(ys)
+        for L in data.draw(reads):
+            _check_reads(w, ys, L, data.draw(st.integers(1, max(L, 1))))
+        with pytest.raises(GuardError):
+            w.prefix(len(ys))
+        for L in data.draw(reads):
+            _check_reads(w, ys, L, data.draw(st.integers(1, max(L, 1))))
+
+
+def test_cold_fill_holds_one_array():
+    # 8 bytes a symbol: the prefix sums are the only cache
+    w = periodic([0, 1, 1])
+    tracemalloc.start()
+    try:
+        w.prefix_sums(10**6)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 10_000_000
 
 
 def test_overflow_guard_trips():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -143,6 +144,13 @@ def test_mechanical_rejects_bad_input():
         mechanical([2], repeat=2)
 
 
+def test_mechanical_refuses_coefficients_that_are_not_integers():
+    # int() used to truncate them, so [2.7, 1.2] was labelled mechanical:cf=2,1
+    with pytest.raises(ValueError, match="coefficient 2.7 is not an integer"):
+        mechanical([2.7, 1.2])
+    assert mechanical([np.int64(2), 1]).label == "mechanical:cf=2,1"
+
+
 def test_splice_prefix():
     sp = splice(
         [periodic([1]), periodic([0, 2]), periodic([2, 0])],
@@ -178,6 +186,13 @@ def test_splice_schedule_validation():
         SpliceSchedule(((1, -1),))
     with pytest.raises(ValueError):
         splice([periodic([1])], SpliceSchedule(((1, 1),)))
+
+
+def test_splice_schedule_refuses_lengths_that_are_not_integers():
+    # int() used to truncate them, so ((1.5, 1),) ran as ((1, 1),)
+    with pytest.raises(ValueError, match="block length 1.5 is not an integer"):
+        SpliceSchedule(((1.5, 1),))
+    assert SpliceSchedule(((np.int64(1), 1),)).rounds == ((1, 1),)
 
 
 def test_interval_set_validation():

@@ -158,17 +158,20 @@ def _bruteforce_slope_factors(xs, alpha, n_max):
     return len(found)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     st.lists(st.integers(-2, 2), min_size=4, max_size=50),
     st.integers(-2, 2),
     st.integers(1, 3),
     st.integers(1, 8),
+    st.sampled_from([0, -7, 5, 2**40]),
 )
-def test_factors_with_slope_matches_bruteforce(xs, p, q, n_max):
+def test_factors_with_slope_matches_bruteforce(xs, p, q, n_max, late):
+    # the letter past L widens the box the rows are packed under, not the rows
     alpha = Fraction(p, q)
     n_max = min(n_max, len(xs))
-    w = from_finite(xs)
+    w = from_finite(xs + [late])
+    w.prefix(len(xs) + 1)
     assert factors_with_slope(w, alpha, len(xs), n_max) == _bruteforce_slope_factors(
         xs, alpha, n_max
     )
