@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import _SUM_LIMIT, Alphabet, FiniteWord, GuardError, WordStream, _integer
+from .core import _SUM_LIMIT, Alphabet, FiniteWord, GuardError, WordStream, _integer, _sorted_distinct
 
 _ORACLE_MAX_PREFIX = 10_000
 _DIAMETER_MAX_POINTS = 100_000
@@ -72,6 +72,7 @@ class LatticeMap:
     def parikh_map(cls, alphabet: Alphabet) -> "LatticeMap":
         """Unit-vector images: mu(B) is the Parikh vector of B."""
         k = len(alphabet)
+        _check_table(k, k, f"the Parikh map of {k} letters")
         return cls(
             {s: tuple(1 if j == i else 0 for j in range(k)) for i, s in enumerate(alphabet)}
         )
@@ -140,10 +141,10 @@ def _check_window(n: int, L: int) -> None:
         raise ValueError(f"window lengths must lie in 1..L, got {n} with L = {L}")
 
 
-def _check_window_table(n: int, L: int) -> None:
-    _check_window(n, L)
-    if n * L * 8 > _WINDOW_BYTES_LIMIT:
-        raise GuardError(f"window table for n={n}, L={L} exceeds the memory guard")
+def _check_table(rows: int, cols: int, what: str) -> None:
+    """Refuse a table of rows x cols int64 cells past the memory guard, before it is built."""
+    if rows * cols * 8 > _WINDOW_BYTES_LIMIT:
+        raise GuardError(f"{what} exceeds the memory guard")
 
 
 def _windows(C: np.ndarray, n: int) -> np.ndarray:
@@ -163,8 +164,7 @@ def image_prefix_sums(w: WordStream, mu: LatticeMap, L: int) -> np.ndarray:
     Refuses int64 overflow and a table past the memory guard before reading a symbol."""
     if mu.max_abs() * (L + 1) >= _SUM_LIMIT:
         raise GuardError("lattice prefix sums may overflow int64")
-    if (L + 1) * mu.dim * 8 > _WINDOW_BYTES_LIMIT:
-        raise GuardError(f"image table for L={L}, t={mu.dim} exceeds the memory guard")
+    _check_table(L + 1, mu.dim, f"image table for L={L}, t={mu.dim}")
     idx = mu.letter_indices(w.prefix(L))
     C = np.zeros((L + 1, mu.dim), dtype=np.int64, order="F")
     for c in range(mu.dim):
@@ -216,7 +216,7 @@ def _distinct_keys(W: np.ndarray, box: Optional[tuple] = None) -> Optional[tuple
         seen[keys] = True
         keys = np.flatnonzero(seen)
     else:
-        keys = np.unique(keys)
+        keys = _sorted_distinct(keys)
     return keys, lo, radix
 
 
@@ -262,9 +262,16 @@ def lattice_complexity(w: WordStream, mu: LatticeMap, n: int, L: int) -> int:
     return _distinct_count(window_images(w, mu, n, L))
 
 
+def _abelian_map(w: WordStream, L: int) -> LatticeMap:
+    """The Parikh map over w's alphabet, refused before it is built if its image table is."""
+    ab = w.alphabet or w.observed_alphabet(L)
+    _check_table(L + 1, len(ab), f"image table for L={L}, t={len(ab)}")
+    return LatticeMap.parikh_map(ab)
+
+
 def abelian_complexity(w: WordStream, n: int, L: int) -> int:
     """Distinct Parikh vectors of length-n windows (lattice with unit images)."""
-    return lattice_complexity(w, LatticeMap.parikh_map(w.alphabet or w.observed_alphabet(L)), n, L)
+    return lattice_complexity(w, _abelian_map(w, L), n, L)
 
 
 def _points_diameter_sq(U: np.ndarray) -> int:
@@ -322,7 +329,7 @@ def profile(
     if kind != "lattice" and mu is not None:
         raise ValueError("mu only applies to kind='lattice'")
     if kind == "abelian":
-        mu = LatticeMap.parikh_map(w.alphabet or w.observed_alphabet(L))
+        mu = _abelian_map(w, L)
     # every length-n window image lies in the box [n * lo, n * hi]
     if mu is None:
         # the least and greatest letter cached: a range wider than the prefix's is still a box
@@ -372,8 +379,11 @@ def naive_complexity_oracle(
 
 def factor_set_intersection(w1: WordStream, w2: WordStream, n: int, L: int) -> int:
     """How many distinct length-n factors the two prefixes share."""
-    _check_window_table(n, L)
+    _check_window(n, L)
     R1, R2 = (np.lib.stride_tricks.sliding_window_view(w.prefix(L), n) for w in (w1, w2))
     lo, hi = min(w1._lo, w2._lo), max(w1._hi, w2._hi)  # one box, so equal rows get equal keys
     K1, K2 = (_pack(R, [lo] * n, [hi - lo + 1] * n) for R in (R1, R2))
-    return len(_row_bytes(R1) & _row_bytes(R2) if K1 is None else np.intersect1d(K1, K2))
+    if K1 is None:  # rows too wide to pack are held as bytes
+        _check_table(n, L, f"window table for n={n}, L={L}")
+        return len(_row_bytes(R1) & _row_bytes(R2))
+    return len(np.intersect1d(_sorted_distinct(K1), _sorted_distinct(K2), assume_unique=True))

@@ -57,6 +57,15 @@ def _int64(values: Sequence[int], what: str) -> np.ndarray:
         raise GuardError(f"{what} does not fit int64") from None
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending: a sort and a neighbour mask, several
+    times faster than the hash table np.unique uses when it returns nothing else."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 class Interval(NamedTuple):
     """Closed 1-based position interval [lo, hi]."""
 
@@ -267,7 +276,7 @@ class WordStream:
 
     def observed_alphabet(self, L: int) -> Alphabet:
         """Alphabet of the symbols actually seen in w(1..L)."""
-        return Alphabet(np.unique(self.prefix(L)).tolist())
+        return Alphabet(_sorted_distinct(self.prefix(L)).tolist())
 
     def __repr__(self) -> str:
         return f"WordStream({self.label!r}, materialized={self._n})"

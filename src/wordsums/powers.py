@@ -2,20 +2,20 @@
 
 A witness (start, b, k) means the blocks w(start .. start+b-1), ...,
 w(start+(k-1)b .. start+kb-1) all share the same sum (or the same
-mu-image).  Every search is one progression scan, start ascending,
-then gap (block length) ascending, so the returned witness is the
+mu-image).  Every search is one progression scan, start ascending, then
+gap (block length) ascending, so the returned witness is the
 lexicographically first one.  A scan that finds nothing compares about
 L^2/k cells.  Each numpy call compares one tile of about 2^16 cells:
-consecutive gaps × the live starts, read as strided views of one copy of
-the prefix in the narrowest integer dtype (int8 to int64) whose
-wrap-around equality is still exact.  The prefix guard (L <= 10^6 unless
-the caller raises `limit`) is what bounds that work.  mu-images
-compare as one int64 key per prefix row (`complexity.pack_rows`: column
-c in mixed radix 2*(max - min) + 1, so key differences identify row
-differences), or as whole rows once that radix product reaches 2^62.
-Words of bounded sum spread still contain additive k-powers for every k;
-the slope-constrained search finds them through monochromatic arithmetic
-progressions in the chi coloring.
+consecutive gaps × live starts, read as strided views.  The first start
+reads the prefix in place, the rest go gap-major over one copy of it in
+the narrowest integer dtype (int8 to int64) whose wrap-around equality is
+still exact.  The prefix guard (L <= 10^6 unless the caller raises
+`limit`) bounds that work.  mu-images compare as one int64 key per prefix
+row (`complexity.pack_rows`: column c in mixed radix 2*(max - min) + 1, so
+key differences identify row differences), or as whole rows once that
+radix product reaches 2^62.  Words of bounded sum spread still contain
+additive k-powers for every k; the slope-constrained search finds them
+through monochromatic arithmetic progressions in the chi coloring.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .complexity import LatticeMap, image_prefix_sums, pack_rows
 from .slopes import Rational, _as_fraction, chi_sequence
 
 _POWER_MAX_PREFIX = 1_000_000
-_HEAD_STARTS = 16
-_FINISH_STARTS = 64
 _TILE_CELLS = 1 << 16
 
 
@@ -62,9 +60,8 @@ def _narrow_copy(X: np.ndarray, blocks: bool, pad: int) -> np.ndarray:
     reach = (int(X.max()) - int(X.min())) * (2 if blocks else 1)
     dt = next((dt for dt in (np.int8, np.int16, np.int32) if reach < 1 << np.iinfo(dt).bits),
               np.int64)
-    Xp = np.empty((len(X) + pad,) + X.shape[1:], dt)
+    Xp = np.zeros((len(X) + pad,) + X.shape[1:], dt)
     Xp[: len(X)] = X
-    Xp[len(X) :] = 0
     return Xp
 
 
@@ -75,12 +72,10 @@ def _first_progression(
 
     The terms are X[i + j*g] for j < terms, or with blocks=True the blocks
     X[i + (j+1)*g] - X[i + j*g]; g runs over the multiples of step.  Rows of a
-    2-D X compare as wholes.  The first _HEAD_STARTS starts go start by start,
-    then the scan goes gap-major over the starts before the best so far, and once
-    fewer of those starts than gaps remain it finishes them in blocks of
-    _FINISH_STARTS starts.  Every numpy call compares one tile: about _TILE_CELLS
-    (start, gap) cells of consecutive gaps, read as strided views of X (the head)
-    or of its _narrow_copy (the rest).
+    2-D X compare as wholes.  Start 0 reads X in place, so an early hit pays for
+    no copy; starts 1..n-1 go in one gap-major pass over the _narrow_copy, where
+    each hit narrows the pass to the starts before it.  Every numpy call compares
+    one tile of about _TILE_CELLS cells: consecutive gaps × live starts.
     """
     n = len(X)
     reach = terms if blocks else terms - 1  # a progression spans reach*g
@@ -125,12 +120,9 @@ def _first_progression(
         c = int(np.argmax(ok.any(axis=0)))
         return lo + c, g0 + step * int(np.argmax(ok[:, c]))
 
-    def scan(buf: np.ndarray, lo: int, hi: int, g: int, split: bool = False):
-        """First hit among starts [lo, hi) at gaps from g, gap-major, and None.
-
-        With split, stop once fewer starts than gaps remain before a hit, and
-        return that hit with the first gap not yet scanned."""
-        best = None
+    def scan(buf: np.ndarray, lo: int, hi: int) -> Optional[tuple[int, int]]:
+        """First hit among starts [lo, hi), gap-major; each hit narrows hi to its start."""
+        best, g = None, step
         while (m := min(hi, n - reach * g) - lo) > 0:
             gaps = ((n - 1 - lo) // reach - g) // step + 1  # gaps left for start lo
             T = min(gaps, max(1, _TILE_CELLS // m))
@@ -138,27 +130,13 @@ def _first_progression(
             g += T * step
             if hit:
                 best, hi = hit, hit[0]
-                if split and hi - lo < gaps - T:
-                    return best, g
-        return best, None
+        return best
 
-    # one start never reads past the word, so the head reads X in place and an
-    # early hit pays for no copy
-    head = min(_HEAD_STARTS, n)
-    X0 = np.ascontiguousarray(X)
-    for i in range(head):
-        if (hit := scan(X0, i, i + 1, step)[0]):
-            return hit
-    if n - reach * step <= head:  # no later start holds a progression
-        return None
-    # past the head a tile reads at most this far past the word; a hit there is masked
-    Xp = _narrow_copy(X, blocks, min(n, math.isqrt(_TILE_CELLS) * reach * step))
-    best, g = scan(Xp, head, n, step, split=True)
-    if g is not None:
-        for a in range(head, best[0], _FINISH_STARTS):
-            if (hit := scan(Xp, a, min(a + _FINISH_STARTS, best[0]), g)[0]):
-                return hit
-    return best
+    # start 0 alone never reads past the word
+    if (hit := scan(np.ascontiguousarray(X), 0, 1)) or n - reach * step <= 1:
+        return hit
+    # a tile of later starts reads at most this far past the word; a hit there is masked
+    return scan(_narrow_copy(X, blocks, min(n, math.isqrt(_TILE_CELLS) * reach * step)), 1, n)
 
 
 def _block_power(X: np.ndarray, C: np.ndarray, k: int) -> Optional[PowerWitness]:

@@ -15,8 +15,8 @@ from typing import Union
 
 import numpy as np
 
-from .complexity import _check_window_table, _pack, _row_bytes, _windows
-from .core import _SUM_LIMIT, GuardError, WordStream, word_slope
+from .complexity import _check_table, _check_window, _pack, _row_bytes, _windows
+from .core import _SUM_LIMIT, GuardError, WordStream, _sorted_distinct, word_slope
 
 Rational = Union[int, Fraction]
 
@@ -177,7 +177,7 @@ def factors_with_slope(w: WordStream, alpha: Rational, L: int, n_max: int) -> in
     windows are located through the window kernel, and the distinct keys of
     their rows, packed under the word's letter box, are counted.
     """
-    _check_window_table(n_max, L)
+    _check_window(n_max, L)
     a = _as_fraction(alpha)
     p, q = a.numerator, a.denominator
     prefix = w.prefix(L)
@@ -190,5 +190,7 @@ def factors_with_slope(w: WordStream, alpha: Rational, L: int, n_max: int) -> in
         if hits.size:
             rows = np.lib.stride_tricks.sliding_window_view(prefix, n)
             keys = _pack(rows, [lo] * n, [hi - lo + 1] * n)
-            total += len(_row_bytes(rows[hits]) if keys is None else np.unique(keys[hits]))
+            if keys is None:  # rows too wide to pack are held as bytes
+                _check_table(n, L, f"window table for n={n}, L={L}")
+            total += len(_row_bytes(rows[hits]) if keys is None else _sorted_distinct(keys[hits]))
     return total

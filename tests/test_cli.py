@@ -237,6 +237,13 @@ def test_abelian_image_table_past_the_memory_guard_exits_2(capsys):
     assert "memory guard" in capsys.readouterr().err
 
 
+def test_abelian_map_past_the_memory_guard_exits_2(capsys):
+    # 100001 letters pass the 2^20-letter guard, but their Parikh map needs 10^10 cells
+    argv = ["profile", "enum:k=100000", "--kind", "abelian", "-L", "10", "--n-max", "1"]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_spread_csv(capsys):
     rc = main(["spread", "periodic:0,1", "--n-max", "2", "-L", "100"])
     out = capsys.readouterr().out

@@ -159,6 +159,23 @@ def test_window_table_guard():
         factor_set_intersection(periodic([0, 1]), periodic([1, 0]), 1000, 30_000)
 
 
+def test_packed_factor_count_is_not_refused_by_its_rows(monkeypatch):
+    # 6 * 60 * 8 bytes of factor rows are past the lowered guard, but binary rows of
+    # length 6 pack into one key each, and only rows too wide to pack are held as a table
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 1000)
+    xs = [bin(i).count("1") % 2 for i in range(60)]
+    ys = [bin(i).count("1") % 2 for i in range(101, 161)]
+    shared = factor_set_intersection(from_finite(xs), from_finite(ys), 6, 60)
+    assert shared == _bruteforce_shared(xs, ys, 6) > 0
+
+
+def test_parikh_map_past_the_memory_guard_is_refused():
+    # 6000 images of 6000 coordinates are 288 MB of int64 cells
+    with pytest.raises(GuardError, match="Parikh map of 6000 letters"):
+        LatticeMap.parikh_map(Alphabet(range(6000)))
+    assert LatticeMap.parikh_map(Alphabet(range(50))).dim == 50
+
+
 def test_lattice_spread_exact_small():
     # images on a line: diameter is the squared spread of the sums
     w = periodic([0, 3])

@@ -32,15 +32,14 @@ DEKKING3 = {0: (0, 0, 1, 2), 1: (1, 1, 2), 2: (0, 2, 2)}
 # base-3 numbers with only the digits 0 and 1 hold no 3-term arithmetic progression
 AP_FREE = [int(f"{i:b}", 3) for i in range(1, 2000)]
 
-# tiles of a few cells and finish blocks of a few starts
-_SMALL_TILES = st.tuples(st.sampled_from([1, 2, 3, 5, 8, 13]), st.sampled_from([1, 2, 3, 5]))
+# tiles of a few cells
+_SMALL_TILES = st.sampled_from([1, 2, 3, 5, 8, 13])
 
 
 @contextlib.contextmanager
-def _tiles(cells, finish):
+def _tiles(cells):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(powers, "_TILE_CELLS", cells)
-        mp.setattr(powers, "_FINISH_STARTS", finish)
         yield
 
 
@@ -96,20 +95,28 @@ def test_kpower_past_a_power_free_prefix(quiet, tail, k, tiles):
     # second scan runs in tiles of a few cells
     xs = [2 ** (12 + i) for i in range(quiet)] + tail
     brute = _bruteforce_kpower(xs, k)
-    for budget in (contextlib.nullcontext(), _tiles(*tiles)):
+    for budget in (contextlib.nullcontext(), _tiles(tiles)):
         with budget:
             wit = find_additive_kpower(from_finite(xs), k, len(xs))
         assert (wit and (wit.start, wit.block_length)) == brute
 
 
 def test_witness_just_past_the_first_starts():
-    # powers of two have no additive square; the one planted square starts at 17
-    xs = [2**i for i in range(16)] + [7, 7] + [2**i for i in range(20, 26)]
-    wit = find_additive_kpower(from_finite(xs), 2, len(xs))
-    assert (wit.start, wit.block_length) == (17, 1) == _bruteforce_kpower(xs, 2)
-    colors = list(range(40))
-    colors[19] = colors[16]
-    assert monochromatic_ap(colors, 2) == (17, 3) == _bruteforce_ap(colors, 2, 1)
+    # start 0 holds no power, so the one planted at 0-based start `at` is read from the
+    # narrow copy, whose first start is 1.  Powers of two have no additive square, and
+    # letters 4, 5, ... of images (2^(12+i), i) no mu-square
+    for at in (1, 2, 16):
+        xs = [2**i for i in range(at)] + [7, 7] + [2**i for i in range(20, 26)]
+        wit = find_additive_kpower(from_finite(xs), 2, len(xs))
+        assert (wit.start, wit.block_length) == (at + 1, 1) == _bruteforce_kpower(xs, 2)
+        images = {0: (5, -3)} | {4 + i: (2 ** (12 + i), i) for i in range(at + 6)}
+        letters = [4 + i for i in range(at)] + [0, 0] + [4 + i for i in range(at, at + 6)]
+        wit = find_kpower_mod_mu(from_finite(letters), LatticeMap(images), 2, len(letters))
+        assert (wit.start, wit.block_length) == (at + 1, 1)
+        _check_mod_mu_against_bruteforce(letters, images, 2)
+        colors = list(range(40))
+        colors[at + 3] = colors[at]
+        assert monochromatic_ap(colors, 2) == (at + 1, 3) == _bruteforce_ap(colors, 2, 1)
 
 
 def test_later_gap_with_earlier_start_wins():
@@ -181,7 +188,7 @@ def test_mod_mu_matches_bruteforce(quiet, tail, imgs, k, tiles):
     # the second scan runs in tiles of a few cells
     images = dict(enumerate(imgs)) | {4 + i: (2 ** (12 + i), i) for i in range(quiet)}
     xs = [4 + i for i in range(quiet)] + tail
-    for budget in (contextlib.nullcontext(), _tiles(*tiles)):
+    for budget in (contextlib.nullcontext(), _tiles(tiles)):
         with budget:
             _check_mod_mu_against_bruteforce(xs, images, k)
 
@@ -213,21 +220,23 @@ def _gapwise_rows_kpower(C, k):
 
 def test_mod_mu_unpacked_rows_past_the_head():
     # Dekking's abelian-cube-free word under images too wide to pack: every start
-    # goes through the gap tiles as whole rows
+    # past the first goes through the gap-major pass as whole rows
     w = morphic_fixed_point(Morphism(DEKKING3), 0)
     mu = LatticeMap({0: (2**40, 1), 1: (1, 2**40), 2: (2**40 - 1, 2**40)})
     C = image_prefix_sums(w, mu, 2000)
     assert pack_rows(C) is None
     assert find_kpower_mod_mu(w, mu, 3, 2000) is None
     assert _gapwise_rows_kpower(C, 3) is None
-    # a planted cube at start 101 is found past the head
-    xs = [int(x) for x in w.prefix(2000)]
-    xs[100:103] = [2, 2, 2]
-    planted = from_finite(xs)
-    wit = find_kpower_mod_mu(planted, mu, 3, 2000)
-    C = image_prefix_sums(planted, mu, 2000)
-    assert (wit.start, wit.block_length) == _gapwise_rows_kpower(C, 3)
-    assert verify_power(planted, wit, mu)
+    # a cube planted at start 101 makes the first witness; one planted at start 2, the
+    # first start of the copy, is the first witness
+    for at, first in ((100, (6, 154)), (1, (2, 1))):
+        xs = [int(x) for x in w.prefix(2000)]
+        xs[at : at + 3] = [2, 2, 2]
+        planted = from_finite(xs)
+        wit = find_kpower_mod_mu(planted, mu, 3, 2000)
+        C = image_prefix_sums(planted, mu, 2000)
+        assert (wit.start, wit.block_length) == _gapwise_rows_kpower(C, 3) == first
+        assert verify_power(planted, wit, mu)
 
 
 @pytest.mark.parametrize(
@@ -332,7 +341,7 @@ def test_monochromatic_ap_past_a_distinct_prefix(quiet, tail, terms, k, tiles):
     colors = list(range(100, 100 + quiet)) + tail
     brute = _bruteforce_ap(colors, terms, k)
     assert monochromatic_ap(colors, terms, k) == brute
-    with _tiles(*tiles):
+    with _tiles(tiles):
         assert monochromatic_ap(colors, terms, k) == brute
 
 
@@ -374,12 +383,12 @@ def test_verify_power_rejects_wrong_witness(thue_morse):
     st.sampled_from([8, 16, 32]),
     st.booleans(),
     st.integers(-(2**40), 2**40),
-    st.integers(16, 24),
+    st.integers(1, 24),
     st.integers(1, 3),
     st.sampled_from([2, 3]),
 )
 def test_colors_each_side_of_a_narrow_dtype(bits, wide, lo, s, g, terms):
-    # colors lo and lo + span alternate along (s, g) past the head; with span = 2^bits
+    # colors lo and lo + span alternate along (s, g) in the narrow copy; with span = 2^bits
     # a wrap-around int<bits> compare would take them for one color
     span = 2**bits if wide else 2**bits - 1
     colors = [lo + 1 + i for i in range(40)]
@@ -392,7 +401,7 @@ def test_colors_each_side_of_a_narrow_dtype(bits, wide, lo, s, g, terms):
 @given(
     st.sampled_from([8, 16, 32]),
     st.booleans(),
-    st.integers(16, 18),
+    st.integers(1, 18),
     st.integers(1, 3),
     st.randoms(use_true_random=False),
 )
@@ -409,17 +418,17 @@ def test_blocks_each_side_of_a_narrow_dtype(bits, wide, s, g, rnd):
     assert find_additive_kpower(from_finite(xs), 2, len(xs)) is None is _bruteforce_kpower(xs, 2)
 
 
-@pytest.mark.parametrize("tiles", [None, (3, 1), (13, 5)])
-def test_finish_blocks_find_a_smaller_start_at_a_larger_gap(tiles):
-    # the gap phase meets the square at (60, 1) first; the finish blocks, which scan
-    # starts 16..59 past the gaps already done, must return (30, 50) instead
+@pytest.mark.parametrize("tiles", [None, 3, 13])
+def test_least_start_beats_the_first_hit_of_the_gap_major_pass(tiles):
+    # the gap-major pass meets the square at (60, 1) first; it must go on over starts
+    # 1..59 at the larger gaps and return (30, 50) instead
     X = [100 + v for v in AP_FREE[:1400]]
     X[60:63] = [10**6, 10**6 + 1, 10**6 + 2]  # the only value progressions in X
     X[30], X[80], X[130] = 2 * 10**6, 2 * 10**6 + 5, 2 * 10**6 + 10
     xs = [b - a for a, b in zip(X, X[1:])]
     colors = list(range(1400))
     colors[61], colors[80] = colors[60], colors[30]
-    with _tiles(*tiles) if tiles else contextlib.nullcontext():
+    with _tiles(tiles) if tiles else contextlib.nullcontext():
         wit = find_additive_kpower(from_finite(xs), 2, len(xs))
         assert monochromatic_ap(colors, 2) == (31, 50)
     assert (wit.start, wit.block_length) == (31, 50)

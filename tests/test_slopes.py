@@ -19,6 +19,7 @@ from wordsums import (
     slope_estimate,
     unbounded_gap_word,
 )
+from wordsums import complexity
 
 
 def test_slope_estimate_periodic():
@@ -192,6 +193,19 @@ def test_factors_with_slope_on_unpacked_rows(xs, alpha, n_max):
     assert factors_with_slope(w, alpha, len(xs), n_max) == _bruteforce_slope_factors(
         xs, alpha, n_max
     )
+
+
+def test_packed_slope_count_is_not_refused_by_its_rows(monkeypatch):
+    # 8 * 60 * 8 bytes of factor rows are past the lowered guard; binary rows pack
+    # into keys and are counted, while rows too wide to pack are still refused
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 1000)
+    xs = [bin(i).count("1") % 2 for i in range(60)]
+    half = Fraction(1, 2)
+    got = factors_with_slope(from_finite(xs), half, 60, 8)
+    assert got == _bruteforce_slope_factors(xs, half, 8) > 0
+    # rows of n >= 2 letters +-2^40 do not pack, and n = 3 needs 3 * 60 * 8 > 1000 bytes
+    with pytest.raises(GuardError):
+        factors_with_slope(from_finite([2**40, -(2**40)] * 30), 0, 60, 8)
 
 
 def test_scaled_prefix_guard():
