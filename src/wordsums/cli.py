@@ -8,8 +8,9 @@ brackets; periodic takes a plain list instead and sec24 has no body.
 Values are comma-separated integers, but [<spec>|<spec>|...] holds a list
 of specs and (<spec>) nests one spec, at most _MAX_DEPTH brackets deep.  A
 repeated key is an error.  The splice schedule is the last field: one row
-per round, one length per source.  Whitespace around a separator or
-inside a bracket is ignored.
+per round, one length per source.  Whitespace around a separator or inside
+a bracket is ignored, even beside a ':' in a file path, which may hold no
+brackets.
 
     periodic:<c1,c2,...>
     morphic:<s>=<c,...>;...;seed=<s>

@@ -9,21 +9,22 @@ equivalent to bounded spread, where spread is max - min of the sums
 
 Every count runs one kernel.  The length-n window images W = C[n:] - C[:-n]
 of the prefix sums C (built once per call) are shifted per column by a lower
-bound and packed into one int64 key per row in mixed radix hi - lo + 1.
-`profile` takes lo and hi from the box [n * min, n * max] of the letter
-images (for symbol sums, the letter range the word's cache keeps) when its
-radix product is at most the number of windows; other image counts measure
-the min and max of W.  Keys are marked in a boolean presence table when
-their range is at most the number of windows, else sorted; rows whose radix
-product reaches 2^62 are not packed and are counted as a set of row bytes
-instead.  Counts come from the keys, and distinct keys decode into image
-points only for the spreads of t > 1 images.  Factor-set intersections
-count the shared keys of two words' factor rows, packed under one letter
-box; the unbounding guess in `morphisms` takes spreads of Parikh images.
+bound and packed in mixed radix hi - lo + 1 into one int64 key per row, or
+into a row of key pieces once the radix product reaches 2^62.  `profile`
+takes lo and hi from the box [n * min, n * max] of the letter images (for
+symbol sums, the letter range the word's cache keeps) when its radix product
+is at most the number of windows; other image counts measure the min and max
+of W.  Single keys whose range is at most the number of windows are marked in
+a boolean presence table; other keys are sorted, rows of pieces by lexsort.
+Counts come from the keys, and distinct keys decode into image points only
+for the spreads of t > 1 images.  Factor-set intersections count the shared
+keys of two words' factor rows, packed under one letter box; the unbounding
+guess in `morphisms` takes spreads of Parikh images.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -63,6 +64,11 @@ class LatticeMap:
         except OverflowError:
             raise ValueError(f"letters and images of {self!r} must fit int64") from None
 
+    @functools.cached_property
+    def images(self) -> dict[int, tuple[int, ...]]:
+        """Letter -> image in Python ints; a Parikh map reads it from its table when first asked."""
+        return dict(zip(self.alphabet.symbols, map(tuple, self._table.tolist())))
+
     @classmethod
     def sum_map(cls, alphabet: Alphabet) -> "LatticeMap":
         """t = 1 with mu(s) = s: plain symbol sums."""
@@ -70,12 +76,13 @@ class LatticeMap:
 
     @classmethod
     def parikh_map(cls, alphabet: Alphabet) -> "LatticeMap":
-        """Unit-vector images: mu(B) is the Parikh vector of B."""
+        """Unit-vector images, an identity table: mu(B) is the Parikh vector of B."""
         k = len(alphabet)
         _check_table(k, k, f"the Parikh map of {k} letters")
-        return cls(
-            {s: tuple(1 if j == i else 0 for j in range(k)) for i, s in enumerate(alphabet)}
-        )
+        mu = cls({s: (0,) for s in alphabet})  # placeholder images that check the letters
+        del mu.images  # now read from the identity table when first asked
+        mu.dim, mu._table = k, np.eye(k, dtype=np.int64)
+        return mu
 
     def of_word(self, B: FiniteWord) -> tuple[int, ...]:
         """mu(B), summed exactly in Python ints."""
@@ -99,7 +106,7 @@ class LatticeMap:
 
     def max_abs(self) -> int:
         """Largest |image coordinate|, exact in Python ints."""
-        return max(abs(x) for v in self.images.values() for x in v)
+        return max(int(self._table.max()), -int(self._table.min()))
 
     def __repr__(self) -> str:
         rules = ";".join(f"{s}={','.join(map(str, v))}" for s, v in self.images.items())
@@ -172,24 +179,34 @@ def image_prefix_sums(w: WordStream, mu: LatticeMap, L: int) -> np.ndarray:
     return C
 
 
-def _pack(W: np.ndarray, lo: list[int], radix: list[int]) -> Optional[np.ndarray]:
-    """One int64 key per row of W - lo in mixed radix, first column most significant;
-    None once the radix product reaches 2^62, where the keys could overflow."""
-    if math.prod(radix) >= _SUM_LIMIT:
-        return None
-    # t = 1 keys from lo = 0 are W's own column; wider keys are built in place
-    keys = W[:, 0] - lo[0] if lo[0] or len(radix) > 1 else W[:, 0]
-    for c in range(1, len(radix)):
-        keys *= radix[c]
-        keys += W[:, c] - lo[c]
-    return keys
+def _pieces(radix: list[int]) -> list[tuple[int, int]]:
+    """Greedy runs [a, b) of columns whose radix product stays below 2^62, or one column."""
+    runs, a, size = [], 0, 1
+    for c, r in enumerate(radix):
+        if c > a and size * r >= _SUM_LIMIT:
+            runs.append((a, c))
+            a, size = c, 1
+        size *= r
+    return runs + [(a, len(radix))]
 
 
-def pack_rows(C: np.ndarray) -> Optional[np.ndarray]:
-    """One int64 key per row of C, linear in the row; None if a key may overflow.
+def _pack(W: np.ndarray, lo: list[int], radix: list[int]) -> np.ndarray:
+    """Int64 keys of the rows of W - lo (each column must fit int64) in mixed radix, first
+    column most significant: one per row, else an (N, p) table of one per `_pieces` run."""
+    pieces = []
+    for a, b in _pieces(radix):
+        # a lone column from lo = 0 is W's own; wider keys are built in place
+        keys = W[:, a] - lo[a] if lo[a] or b - a > 1 else W[:, a]
+        for c in range(a + 1, b):
+            keys *= radix[c]
+            keys += W[:, c] - lo[c]
+        pieces.append(keys)
+    return pieces[0] if len(pieces) == 1 else np.stack(pieces, axis=1)
 
-    Column c gets radix 2*(max - min) + 1, so K[i] - K[j] identifies C[i] - C[j].
-    """
+
+def pack_rows(C: np.ndarray) -> np.ndarray:
+    """Int64 keys of the rows of C (see _pack), linear in the row: column c gets radix
+    2*(max - min) + 1, so K[i] - K[j] identifies C[i] - C[j]."""
     lo = C.min(axis=0).tolist()
     return _pack(C, lo, [2 * (h - l) + 1 for l, h in zip(lo, C.max(axis=0).tolist())])
 
@@ -200,56 +217,37 @@ def window_images(w: WordStream, mu: LatticeMap, n: int, L: int) -> np.ndarray:
     return _windows(image_prefix_sums(w, mu, L), n)
 
 
-def _distinct_keys(W: np.ndarray, box: Optional[tuple] = None) -> Optional[tuple]:
-    """Sorted distinct packed keys of the rows of W with the lo and radix that decode
-    them, or None for rows too wide to pack.  A per-column box (lo, hi) known to hold
-    W replaces the min/max scans whenever its radix product fits the window count."""
+def _distinct_keys(W: np.ndarray, box: Optional[tuple] = None) -> tuple:
+    """Sorted distinct keys of the rows of W (see _pack) with the lo and radix that decode
+    them; counts need no decode.  A per-column box (lo, hi) known to hold W replaces the
+    min/max scans whenever its radix product fits the window count."""
     if box is None or math.prod(h - l + 1 for l, h in zip(*box)) > len(W):
         box = W.min(axis=0).tolist(), W.max(axis=0).tolist()
-    lo, radix = box[0], [h - l + 1 for l, h in zip(*box)]
+    radix = [h - l + 1 for l, h in zip(*box)]
+    lo = [0 if r >= _SUM_LIMIT else l for l, r in zip(box[0], radix)]  # too wide to shift
     keys = _pack(W, lo, radix)
-    if keys is None:
-        return None
     size = math.prod(radix)
-    if size <= len(keys):
-        seen = np.zeros(size, dtype=bool)
-        seen[keys] = True
-        keys = np.flatnonzero(seen)
-    else:
-        keys = _sorted_distinct(keys)
-    return keys, lo, radix
-
-
-def _row_bytes(W: np.ndarray) -> set:
-    """The distinct rows of W as a set of bytes: the fallback for rows too wide to pack."""
-    if W.strides[-1] != W.itemsize:
-        W = np.ascontiguousarray(W)
-    return set(W.view(np.dtype((np.void, W.itemsize * W.shape[1]))).ravel().tolist())
+    if size > len(keys):
+        return _sorted_distinct(keys), lo, radix
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen), lo, radix
 
 
 def _distinct_images(W: np.ndarray, box: Optional[tuple] = None) -> np.ndarray:
-    """The reduction: distinct rows of the window images W, in lexicographic order
-    when they pack; rows too wide to pack come from a set of row bytes, unordered."""
-    packed = _distinct_keys(W, box)
-    if packed is None:
-        return np.frombuffer(b"".join(_row_bytes(W)), dtype=W.dtype).reshape(-1, W.shape[1])
-    keys, lo, radix = packed
+    """The reduction: distinct rows of the window images W, in lexicographic order."""
+    keys, lo, radix = _distinct_keys(W, box)
     U = np.empty((len(keys), len(radix)), dtype=np.int64)
-    for c in range(len(radix) - 1, 0, -1):
-        keys, U[:, c] = np.divmod(keys, radix[c])
-    U[:, 0] = keys
+    for (a, b), piece in zip(_pieces(radix), keys.reshape(len(keys), -1).T):
+        for c in range(b - 1, a, -1):
+            piece, U[:, c] = np.divmod(piece, radix[c])
+        U[:, a] = piece
     return U + np.array(lo, dtype=np.int64)
-
-
-def _distinct_count(W: np.ndarray) -> int:
-    """How many distinct rows W has; packed keys are counted without decoding them."""
-    packed = _distinct_keys(W)
-    return len(_row_bytes(W) if packed is None else packed[0])
 
 
 def additive_complexity(w: WordStream, n: int, L: int) -> int:
     """Number of distinct length-n window sums in the length-L prefix."""
-    return _distinct_count(window_sums(w, n, L)[:, None])
+    return len(_distinct_keys(window_sums(w, n, L)[:, None])[0])
 
 
 def sum_spread(w: WordStream, n: int, L: int) -> int:
@@ -259,7 +257,7 @@ def sum_spread(w: WordStream, n: int, L: int) -> int:
 
 def lattice_complexity(w: WordStream, mu: LatticeMap, n: int, L: int) -> int:
     """Number of distinct mu-images of length-n windows."""
-    return _distinct_count(window_images(w, mu, n, L))
+    return len(_distinct_keys(window_images(w, mu, n, L))[0])
 
 
 def _abelian_map(w: WordStream, L: int) -> LatticeMap:
@@ -377,13 +375,18 @@ def naive_complexity_oracle(
     return len(seen)
 
 
+def _factor_keys(prefix: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
+    """Keys of the length-n factors of the prefix in the letter box [lo, hi], refused past
+    the memory guard by the (L - n + 1) x p table of pieces they fill."""
+    radix, R = [hi - lo + 1] * n, np.lib.stride_tricks.sliding_window_view(prefix, n)
+    _check_table(len(R), len(_pieces(radix)), f"factor keys for n={n}, L={len(prefix)}")
+    return _pack(R, [lo] * n, radix)
+
+
 def factor_set_intersection(w1: WordStream, w2: WordStream, n: int, L: int) -> int:
     """How many distinct length-n factors the two prefixes share."""
     _check_window(n, L)
-    R1, R2 = (np.lib.stride_tricks.sliding_window_view(w.prefix(L), n) for w in (w1, w2))
+    X1, X2 = w1.prefix(L), w2.prefix(L)  # read first: the box is the range the caches hold
     lo, hi = min(w1._lo, w2._lo), max(w1._hi, w2._hi)  # one box, so equal rows get equal keys
-    K1, K2 = (_pack(R, [lo] * n, [hi - lo + 1] * n) for R in (R1, R2))
-    if K1 is None:  # rows too wide to pack are held as bytes
-        _check_table(n, L, f"window table for n={n}, L={L}")
-        return len(_row_bytes(R1) & _row_bytes(R2))
-    return len(np.intersect1d(_sorted_distinct(K1), _sorted_distinct(K2), assume_unique=True))
+    U1, U2 = (_sorted_distinct(_factor_keys(X, n, lo, hi)) for X in (X1, X2))
+    return len(U1) + len(U2) - len(_sorted_distinct(np.concatenate((U1, U2))))

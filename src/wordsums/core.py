@@ -58,8 +58,11 @@ def _int64(values: Sequence[int], what: str) -> np.ndarray:
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1-D array, ascending: a sort and a neighbour mask, several
-    times faster than the hash table np.unique uses when it returns nothing else."""
+    """Distinct values of a 1-D array, ascending, or rows of a 2-D one, lexicographic: a sort
+    and a neighbour mask, several times faster than the hash table np.unique uses."""
+    if values.ndim > 1:  # a row starts a new value where any of its columns does
+        values = values[np.lexsort(values.T[::-1])]
+        return values[np.concatenate(([True], (values[1:] != values[:-1]).any(axis=1)))]
     values = np.sort(values)
     keep = np.ones(values.size, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=keep[1:])

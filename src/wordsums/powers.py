@@ -11,11 +11,11 @@ reads the prefix in place, the rest go gap-major over one copy of it in
 the narrowest integer dtype (int8 to int64) whose wrap-around equality is
 still exact.  The prefix guard (L <= 10^6 unless the caller raises
 `limit`) bounds that work.  mu-images compare as one int64 key per prefix
-row (`complexity.pack_rows`: column c in mixed radix 2*(max - min) + 1, so
-key differences identify row differences), or as whole rows once that
-radix product reaches 2^62.  Words of bounded sum spread still contain
-additive k-powers for every k; the slope-constrained search finds them
-through monochromatic arithmetic progressions in the chi coloring.
+row, or a row of key pieces (`complexity.pack_rows`: column c in mixed radix
+2*(max - min) + 1, so key differences identify row differences).  Words of
+bounded sum spread still contain additive k-powers for every k; the
+slope-constrained search finds them through monochromatic arithmetic
+progressions in the chi coloring.
 """
 
 from __future__ import annotations
@@ -164,8 +164,7 @@ def find_kpower_mod_mu(
     """Like find_additive_kpower, but blocks must share their mu-image."""
     _check_power_args(k, L, limit)
     C = image_prefix_sums(w, mu, L)
-    K = pack_rows(C)
-    return _block_power(C if K is None else K, C, k)
+    return _block_power(pack_rows(C), C, k)
 
 
 def monochromatic_ap(

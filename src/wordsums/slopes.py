@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .complexity import _check_table, _check_window, _pack, _row_bytes, _windows
+from .complexity import _check_window, _factor_keys, _windows
 from .core import _SUM_LIMIT, GuardError, WordStream, _sorted_distinct, word_slope
 
 Rational = Union[int, Fraction]
@@ -182,15 +182,9 @@ def factors_with_slope(w: WordStream, alpha: Rational, L: int, n_max: int) -> in
     p, q = a.numerator, a.denominator
     prefix = w.prefix(L)
     P = w.prefix_sums(L)
-    lo, hi = w._lo, w._hi
     total = 0
     for n in range(q, n_max + 1, q):
-        target = p * (n // q)
-        hits = np.flatnonzero(_windows(P, n) == target)
+        hits = np.flatnonzero(_windows(P, n) == p * (n // q))
         if hits.size:
-            rows = np.lib.stride_tricks.sliding_window_view(prefix, n)
-            keys = _pack(rows, [lo] * n, [hi - lo + 1] * n)
-            if keys is None:  # rows too wide to pack are held as bytes
-                _check_table(n, L, f"window table for n={n}, L={L}")
-            total += len(_row_bytes(rows[hits]) if keys is None else _sorted_distinct(keys[hits]))
+            total += len(_sorted_distinct(_factor_keys(prefix, n, w._lo, w._hi)[hits]))
     return total

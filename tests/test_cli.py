@@ -154,6 +154,12 @@ def test_file_spec(tmp_path):
         parse_word_spec(f"file:{empty}")
 
 
+def test_file_path_with_a_bracket_exits_2(capsys):
+    # a path is parsed by the spec grammar, so it may hold no brackets
+    assert main(["slope", "file:a(b.txt"]) == 2
+    assert "unbalanced brackets" in capsys.readouterr().err
+
+
 def test_splice_of_a_file_names_its_spec_where_it_ends(tmp_path, capsys):
     p = tmp_path / "w3.txt"
     p.write_text("1 2 3")
@@ -357,6 +363,10 @@ def test_intersect(capsys):
     out = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert out == ["n,shared", "3,2"]
+    # factors of 1000 letters are counted through their key pieces
+    rc = main(["intersect", "periodic:0,1", "periodic:1,0", "--n", "1000", "-L", "30000"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == ["n,shared", "1000,2"]
 
 
 def test_explain_prints_canonical(capsys):

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from wordsums import (
     periodic,
     profile,
     sum_spread,
+    unbounded_gap_word,
     window_sums,
 )
 from wordsums import complexity
@@ -153,10 +156,37 @@ def test_oracle_guard():
         naive_complexity_oracle(periodic([0, 1]), None, 2, 20_001)
 
 
-def test_window_table_guard():
-    # 1000 * 30000 * 8 bytes of factor rows is past the 2e8-byte guard
-    with pytest.raises(GuardError):
-        factor_set_intersection(periodic([0, 1]), periodic([1, 0]), 1000, 30_000)
+def test_window_table_guard(monkeypatch):
+    # binary factors of length 100 take two pieces of at most 61 letters each, so
+    # each word's key table holds (1000 - 100 + 1) * 2 * 8 = 14416 bytes
+    w1, w2 = periodic([0, 1]), periodic([1, 0])
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 14_415)
+    with pytest.raises(GuardError, match="factor keys for n=100, L=1000"):
+        factor_set_intersection(w1, w2, 100, 1000)
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 14_416)
+    assert factor_set_intersection(w1, w2, 100, 1000) == 2
+
+
+def test_long_factors_intersect_through_their_pieces():
+    # rows of 1000 letters were refused as an n * L table of cells; 17 pieces fit
+    shared = factor_set_intersection(periodic([0, 1]), periodic([1, 0]), 1000, 30_000)
+    assert shared == _bruteforce_shared([0, 1] * 15_000, [1, 0] * 15_000, 1000) == 2
+
+
+def test_factor_intersection_of_rows_too_wide_to_pack_stays_small(thue_morse):
+    # 40 letters over {0, 1, 2} take two pieces per factor: a few MB of keys, where a
+    # set of 10^5 row objects per word took 70 MB
+    sec24 = unbounded_gap_word()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        shared = factor_set_intersection(thue_morse, sec24, 40, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30_000_000
+    assert shared == _bruteforce_shared(thue_morse.prefix(10**5).tolist(),
+                                        sec24.prefix(10**5).tolist(), 40)
 
 
 def test_packed_factor_count_is_not_refused_by_its_rows(monkeypatch):
@@ -258,20 +288,22 @@ def test_lattice_profile_spread_is_squared_distance(thue_morse):
         lambda t: st.lists(
             st.lists(st.integers(-5, 5), min_size=t, max_size=t), min_size=1, max_size=8
         )
-    )
+    ),
+    st.sampled_from([1, 2**40]),
 )
-def test_pack_rows_separates_row_differences(rows):
-    C = np.array(rows, dtype=np.int64)
+def test_pack_rows_separates_row_differences(rows, scale):
+    # at scale 2^40, t = 2..3 rows have radix products past 2^62 and split into pieces
+    C = np.array(rows, dtype=np.int64) * scale
     K = pack_rows(C)
     pairs = list(itertools.product(range(len(rows)), repeat=2))
     for (i, j), (k, l) in itertools.product(pairs, repeat=2):
         same_rows = np.array_equal(C[j] - C[i], C[l] - C[k])
-        assert same_rows == (K[j] - K[i] == K[l] - K[k])
+        assert same_rows == np.array_equal(K[j] - K[i], K[l] - K[k])
 
 
-def test_pack_rows_refuses_keys_past_int64():
+def test_pack_rows_splits_keys_past_int64():
     C = np.array([[0, 0], [2**40, 2**40]], dtype=np.int64)
-    assert pack_rows(C) is None
+    assert pack_rows(C).tolist() == [[0, 0], [2**40, 2**40]]  # one piece per column
 
 
 # -- the distinct-count kernel, one test per branch ------------------------
@@ -281,12 +313,13 @@ B40, B30 = 2**40, 2**30
 
 def _branch(windows):
     """The branch the kernel takes on these window images, by its rule;
-    "bincount" is the presence table, sized by the radix product."""
+    "bincount" is the presence table, sized by the radix product, and
+    "pieces" sorts rows packed into more than one key."""
     radix = 1
     for col in zip(*windows):
         radix *= max(col) - min(col) + 1
     if radix >= 2**62:
-        return "rows"
+        return "pieces"
     return "bincount" if radix <= len(windows) else "sort"
 
 
@@ -321,7 +354,7 @@ def _check_profile(xs, kind, n_max, branch, images=None, branch_from=1):
     [
         ((0, 1, 2), 1, 3, "bincount"),  # at most 3^3 = 27 keys, at least 34 windows
         ((0, 9), 2, 4, "sort"),  # at least 10^2 keys, at most 55 windows
-        ((-B40, 1, B40), 2, 4, "rows"),  # (2^41 + 1)^2 > 2^62
+        ((-B40, 1, B40), 2, 4, "pieces"),  # (2^41 + 1)^2 > 2^62
     ],
 )
 @settings(max_examples=40, deadline=None)
@@ -384,13 +417,13 @@ def test_profile_refuses_to_pack_t3_images_near_2_30(xs, offsets, n_max):
     images.update({s: tuple(sg * B30 + d for sg, d in (next(signs), next(signs), next(signs)))
                    for s in (2, 3)})
     word = [0, 0, 0, 1, 1, 1] + xs
-    _check_profile(word, "lattice", n_max, "rows", images)
+    _check_profile(word, "lattice", n_max, "pieces", images)
 
 
 def test_profile_refuses_to_pack_keys_just_past_int64():
     # radix product (B + 1)^2 is about 2^63.06: packed keys would wrap past int64
     B = 3_100_000_000
-    _check_profile([0, 1, 1, 0, 2], "lattice", 1, "rows", {0: (0, 0), 1: (B, B), 2: (B, 0)})
+    _check_profile([0, 1, 1, 0, 2], "lattice", 1, "pieces", {0: (0, 0), 1: (B, B), 2: (B, 0)})
 
 
 def _box_fits(imgs, n, L):
@@ -461,13 +494,16 @@ def test_concurrent_profiles_see_the_range_of_what_they_read():
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 3),
-    st.lists(st.integers(-50, 50), min_size=3, max_size=3),
+    st.lists(st.integers(-50, 50) | st.integers(-50, 50).map(lambda d: d + 2**40)
+             | st.integers(-50, 50).map(lambda d: d - 2**40), min_size=3, max_size=3),
     st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
              min_size=1, max_size=150),
     st.lists(st.integers(0, 2), min_size=6, max_size=6),
+    st.sampled_from([1, 2**40]),
 )
-def test_distinct_images_with_and_without_a_box_match_unique(t, base, offs, slack):
-    W = np.array(offs, dtype=np.int64)[:, :t] + np.array(base[:t], dtype=np.int64)
+def test_distinct_images_with_and_without_a_box_match_unique(t, base, offs, slack, scale):
+    # bases near +-2^40 and offsets scaled by 2^40: rows of t >= 2 split into pieces
+    W = np.array(offs, dtype=np.int64)[:, :t] * scale + np.array(base[:t], dtype=np.int64)
     lo, hi = W.min(axis=0).tolist(), W.max(axis=0).tolist()
     # a box loose by 0..2 on each side, which may or may not fit len(W), and a
     # zero lower corner, where t = 1 keys are the images themselves
@@ -476,7 +512,7 @@ def test_distinct_images_with_and_without_a_box_match_unique(t, base, offs, slac
         before = V.copy()
         expected = np.unique(V, axis=0)
         assert np.array_equal(_distinct_images(V, box), expected)
-        assert complexity._distinct_count(V) == len(expected)
+        assert len(complexity._distinct_keys(V)[0]) == len(expected)
         assert np.array_equal(V, before)
 
 
@@ -527,7 +563,7 @@ def test_unpacked_t1_rows_reduce_to_their_set():
     # max|s| * L < 2^62; the spread of these rows is 2^63, past int64
     W = np.array([[2**62], [0], [-(2**62)], [0], [2**62]], dtype=np.int64)
     U = _distinct_images(W)
-    assert sorted(U[:, 0].tolist()) == [-(2**62), 0, 2**62]
+    assert U[:, 0].tolist() == [-(2**62), 0, 2**62]
     assert int(U.max()) - int(U.min()) == 2**63
 
 

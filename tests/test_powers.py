@@ -196,11 +196,11 @@ def test_mod_mu_matches_bruteforce(quiet, tail, imgs, k, tiles):
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, 2), max_size=100), st.integers(2, 3))
 def test_mod_mu_unpacked_rows_match_bruteforce(tail, k):
-    # images near 2**40 in both columns leave no room for a packed int64 key per row
+    # images near 2**40 in both columns leave no room for one int64 key per row
     xs = [0, 1] + tail
     images = {0: (2**40, 1), 1: (1, 2**40), 2: (2**40 - 1, 2**40)}
     C = image_prefix_sums(from_finite(xs), LatticeMap(images), len(xs))
-    assert pack_rows(C) is None
+    assert pack_rows(C).shape == (len(C), 2)
     _check_mod_mu_against_bruteforce(xs, images, k)
 
 
@@ -219,12 +219,12 @@ def _gapwise_rows_kpower(C, k):
 
 
 def test_mod_mu_unpacked_rows_past_the_head():
-    # Dekking's abelian-cube-free word under images too wide to pack: every start
-    # past the first goes through the gap-major pass as whole rows
+    # Dekking's abelian-cube-free word under images too wide for one key: every start
+    # past the first goes through the gap-major pass as rows of pieces
     w = morphic_fixed_point(Morphism(DEKKING3), 0)
     mu = LatticeMap({0: (2**40, 1), 1: (1, 2**40), 2: (2**40 - 1, 2**40)})
     C = image_prefix_sums(w, mu, 2000)
-    assert pack_rows(C) is None
+    assert pack_rows(C).shape == (len(C), 2)
     assert find_kpower_mod_mu(w, mu, 3, 2000) is None
     assert _gapwise_rows_kpower(C, 3) is None
     # a cube planted at start 101 makes the first witness; one planted at start 2, the

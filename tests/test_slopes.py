@@ -186,7 +186,7 @@ def test_factors_with_slope_matches_bruteforce(xs, p, q, n_max, late):
 )
 def test_factors_with_slope_on_unpacked_rows(xs, alpha, n_max):
     # at slope 0 the head's rows (B, -B) and (-B, B) span (2^41 + 1)^2 > 2^62,
-    # so those counts always take the unpacked path; slope 1/3 often does
+    # so those counts always take one key piece per letter; slope 1/3 often does
     xs = [2**40, -(2**40), -(2**40), 2**40] + xs
     n_max = min(n_max, len(xs))
     w = from_finite(xs)
@@ -197,13 +197,14 @@ def test_factors_with_slope_on_unpacked_rows(xs, alpha, n_max):
 
 def test_packed_slope_count_is_not_refused_by_its_rows(monkeypatch):
     # 8 * 60 * 8 bytes of factor rows are past the lowered guard; binary rows pack
-    # into keys and are counted, while rows too wide to pack are still refused
+    # into one key each and are counted, while wider key tables are still refused
     monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 1000)
     xs = [bin(i).count("1") % 2 for i in range(60)]
     half = Fraction(1, 2)
     got = factors_with_slope(from_finite(xs), half, 60, 8)
     assert got == _bruteforce_slope_factors(xs, half, 8) > 0
-    # rows of n >= 2 letters +-2^40 do not pack, and n = 3 needs 3 * 60 * 8 > 1000 bytes
+    # letters +-2^40 take one piece each, and the first length of slope 0 past the guard
+    # is n = 4, whose table of 57 * 4 pieces needs 1824 > 1000 bytes
     with pytest.raises(GuardError):
         factors_with_slope(from_finite([2**40, -(2**40)] * 30), 0, 60, 8)
 
