@@ -314,12 +314,12 @@ B40, B30 = 2**40, 2**30
 def _branch(windows):
     """The branch the kernel takes on these window images, by its rule;
     "bincount" is the presence table, sized by the radix product, and
-    "pieces" sorts rows packed into more than one key."""
+    "rows" sorts rows packed into more than one key piece."""
     radix = 1
     for col in zip(*windows):
         radix *= max(col) - min(col) + 1
     if radix >= 2**62:
-        return "pieces"
+        return "rows"
     return "bincount" if radix <= len(windows) else "sort"
 
 
@@ -354,7 +354,7 @@ def _check_profile(xs, kind, n_max, branch, images=None, branch_from=1):
     [
         ((0, 1, 2), 1, 3, "bincount"),  # at most 3^3 = 27 keys, at least 34 windows
         ((0, 9), 2, 4, "sort"),  # at least 10^2 keys, at most 55 windows
-        ((-B40, 1, B40), 2, 4, "pieces"),  # (2^41 + 1)^2 > 2^62
+        ((-B40, 1, B40), 2, 4, "rows"),  # (2^41 + 1)^2 > 2^62
     ],
 )
 @settings(max_examples=40, deadline=None)
@@ -417,13 +417,13 @@ def test_profile_refuses_to_pack_t3_images_near_2_30(xs, offsets, n_max):
     images.update({s: tuple(sg * B30 + d for sg, d in (next(signs), next(signs), next(signs)))
                    for s in (2, 3)})
     word = [0, 0, 0, 1, 1, 1] + xs
-    _check_profile(word, "lattice", n_max, "pieces", images)
+    _check_profile(word, "lattice", n_max, "rows", images)
 
 
 def test_profile_refuses_to_pack_keys_just_past_int64():
     # radix product (B + 1)^2 is about 2^63.06: packed keys would wrap past int64
     B = 3_100_000_000
-    _check_profile([0, 1, 1, 0, 2], "lattice", 1, "pieces", {0: (0, 0), 1: (B, B), 2: (B, 0)})
+    _check_profile([0, 1, 1, 0, 2], "lattice", 1, "rows", {0: (0, 0), 1: (B, B), 2: (B, 0)})
 
 
 def _box_fits(imgs, n, L):
