@@ -7,27 +7,30 @@ images under an additive map mu: S* -> Z^t.  Bounded complexity is
 equivalent to bounded spread, where spread is max - min of the sums
 (t = 1) or the max squared Euclidean distance between images (t > 1).
 
-Every count runs one kernel.  The length-n window images W = C[n:] - C[:-n]
-of the prefix sums C (built once per call) are shifted per column by a lower
-bound and packed in mixed radix hi - lo + 1 into one int64 key per row, or
-into a row of key pieces once the radix product reaches 2^62.  `profile`
-takes lo and hi from the box [n * min, n * max] of the letter images (for
-symbol sums, the letter range the word's cache keeps) when its radix product
-is at most the number of windows; other image counts measure the min and max
-of W.  Single keys whose range is at most the number of windows are marked in
-a boolean presence table; other keys are sorted, rows of pieces by lexsort.
-Counts come from the keys, and distinct keys decode into image points only
-for the spreads of t > 1 images.  Factor-set intersections count the shared
-keys of two words' factor rows, packed under one letter box; the unbounding
-guess in `morphisms` takes spreads of Parikh images.
+Every count runs one kernel on one int64 key prefix per call.  The radices
+R_c = n_max * (hi_c - lo_c) + 1 come from the range [lo_c, hi_c] of each
+column of the letter images, and letter s weighs omega(s) = sum_c (mu(s)_c -
+lo_c) * place_c in mixed radix, so the key of a length-n window is the window
+sum S[i + n] - S[i] of the prefix sums S of omega; symbol sums weigh s - lo,
+and S is the word's cache itself when its least letter is 0.  Past 2^62 the
+columns split into runs of key pieces, one weighted prefix each.  Each length
+n subtracts into one reused buffer, and the keys, all in [0, n * top], take
+one of four reductions: a 64-bit mask of the keys when n * top < 64, with no
+min/max scan; the same mask after a scan when the keys span fewer than 64
+values; a boolean presence table when they span at most the number of
+windows; and a sort otherwise (a lexsort for rows of pieces).  Sums read their
+count and spread off the mask or the sorted keys, and distinct keys decode
+into image points only for the spreads of lattice images.  Factor-set
+intersections count the shared keys of two words' factor rows, packed under
+one letter box; the unbounding guess in `morphisms` takes spreads of Parikh
+images.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +41,7 @@ _DIAMETER_MAX_POINTS = 100_000
 _DIAMETER_MAX_PAIRS = 500_000  # about 0.3 s of the Python-int overflow path
 _DIAMETER_BLOCK_BYTES = 1 << 20  # cache-sized: faster and leaner than larger blocks
 _WINDOW_BYTES_LIMIT = 200_000_000
+_KEY_CHUNK = 1 << 14  # letters weighed per step of a lattice key prefix
 
 
 class LatticeMap:
@@ -154,6 +158,14 @@ def _check_table(rows: int, cols: int, what: str) -> None:
         raise GuardError(f"{what} exceeds the memory guard")
 
 
+def _check_images(mu: LatticeMap, L: int) -> None:
+    """Refuse prefix sums of mu's images that may overflow int64, or whose (L + 1) x t
+    table is past the memory guard, before a symbol is read."""
+    if mu.max_abs() * (L + 1) >= _SUM_LIMIT:
+        raise GuardError("lattice prefix sums may overflow int64")
+    _check_table(L + 1, mu.dim, f"image table for L={L}, t={mu.dim}")
+
+
 def _windows(C: np.ndarray, n: int) -> np.ndarray:
     """The window kernel: images of every length-n window, from prefix sums C."""
     return C[n:] - C[:-n]
@@ -169,9 +181,7 @@ def image_prefix_sums(w: WordStream, mu: LatticeMap, L: int) -> np.ndarray:
     """C[i] = mu(w(1..i)) for i = 0..L, column-major (L+1, t).
 
     Refuses int64 overflow and a table past the memory guard before reading a symbol."""
-    if mu.max_abs() * (L + 1) >= _SUM_LIMIT:
-        raise GuardError("lattice prefix sums may overflow int64")
-    _check_table(L + 1, mu.dim, f"image table for L={L}, t={mu.dim}")
+    _check_images(mu, L)
     idx = mu.letter_indices(w.prefix(L))
     C = np.zeros((L + 1, mu.dim), dtype=np.int64, order="F")
     for c in range(mu.dim):
@@ -217,37 +227,111 @@ def window_images(w: WordStream, mu: LatticeMap, n: int, L: int) -> np.ndarray:
     return _windows(image_prefix_sums(w, mu, L), n)
 
 
-def _distinct_keys(W: np.ndarray, box: Optional[tuple] = None) -> tuple:
-    """Sorted distinct keys of the rows of W (see _pack) with the lo and radix that decode
-    them; counts need no decode.  A per-column box (lo, hi) known to hold W replaces the
-    min/max scans whenever its radix product fits the window count."""
-    if box is None or math.prod(h - l + 1 for l, h in zip(*box)) > len(W):
-        box = W.min(axis=0).tolist(), W.max(axis=0).tolist()
-    radix = [h - l + 1 for l, h in zip(*box)]
-    lo = [0 if r >= _SUM_LIMIT else l for l, r in zip(box[0], radix)]  # too wide to shift
-    keys = _pack(W, lo, radix)
-    size = math.prod(radix)
-    if size > len(keys):
-        return _sorted_distinct(keys), lo, radix
-    seen = np.zeros(size, dtype=bool)
-    seen[keys] = True
-    return np.flatnonzero(seen), lo, radix
+def _reduce(K: np.ndarray, top: int) -> tuple[int, int, Optional[np.ndarray]]:
+    """The reduction of one row of keys K, each in [0, top], overwriting K.
+
+    Returns (mask, base, None), where bit i of the Python int mask marks the key base + i,
+    when the keys span fewer than 64 values; else (0, 0, the sorted distinct keys).  The
+    box picks the tier first: a top below 64 needs no min/max scan.
+    """
+    base = 0
+    if top >= 64:
+        base = int(K.min())
+        span = int(K.max()) - base
+        if span >= 64:
+            if span >= len(K):
+                return 0, 0, _sorted_distinct(K)
+            seen = np.zeros(span + 1, dtype=bool)
+            seen[np.subtract(K, base, out=K)] = True
+            return 0, 0, np.flatnonzero(seen) + base
+        K -= base
+    bits = K.view(np.uint64)
+    np.left_shift(np.uint64(1), bits, out=bits)
+    return int(np.bitwise_or.reduce(bits)), base, None
 
 
-def _distinct_images(W: np.ndarray, box: Optional[tuple] = None) -> np.ndarray:
-    """The reduction: distinct rows of the window images W, in lexicographic order."""
-    keys, lo, radix = _distinct_keys(W, box)
+def _bits(mask: int) -> np.ndarray:
+    """Positions of the set bits of a 64-bit mask, ascending."""
+    octets = np.array([mask], dtype="<u8").view(np.uint8)
+    return np.flatnonzero(np.unpackbits(octets, bitorder="little"))
+
+
+def _decode(keys: np.ndarray, n: int, lo: list[int], radix: list[int]) -> np.ndarray:
+    """Image points of distinct length-n window keys (one per row, or a row of pieces)."""
     U = np.empty((len(keys), len(radix)), dtype=np.int64)
     for (a, b), piece in zip(_pieces(radix), keys.reshape(len(keys), -1).T):
         for c in range(b - 1, a, -1):
             piece, U[:, c] = np.divmod(piece, radix[c])
         U[:, a] = piece
-    return U + np.array(lo, dtype=np.int64)
+    return U + np.array([n * x for x in lo], dtype=np.int64)
+
+
+def _key_rows(
+    w: WordStream, mu: Optional[LatticeMap], ns: range, L: int, spreads: bool
+) -> Iterator[ProfileRow]:
+    """The kernel: a ProfileRow for each n in ns, from one int64 key prefix of w(1..L).
+
+    Letter s weighs omega(s) = sum_c (mu(s)_c - lo_c) * place_c, where column c of the
+    letter images spans [lo_c, hi_c] and place_c is the product of the radices
+    R_c = n_max * (hi_c - lo_c) + 1 after c, so the key S[i + n] - S[i] of a length-n
+    window, with S the prefix sums of omega, is its image in mixed radix.  Past 2^62 the
+    columns split into `_pieces` runs, one weighted prefix each.  Symbol sums (mu None)
+    weigh s - lo with lo the least letter cached: S is the cache itself when lo = 0.
+    S may wrap past int64, but every key lies in [0, n * max omega] < 2^63, and
+    differences are exact modulo 2^64.  Spreads are max - min for symbol sums; image
+    spreads decode the distinct keys into points, and are 0 unless `spreads`.
+    """
+    if mu is None:
+        C = w.prefix_sums(L)
+        lo, top = w._lo, w._hi - w._lo  # the range the cache holds, read after the prefix
+        _check_table(2 * L + 1 if lo else L, 1, f"window keys for L={L}")
+        S = C
+        if lo:
+            S = np.arange(L + 1, dtype=np.int64)
+            S *= -lo
+            S += C
+    else:
+        _check_images(mu, L)
+        T = mu._table
+        lo, hi = T.min(axis=0).tolist(), T.max(axis=0).tolist()
+        radix = [ns[-1] * (h - l) + 1 for l, h in zip(lo, hi)]
+        omega = _pack(T, lo, radix)
+        _check_table(2 * L + 1, len(_pieces(radix)), f"window keys for L={L}, t={mu.dim}")
+        top = int(omega.max())
+        C = w.prefix_sums(L)
+        S = np.empty((L + 1,) + omega.shape[1:], dtype=np.int64)
+        S[0] = 0
+        for a in range(0, L, _KEY_CHUNK):  # bounded temporaries: letter indices per chunk
+            seg = S[a + 1 : a + _KEY_CHUNK + 1]
+            np.take(omega, mu.letter_indices(np.diff(C[a : a + len(seg) + 1])), axis=0, out=seg)
+            np.cumsum(seg, axis=0, out=seg)
+            seg += S[a]
+    buf = np.empty((L,) + S.shape[1:], dtype=np.int64)
+    for n in ns:
+        K = np.subtract(S[n:], S[:-n], out=buf[: L - n + 1])
+        mask, base, keys = _reduce(K, n * top) if K.ndim == 1 else (0, 0, _sorted_distinct(K))
+        count = mask.bit_count() if keys is None else len(keys)
+        spread = 0
+        if mu is None:  # straight off the mask or the sorted keys
+            if keys is None:
+                spread = mask.bit_length() - (mask & -mask).bit_length()
+            else:
+                spread = int(keys[-1]) - int(keys[0])
+        elif spreads:
+            if keys is None:
+                keys = _bits(mask) + base
+            spread = _points_diameter_sq(_decode(keys, n, lo, radix))
+        yield ProfileRow(n, count, spread)
+
+
+def _row(w: WordStream, mu: Optional[LatticeMap], n: int, L: int, spreads: bool) -> ProfileRow:
+    _check_window(n, L)
+    return next(_key_rows(w, mu, range(n, n + 1), L, spreads))
 
 
 def additive_complexity(w: WordStream, n: int, L: int) -> int:
     """Number of distinct length-n window sums in the length-L prefix."""
-    return len(_distinct_keys(window_sums(w, n, L)[:, None])[0])
+    return _row(w, None, n, L, False).count
 
 
 def sum_spread(w: WordStream, n: int, L: int) -> int:
@@ -257,7 +341,7 @@ def sum_spread(w: WordStream, n: int, L: int) -> int:
 
 def lattice_complexity(w: WordStream, mu: LatticeMap, n: int, L: int) -> int:
     """Number of distinct mu-images of length-n windows."""
-    return len(_distinct_keys(window_images(w, mu, n, L))[0])
+    return _row(w, mu, n, L, False).count
 
 
 def _abelian_map(w: WordStream, L: int) -> LatticeMap:
@@ -303,7 +387,7 @@ def _points_diameter_sq(U: np.ndarray) -> int:
 
 def lattice_spread(w: WordStream, mu: LatticeMap, n: int, L: int) -> int:
     """Max squared Euclidean distance between window images, exact."""
-    return _points_diameter_sq(_distinct_images(window_images(w, mu, n, L)))
+    return _row(w, mu, n, L, True).spread
 
 
 def profile(
@@ -328,24 +412,7 @@ def profile(
         raise ValueError("mu only applies to kind='lattice'")
     if kind == "abelian":
         mu = _abelian_map(w, L)
-    # every length-n window image lies in the box [n * lo, n * hi]
-    if mu is None:
-        # the least and greatest letter cached: a range wider than the prefix's is still a box
-        C, lo, hi = w.prefix_sums(L)[:, None], [w._lo], [w._hi]
-    else:
-        C, T = image_prefix_sums(w, mu, L), mu._table
-        lo, hi = T.min(axis=0).tolist(), T.max(axis=0).tolist()
-    rows = []
-    for n in range(1, n_max + 1):
-        W, box = _windows(C, n), ([n * x for x in lo], [n * x for x in hi])
-        if kind == "additive":
-            # window sums always pack: their range is at most max|s| * L < 2^62
-            keys = _distinct_keys(W, box)[0]
-            rows.append(ProfileRow(n, len(keys), int(keys[-1] - keys[0])))
-        else:
-            U = _distinct_images(W, box)
-            rows.append(ProfileRow(n, len(U), _points_diameter_sq(U)))
-    return ComplexityProfile(kind, L, tuple(rows))
+    return ComplexityProfile(kind, L, tuple(_key_rows(w, mu, range(1, n_max + 1), L, True)))
 
 
 def naive_complexity_oracle(

@@ -25,6 +25,7 @@ import numpy as np
 _SUM_LIMIT = 2**62
 
 _CHUNK = 1 << 13
+_MAX_CHUNK = 1 << 16  # symbols pulled into one list: bounds the fill's temporaries
 
 
 class GuardError(RuntimeError):
@@ -170,10 +171,12 @@ class WordStream:
     `factory` must return a fresh symbol iterator each call and always
     produce the same sequence; the word ends where that iterator stops.
     The cache only ever grows, so every reported value is stable across
-    calls.  Symbols are read as differences of the prefix sums, and the
-    least and greatest symbol held bound the overflow guard and the letter
-    boxes that pack windows and factors.  Derived words iterate their sources' factories,
-    not their caches, and so end where a finite source ends; only the word
+    calls.  A request sizes the cache once and fills it from lists of at
+    most 2^16 symbols, so a fill holds little beside the cache.  Symbols
+    are read as differences of the prefix sums, and the least and greatest
+    symbol held bound the overflow guard and the letter boxes of the
+    complexity keys.  Derived words iterate their sources' factories, not
+    their caches, and so end where a finite source ends; only the word
     a caller reads holds a cache.  Extension is serialized with a lock so
     streams can be shared between threads.  A symbol that is no integer
     raises ValueError when it is read.  The label names the word: its
@@ -204,7 +207,8 @@ class WordStream:
             self._it = iter(self._factory())
             collections.deque(itertools.islice(self._it, self._n), maxlen=0)
         while self._n < n and not self._exhausted:
-            chunk = list(itertools.islice(self._it, max(_CHUNK, n - self._n)))
+            want = min(max(_CHUNK, n - self._n), _MAX_CHUNK)
+            chunk = list(itertools.islice(self._it, want))
             if not chunk:
                 self._exhausted = True
                 break
@@ -219,7 +223,10 @@ class WordStream:
                     f"length {total} with max|s| = {m}"
                 )
             if total >= self._ps.size:
-                ps = np.empty(max(2 * self._ps.size, total + 1, _CHUNK), dtype=np.int64)
+                # sized once for the whole request, so later chunks fit: no chunk ends past
+                # n + _CHUNK; a short chunk ends the word, which needs no more than its length
+                size = n + _CHUNK if len(chunk) == want else total + 1
+                ps = np.empty(max(2 * self._ps.size, size), dtype=np.int64)
                 ps[: self._n + 1] = self._ps[: self._n + 1]
                 self._ps = ps
             np.cumsum(arr, out=self._ps[self._n + 1 : total + 1])

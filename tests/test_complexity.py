@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import sys
 import threading
 import tracemalloc
@@ -15,6 +16,7 @@ from wordsums import (
     LatticeMap,
     abelian_complexity,
     additive_complexity,
+    constant_complexity_word,
     enumeration_word,
     factor_set_intersection,
     find_kpower_mod_mu,
@@ -30,7 +32,7 @@ from wordsums import (
     window_sums,
 )
 from wordsums import complexity
-from wordsums.complexity import _distinct_images, _points_diameter_sq, pack_rows
+from wordsums.complexity import _points_diameter_sq, pack_rows
 
 words = st.lists(st.integers(-3, 3), min_size=1, max_size=120)
 
@@ -312,9 +314,10 @@ B40, B30 = 2**40, 2**30
 
 
 def _branch(windows):
-    """The branch the kernel takes on these window images, by its rule;
-    "bincount" is the presence table, sized by the radix product, and
-    "rows" sorts rows packed into more than one key piece."""
+    """The packed-radix class of these window images, by the rule of the factor keys:
+    "bincount" when the radix product of their column ranges fits the window count,
+    "sort" when it does not, and "rows" when the keys take more than one piece.  The
+    profile kernel picks its reduction tier by _tier below."""
     radix = 1
     for col in zip(*windows):
         radix *= max(col) - min(col) + 1
@@ -323,24 +326,49 @@ def _branch(windows):
     return "bincount" if radix <= len(windows) else "sort"
 
 
-def _check_profile(xs, kind, n_max, branch, images=None, branch_from=1):
+def _tier(xs, n, n_max, images):
+    """The tier the profile kernel takes on the length-n rows of xs, by its rule, where
+    `images` maps every letter the box covers to its image: "mask" when n * top < 64,
+    "scan-mask" when the keys span fewer than 64 values, "table" when they span fewer
+    values than there are windows, "sort" otherwise, and "pieces" past 2^62."""
+    cols = list(zip(*images.values()))
+    radix = [n_max * (max(col) - min(col)) + 1 for col in cols]
+    if len(radix) > 1 and math.prod(radix) >= 2**62:
+        return "pieces"
+    place = [math.prod(radix[c + 1 :]) for c in range(len(radix))]
+    omega = {s: sum((v - min(col)) * p for v, col, p in zip(img, cols, place))
+             for s, img in images.items()}
+    if n * max(omega.values()) < 64:
+        return "mask"
+    keys = {sum(omega[x] for x in xs[i : i + n]) for i in range(len(xs) - n + 1)}
+    span = max(keys) - min(keys)
+    if span < 64:
+        return "scan-mask"
+    return "table" if span < len(xs) - n + 1 else "sort"
+
+
+def _check_profile(xs, kind, n_max, branch, images=None, branch_from=1, tier=None, tail=()):
     """Every row of profile(kind) against the oracle and a brute-force spread.
 
-    Rows n >= branch_from must also take the given kernel branch, unless it is None.
+    Rows n >= branch_from must also have the given packed-radix class (see _branch),
+    unless it is None, and take the given kernel tier (see _tier), unless it is None.
+    Letters in `tail` follow the prefix: the cache, and so the box, holds them.
     """
-    w, L = from_finite(xs), len(xs)
+    w, L = from_finite(list(xs) + list(tail)), len(xs)
     mu = LatticeMap(images) if kind == "lattice" else None
     prof = profile(w, n_max, L, kind=kind, mu=mu)
     if kind == "additive":
         imgs, oracle_mu = [(x,) for x in xs], None
+        box = {x: (x,) for x in list(xs) + list(tail)}
     else:
-        oracle_mu = mu or LatticeMap.parikh_map(Alphabet(xs))
-        imgs = [oracle_mu.images[x] for x in xs]
+        oracle_mu = mu or LatticeMap.parikh_map(Alphabet(list(xs) + list(tail)))
+        imgs, box = [oracle_mu.images[x] for x in xs], oracle_mu.images
     assert [r.n for r in prof.rows] == list(range(1, n_max + 1))
     for row in prof.rows:
         n = row.n
         windows = [tuple(map(sum, zip(*imgs[i : i + n]))) for i in range(L - n + 1)]
         assert branch is None or n < branch_from or _branch(windows) == branch
+        assert tier is None or n < branch_from or _tier(xs, n, n_max, box) == tier
         seen = set(windows)
         assert row.count == len(seen) == naive_complexity_oracle(w, oracle_mu, n, L)
         if kind == "additive":
@@ -471,6 +499,126 @@ def test_additive_profile_when_the_cache_holds_wider_letters(late, fits, xs, n_m
     assert profile(w, n_max, L) == profile(from_finite(xs), n_max, L)
 
 
+# -- the reduction tiers of the profile kernel, one test per tier ----------
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.integers(0, 2), min_size=1, max_size=120),
+    st.integers(1, 3),
+    st.dictionaries(st.integers(0, 2), st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                    min_size=3, max_size=3),
+)
+def test_profile_tier_mask_without_a_scan(xs, n_max, images):
+    # letters 0..2: n * top is at most 3 * 2 (sums), 3 * 16 (Parikh) or 3 * 5 (images)
+    n_max = min(n_max, len(xs))
+    _check_profile(xs, "additive", n_max, None, tier="mask")
+    _check_profile(xs, "abelian", n_max, None, tier="mask")
+    _check_profile(xs, "lattice", n_max, None, images, tier="mask")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=8, max_size=120), st.integers(1, 6))
+def test_profile_tier_mask_after_the_scan(xs, n_max):
+    # letters cached past L widen the box to a top of at least 64, while the keys of
+    # binary windows span at most n_max * n_max <= 36 values
+    xs = [0, 1] + xs
+    _check_profile(xs, "additive", n_max, None, tier="scan-mask", tail=[100])
+    images = {0: (5, 0), 1: (5, 1), 9: (-40, 40)}  # 9 is past L: column 0 is constant
+    _check_profile(xs, "lattice", n_max, None, images, tier="scan-mask", tail=[9])
+    # the Parikh column of -1 is the most significant, so top = (n_max + 1)^2 >= 49
+    _check_profile(xs, "abelian", 6, None, tier="scan-mask", tail=[-1], branch_from=2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=250, max_size=300))
+def test_profile_tier_presence_table(body):
+    # runs up front fix the extreme keys: sums span 9n, images 129n (top 97 + 32), and
+    # binary Parikh keys n_max * n; each stays below the window count
+    xs = [0] * 10 + [9] * 10 + [8] * 10 + body
+    _check_profile(xs, "additive", 10, None, tier="table", branch_from=8)
+    images = {d: (d % 2, 8 * (d // 2)) for d in range(10)}
+    _check_profile(xs, "lattice", 2, None, images, tier="table")
+    bits = [x % 2 for x in xs[10:]]
+    _check_profile(bits, "abelian", 10, None, tier="table", branch_from=7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=100), st.integers(1, 3))
+def test_profile_tier_sort(tail, n_max):
+    # images 2^13 apart weigh about 2^28 each, and letters 2^40 apart are wider still
+    xs = [0] * 3 + [4] * 3 + tail
+    images = {s: (s * 2**13, s * 2**13 - s) for s in range(5)}
+    _check_profile(xs, "lattice", n_max, None, images, tier="sort")
+    _check_profile([B40 * x - x for x in xs], "additive", n_max, None, tier="sort")
+    # runs of 8 per letter: from n = 2, Parikh keys span 80n of at most 140 windows
+    blocks = [s for s in range(5) for _ in range(8)] + tail
+    _check_profile(blocks, "abelian", max(n_max, 2), None, tier="sort", branch_from=2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(0, 62), max_size=80), st.integers(1, 3))
+def test_profile_tier_pieces(tail, n_max):
+    # images near 2^40 need radices past 2^41; 63 Parikh columns need (n_max + 1)^63
+    xs = [0, 1, 2, 62] + tail
+    images = {s: ((s - 31) * B40 + s, (s % 7) * B30 - s) for s in range(63)}
+    _check_profile(xs, "lattice", n_max, None, images, tier="pieces")
+    _check_profile(xs, "abelian", n_max, None, tier="pieces", tail=range(63))
+
+
+def test_lattice_keys_whose_prefix_wraps_int64():
+    # images spanning 2^20 at n_max = 1024: each letter weighs up to about 2^50, so the
+    # key prefix of 10^4 mostly heavy letters passes 2^63, while every key fits; a
+    # period of 1009 keeps the distinct images, and so the spreads, few
+    rng = np.random.default_rng(16)
+    xs = (rng.choice(3, size=1009, p=[0.45, 0.45, 0.1]).tolist() * 10)[:10_000]
+    images = {0: (2**20, 7), 1: (2**20 - 3, 2**20), 2: (0, 0)}
+    radix = [1024 * 2**20 + 1, 1024 * 2**20 + 1]
+    assert sum(images[x][0] * radix[1] + images[x][1] for x in xs) >= 2**63
+    w, mu = from_finite(xs), LatticeMap(images)
+    prof = profile(w, 1024, len(xs), kind="lattice", mu=mu)
+    C = np.concatenate(([[0, 0]], np.cumsum([images[x] for x in xs], axis=0)))  # < 2^34
+    for n in (1, 512, 1024):
+        row = prof.rows[n - 1]
+        seen = set(map(tuple, (C[n:] - C[:-n]).tolist()))
+        assert row.count == len(seen) == naive_complexity_oracle(w, mu, n, len(xs))
+        assert row.spread == _bruteforce_diameter(seen)
+        assert lattice_complexity(w, mu, n, len(xs)) == row.count
+
+
+def test_kernel_table_guard_at_its_edge(monkeypatch):
+    # rows of two key pieces: a (L + 1) x 2 prefix and an L x 2 buffer of 8-byte cells,
+    # past the (L + 1) x 2 image table the lattice guard also measures
+    w = from_finite([0, 1] * 50)
+    mu = LatticeMap({0: (B40, 0), 1: (0, B40)})
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 2 * 201 - 1)
+    with pytest.raises(GuardError, match="window keys for L=100"):
+        profile(w, 2, 100, kind="lattice", mu=mu)
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 2 * 201)
+    assert profile(w, 2, 100, kind="lattice", mu=mu).counts() == [2, 1]
+    # symbol sums from the least letter 0 read the cache in place: the buffer alone
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 100 - 1)
+    with pytest.raises(GuardError, match="window keys for L=100"):
+        additive_complexity(w, 1, 100)
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 100)
+    assert additive_complexity(w, 1, 100) == 2
+
+
+def test_abelian_profile_holds_no_image_table():
+    # thm11:k=2 has five letters: an (L + 1) x 5 table alone would take 40 bytes a letter
+    w, L = constant_complexity_word(2), 10**5
+    w.prefix_sums(L)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        prof = profile(w, 10, L, kind="abelian")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * L
+    assert prof.counts()[:3] == [5, 9, 15]
+
+
 def test_concurrent_profiles_see_the_range_of_what_they_read():
     # letters grow along the word, so every chunk widens the cached range that
     # profile reads without the lock
@@ -491,6 +639,14 @@ def test_concurrent_profiles_see_the_range_of_what_they_read():
     assert got == expected
 
 
+def _decoded_points(monkeypatch):
+    """Every point set the kernel decodes for a spread, in the order it reaches the diameter."""
+    seen = []
+    real = complexity._points_diameter_sq
+    monkeypatch.setattr(complexity, "_points_diameter_sq", lambda U: seen.append(U) or real(U))
+    return seen
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 3),
@@ -498,22 +654,28 @@ def test_concurrent_profiles_see_the_range_of_what_they_read():
              | st.integers(-50, 50).map(lambda d: d - 2**40), min_size=3, max_size=3),
     st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
              min_size=1, max_size=150),
-    st.lists(st.integers(0, 2), min_size=6, max_size=6),
+    st.integers(1, 3),
     st.sampled_from([1, 2**40]),
 )
 def test_distinct_images_with_and_without_a_box_match_unique(t, base, offs, slack, scale):
-    # bases near +-2^40 and offsets scaled by 2^40: rows of t >= 2 split into pieces
-    W = np.array(offs, dtype=np.int64)[:, :t] * scale + np.array(base[:t], dtype=np.int64)
-    lo, hi = W.min(axis=0).tolist(), W.max(axis=0).tolist()
-    # a box loose by 0..2 on each side, which may or may not fit len(W), and a
-    # zero lower corner, where t = 1 keys are the images themselves
-    loose = ([x - a for x, a in zip(lo, slack)], [x + b for x, b in zip(hi, slack[3:])])
-    for V, box in ((W, None), (W, loose), (W - lo, ([0] * t, [h - l for l, h in zip(lo, hi)]))):
-        before = V.copy()
-        expected = np.unique(V, axis=0)
-        assert np.array_equal(_distinct_images(V, box), expected)
-        assert len(complexity._distinct_keys(V)[0]) == len(expected)
-        assert np.array_equal(V, before)
+    # letter i maps to base + scale * offs[i]: bases near +-2^40 and offsets scaled by
+    # 2^40 split rows of t >= 2 into pieces; rows n < n_max decode under radices looser
+    # than their window range, as a box loose by n_max - n letters
+    images = {i: tuple(b + scale * d for b, d in zip(base[:t], off)) for i, off in enumerate(offs)}
+    xs = list(range(len(offs))) + list(range(len(offs) - 1, -1, -1))
+    w, L = from_finite(xs), len(xs)
+    n_max = min(L, slack + 1)
+    before = w.prefix_sums(L).copy()
+    with pytest.MonkeyPatch.context() as mp:
+        points = _decoded_points(mp)
+        prof = profile(w, n_max, L, kind="lattice", mu=LatticeMap(images))
+    for row, U in zip(prof.rows, points):
+        W = np.array([[sum(images[x][c] for x in xs[i : i + row.n]) for c in range(t)]
+                      for i in range(L - row.n + 1)], dtype=np.int64)
+        expected = np.unique(W, axis=0)
+        assert np.array_equal(U[np.lexsort(U.T[::-1])], expected)
+        assert row.count == len(expected)
+    assert np.array_equal(w.prefix_sums(L), before)  # the kernel writes no cache
 
 
 @settings(max_examples=60, deadline=None)
@@ -558,13 +720,16 @@ def test_diameter_refuses_too_many_points():
         _points_diameter_sq(U)
 
 
-def test_unpacked_t1_rows_reduce_to_their_set():
-    # no profile reaches this: the prefix guard keeps window-sum ranges under
-    # max|s| * L < 2^62; the spread of these rows is 2^63, past int64
-    W = np.array([[2**62], [0], [-(2**62)], [0], [2**62]], dtype=np.int64)
-    U = _distinct_images(W)
-    assert U[:, 0].tolist() == [-(2**62), 0, 2**62]
-    assert int(U.max()) - int(U.min()) == 2**63
+def test_unpacked_t1_rows_reduce_to_their_set(monkeypatch):
+    # images near +-2^60 pass the overflow guard only up to L = 3; their keys span
+    # 2^61 - 2 values over at most 3 windows, so they take the sort and decode exactly
+    B = 2**60 - 1
+    mu = LatticeMap({0: (B,), 1: (0,), 2: (-B,)})
+    points = _decoded_points(monkeypatch)
+    assert lattice_spread(from_finite([2, 1, 0]), mu, 1, 3) == (2 * B) ** 2
+    assert points[0][:, 0].tolist() == [-B, 0, B]
+    with pytest.raises(GuardError):
+        lattice_spread(from_finite([2, 1, 0, 1]), mu, 1, 4)
 
 
 def test_diameter_overflow_fallback_refuses_too_many_pairs():

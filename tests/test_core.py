@@ -154,6 +154,20 @@ def test_cold_fill_holds_one_array():
     assert held < 10_000_000
 
 
+def test_cold_fill_pulls_bounded_chunks():
+    # the cache is sized once for the request, and the factory's symbols go through
+    # lists of at most 2^16: a one-list fill peaked near 24 MB
+    w = periodic([0, 1, 1, 2, 3])
+    tracemalloc.start()
+    try:
+        w.prefix_sums(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
+    assert w.prefix_sums(10**6)[-1] == 7 * 10**6 // 5
+
+
 def test_overflow_guard_trips():
     w = WordStream(lambda: itertools.repeat(2**40), label="huge")
     with pytest.raises(GuardError):
