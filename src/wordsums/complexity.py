@@ -20,10 +20,13 @@ min/max scan; the same mask after a scan when the keys span fewer than 64
 values; a boolean presence table when they span at most the number of
 windows; and a sort otherwise (a lexsort for rows of pieces).  Sums read their
 count and spread off the mask or the sorted keys, and distinct keys decode
-into image points only for the spreads of lattice images.  Factor-set
-intersections count the shared keys of two words' factor rows, packed under
-one letter box; the unbounding guess in `morphisms` takes spreads of Parikh
-images.
+into image points only for the spreads of lattice images.  The same key
+prefix (`_key_prefix`, the only place letters become lattice keys) serves the
+mod-mu power scans, whose blocks are at most L/k letters long, and
+`window_images`, which decodes every window key into its image; the
+unbounding guess in `morphisms` takes spreads of those Parikh images.
+Factor-set intersections count the shared keys of two words' factor rows,
+packed under one letter box.
 """
 
 from __future__ import annotations
@@ -158,14 +161,6 @@ def _check_table(rows: int, cols: int, what: str) -> None:
         raise GuardError(f"{what} exceeds the memory guard")
 
 
-def _check_images(mu: LatticeMap, L: int) -> None:
-    """Refuse prefix sums of mu's images that may overflow int64, or whose (L + 1) x t
-    table is past the memory guard, before a symbol is read."""
-    if mu.max_abs() * (L + 1) >= _SUM_LIMIT:
-        raise GuardError("lattice prefix sums may overflow int64")
-    _check_table(L + 1, mu.dim, f"image table for L={L}, t={mu.dim}")
-
-
 def _windows(C: np.ndarray, n: int) -> np.ndarray:
     """The window kernel: images of every length-n window, from prefix sums C."""
     return C[n:] - C[:-n]
@@ -175,18 +170,6 @@ def window_sums(w: WordStream, n: int, L: int) -> np.ndarray:
     """Sums of w(i..i+n-1) for every window inside the length-L prefix."""
     _check_window(n, L)
     return _windows(w.prefix_sums(L), n)
-
-
-def image_prefix_sums(w: WordStream, mu: LatticeMap, L: int) -> np.ndarray:
-    """C[i] = mu(w(1..i)) for i = 0..L, column-major (L+1, t).
-
-    Refuses int64 overflow and a table past the memory guard before reading a symbol."""
-    _check_images(mu, L)
-    idx = mu.letter_indices(w.prefix(L))
-    C = np.zeros((L + 1, mu.dim), dtype=np.int64, order="F")
-    for c in range(mu.dim):
-        np.cumsum(mu._table[:, c][idx], out=C[1:, c])
-    return C
 
 
 def _pieces(radix: list[int]) -> list[tuple[int, int]]:
@@ -212,19 +195,6 @@ def _pack(W: np.ndarray, lo: list[int], radix: list[int]) -> np.ndarray:
             keys += W[:, c] - lo[c]
         pieces.append(keys)
     return pieces[0] if len(pieces) == 1 else np.stack(pieces, axis=1)
-
-
-def pack_rows(C: np.ndarray) -> np.ndarray:
-    """Int64 keys of the rows of C (see _pack), linear in the row: column c gets radix
-    2*(max - min) + 1, so K[i] - K[j] identifies C[i] - C[j]."""
-    lo = C.min(axis=0).tolist()
-    return _pack(C, lo, [2 * (h - l) + 1 for l, h in zip(lo, C.max(axis=0).tolist())])
-
-
-def window_images(w: WordStream, mu: LatticeMap, n: int, L: int) -> np.ndarray:
-    """mu-images of all length-n windows, shape (L-n+1, t)."""
-    _check_window(n, L)
-    return _windows(image_prefix_sums(w, mu, L), n)
 
 
 def _reduce(K: np.ndarray, top: int) -> tuple[int, int, Optional[np.ndarray]]:
@@ -257,13 +227,51 @@ def _bits(mask: int) -> np.ndarray:
 
 
 def _decode(keys: np.ndarray, n: int, lo: list[int], radix: list[int]) -> np.ndarray:
-    """Image points of distinct length-n window keys (one per row, or a row of pieces)."""
-    U = np.empty((len(keys), len(radix)), dtype=np.int64)
+    """Image points of length-n window keys (one per row, or a row of pieces), in columns."""
+    U = np.empty((len(keys), len(radix)), dtype=np.int64, order="F")
     for (a, b), piece in zip(_pieces(radix), keys.reshape(len(keys), -1).T):
         for c in range(b - 1, a, -1):
             piece, U[:, c] = np.divmod(piece, radix[c])
         U[:, a] = piece
     return U + np.array([n * x for x in lo], dtype=np.int64)
+
+
+def _key_prefix(
+    w: WordStream, mu: LatticeMap, n_max: int, L: int
+) -> tuple[np.ndarray, list[int], list[int], int]:
+    """The weighted key prefix S of w(1..L) under mu, for windows of length <= n_max.
+
+    Returns (S, lo, radix, top): S[i + n] - S[i] is the key of a length-n window, an int64
+    or a row of `_pieces`, with digits in [0, n * (hi_c - lo_c)] below radix R_c, so equal
+    keys of equal-length windows mean equal images, and `_decode` reads them back; top is
+    the largest letter weight.  Refuses images whose sums may overflow int64, and the
+    (L + 1) x p prefix plus an L x p buffer of keys past the memory guard, before reading
+    a symbol.  This is the only place that turns letters into lattice keys.
+    """
+    if mu.max_abs() * (L + 1) >= _SUM_LIMIT:
+        raise GuardError("lattice prefix sums may overflow int64")
+    T = mu._table
+    lo, hi = T.min(axis=0).tolist(), T.max(axis=0).tolist()
+    radix = [n_max * (h - l) + 1 for l, h in zip(lo, hi)]
+    omega = _pack(T, lo, radix)
+    _check_table(2 * L + 1, len(_pieces(radix)), f"window keys for L={L}, t={mu.dim}")
+    C = w.prefix_sums(L)
+    S = np.empty((L + 1,) + omega.shape[1:], dtype=np.int64)
+    S[0] = 0
+    for a in range(0, L, _KEY_CHUNK):  # bounded temporaries: letter indices per chunk
+        seg = S[a + 1 : a + _KEY_CHUNK + 1]
+        np.take(omega, mu.letter_indices(np.diff(C[a : a + len(seg) + 1])), axis=0, out=seg)
+        np.cumsum(seg, axis=0, out=seg)
+        seg += S[a]
+    return S, lo, radix, int(omega.max())
+
+
+def window_images(w: WordStream, mu: LatticeMap, n: int, L: int) -> np.ndarray:
+    """mu-images of all length-n windows, shape (L-n+1, t), decoded from the key prefix."""
+    _check_window(n, L)
+    _check_table(L - n + 1, mu.dim, f"window images for n={n}, L={L}, t={mu.dim}")
+    S, lo, radix, _ = _key_prefix(w, mu, n, L)
+    return _decode(S[n:] - S[:-n], n, lo, radix)
 
 
 def _key_rows(
@@ -291,21 +299,7 @@ def _key_rows(
             S *= -lo
             S += C
     else:
-        _check_images(mu, L)
-        T = mu._table
-        lo, hi = T.min(axis=0).tolist(), T.max(axis=0).tolist()
-        radix = [ns[-1] * (h - l) + 1 for l, h in zip(lo, hi)]
-        omega = _pack(T, lo, radix)
-        _check_table(2 * L + 1, len(_pieces(radix)), f"window keys for L={L}, t={mu.dim}")
-        top = int(omega.max())
-        C = w.prefix_sums(L)
-        S = np.empty((L + 1,) + omega.shape[1:], dtype=np.int64)
-        S[0] = 0
-        for a in range(0, L, _KEY_CHUNK):  # bounded temporaries: letter indices per chunk
-            seg = S[a + 1 : a + _KEY_CHUNK + 1]
-            np.take(omega, mu.letter_indices(np.diff(C[a : a + len(seg) + 1])), axis=0, out=seg)
-            np.cumsum(seg, axis=0, out=seg)
-            seg += S[a]
+        S, lo, radix, top = _key_prefix(w, mu, ns[-1], L)
     buf = np.empty((L,) + S.shape[1:], dtype=np.int64)
     for n in ns:
         K = np.subtract(S[n:], S[:-n], out=buf[: L - n + 1])
@@ -345,10 +339,8 @@ def lattice_complexity(w: WordStream, mu: LatticeMap, n: int, L: int) -> int:
 
 
 def _abelian_map(w: WordStream, L: int) -> LatticeMap:
-    """The Parikh map over w's alphabet, refused before it is built if its image table is."""
-    ab = w.alphabet or w.observed_alphabet(L)
-    _check_table(L + 1, len(ab), f"image table for L={L}, t={len(ab)}")
-    return LatticeMap.parikh_map(ab)
+    """The Parikh map over w's alphabet (read off the length-L prefix when w has none)."""
+    return LatticeMap.parikh_map(w.alphabet or w.observed_alphabet(L))
 
 
 def abelian_complexity(w: WordStream, n: int, L: int) -> int:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .complexity import LatticeMap, _windows, image_prefix_sums
+from .complexity import LatticeMap, window_images
 from .core import Alphabet, FiniteWord, WordStream, _integer, word_slope, word_sum
 
 
@@ -191,9 +191,10 @@ def abelian_unbounding_morphism(w: WordStream, L: int) -> Morphism:
     if L < 8:
         raise ValueError("prefix too short to estimate count growth")
     ab = w.observed_alphabet(L)
-    C = image_prefix_sums(w, LatticeMap.parikh_map(ab), L)
+    mu = LatticeMap.parikh_map(ab)
     # every letter's growth has the same denominator, so spread differences rank them
-    first, last = (np.ptp(_windows(C, n), axis=0) for n in (max(1, L // 256), max(4, L // 4)))
+    first, last = (np.ptp(window_images(w, mu, n, L), axis=0)
+                   for n in (max(1, L // 256), max(4, L // 4)))
     s = ab.symbols[int(np.argmax(last - first))]  # argmax keeps the smallest letter on ties
     images = {t: (t,) for t in ab if t != s}
     images[s] = (s + 1,)

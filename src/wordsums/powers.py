@@ -10,9 +10,11 @@ consecutive gaps × live starts, read as strided views.  The first start
 reads the prefix in place, the rest go gap-major over one copy of it in
 the narrowest integer dtype (int8 to int64) whose wrap-around equality is
 still exact.  The prefix guard (L <= 10^6 unless the caller raises
-`limit`) bounds that work.  mu-images compare as one int64 key per prefix
-row, or a row of key pieces (`complexity.pack_rows`: column c in mixed radix
-2*(max - min) + 1, so key differences identify row differences).  Words of
+`limit`) bounds that work.  mu-images compare as block differences of the
+weighted key prefix (`complexity._key_prefix`), one int64 or a row of key
+pieces per position: column c of the letter images, in [lo_c, hi_c], takes
+mixed radix (L/k) * (hi_c - lo_c) + 1, so two blocks of one length b <= L/k
+have equal keys exactly when they have equal images.  Words of
 bounded sum spread still contain additive k-powers for every k; the
 slope-constrained search finds them through monochromatic arithmetic
 progressions in the chi coloring.
@@ -27,7 +29,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import GuardError, WordStream, _int64, word_sum
-from .complexity import LatticeMap, image_prefix_sums, pack_rows
+from .complexity import LatticeMap, _decode, _key_prefix
 from .slopes import Rational, _as_fraction, chi_sequence
 
 _POWER_MAX_PREFIX = 1_000_000
@@ -139,23 +141,17 @@ def _first_progression(
     return scan(_narrow_copy(X, blocks, min(n, math.isqrt(_TILE_CELLS) * reach * step)), 1, n)
 
 
-def _block_power(X: np.ndarray, C: np.ndarray, k: int) -> Optional[PowerWitness]:
-    """First k-power of blocks whose X-differences agree; its value is read from C."""
-    hit = _first_progression(X, k, 1, blocks=True)
-    if hit is None:
-        return None
-    i, b = hit
-    v = C[i + b] - C[i]
-    return PowerWitness(i + 1, b, k, int(v) if v.ndim == 0 else tuple(int(x) for x in v))
-
-
 def find_additive_kpower(
     w: WordStream, k: int, L: int, limit: int = _POWER_MAX_PREFIX
 ) -> Optional[PowerWitness]:
     """First (start asc, then b asc) run of k equal-length equal-sum blocks."""
     _check_power_args(k, L, limit)
     P = w.prefix_sums(L)
-    return _block_power(P, P, k)
+    hit = _first_progression(P, k, 1, blocks=True)
+    if hit is None:
+        return None
+    i, b = hit
+    return PowerWitness(i + 1, b, k, int(P[i + b]) - int(P[i]))
 
 
 def find_kpower_mod_mu(
@@ -163,8 +159,14 @@ def find_kpower_mod_mu(
 ) -> Optional[PowerWitness]:
     """Like find_additive_kpower, but blocks must share their mu-image."""
     _check_power_args(k, L, limit)
-    C = image_prefix_sums(w, mu, L)
-    return _block_power(pack_rows(C), C, k)
+    # blocks compared in one scan share a length b <= L/k, so equal keys mean equal images
+    S, lo, radix, _ = _key_prefix(w, mu, L // k, L)
+    hit = _first_progression(S, k, 1, blocks=True)
+    if hit is None:
+        return None
+    i, b = hit
+    v = _decode(S[i + b : i + b + 1] - S[i : i + 1], b, lo, radix)[0]
+    return PowerWitness(i + 1, b, k, tuple(v.tolist()))
 
 
 def monochromatic_ap(

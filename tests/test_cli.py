@@ -236,11 +236,23 @@ def test_profile_lattice_requires_mu(capsys):
     assert "outside the map's alphabet" in capsys.readouterr().err
 
 
-def test_abelian_image_table_past_the_memory_guard_exits_2(capsys):
-    # 301 Parikh columns at L = 1e5 need a 241 MB image table
+def test_abelian_profile_of_301_letters_fits_the_key_guard(capsys):
+    # 301 Parikh columns at n_max = 1 take 5 key pieces: 8 MB of key prefix and buffer
+    # at L = 1e5, inside the guard
     argv = ["profile", "enum:k=300", "--kind", "abelian", "-L", "100000", "--n-max", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["1,301,2"]
+
+
+def test_abelian_key_prefix_past_the_memory_guard_exits_2(capsys, monkeypatch):
+    # at n_max = 100 the 301 columns take 34 pieces: 544 MB of keys at L = 1e6, refused
+    # before a symbol is read
+    reads, extend = [], WordStream._extend
+    monkeypatch.setattr(WordStream, "_extend", lambda w, n: reads.append(n) or extend(w, n))
+    argv = ["profile", "enum:k=300", "--kind", "abelian", "-L", "1000000", "--n-max", "100"]
     assert main(argv) == 2
-    assert "memory guard" in capsys.readouterr().err
+    assert "window keys for L=1000000, t=301 exceeds the memory guard" in capsys.readouterr().err
+    assert reads == []
 
 
 def test_abelian_map_past_the_memory_guard_exits_2(capsys):

@@ -29,10 +29,11 @@ from wordsums import (
     profile,
     sum_spread,
     unbounded_gap_word,
+    window_images,
     window_sums,
 )
 from wordsums import complexity
-from wordsums.complexity import _points_diameter_sq, pack_rows
+from wordsums.complexity import _key_prefix, _points_diameter_sq
 
 words = st.lists(st.integers(-3, 3), min_size=1, max_size=120)
 
@@ -78,18 +79,22 @@ def test_lattice_map_guards_an_image_of_minus_2_63():
     assert "materialized=0" in repr(w)  # the guard needs no symbol
 
 
-def test_image_table_past_the_memory_guard_is_refused(monkeypatch):
-    # an (L + 1) x t table of 8-byte images; t = 4 at L = 1000 takes 32032 bytes
-    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 32_000)
+def test_key_prefix_past_the_memory_guard_is_refused(monkeypatch):
+    # t = 4 Parikh columns pack into one key at n_max = 1 (profile, lattice_complexity)
+    # and at n_max = L/k = 500 (the square scan): an (L + 1) x 1 prefix plus an L x 1
+    # buffer of 8-byte keys, 16008 bytes at L = 1000
     w = enumeration_word(3)
-    with pytest.raises(GuardError):
-        profile(w, 1, 1000, kind="abelian")
-    with pytest.raises(GuardError):
-        lattice_complexity(w, LatticeMap.parikh_map(w.alphabet), 1, 1000)
-    with pytest.raises(GuardError):
-        find_kpower_mod_mu(w, LatticeMap.parikh_map(w.alphabet), 2, 1000)
+    mu = LatticeMap.parikh_map(w.alphabet)
+    calls = [lambda: profile(w, 1, 1000, kind="abelian").counts(),
+             lambda: lattice_complexity(w, mu, 1, 1000),
+             lambda: find_kpower_mod_mu(w, mu, 2, 1000).start]
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 16_007)
+    for call in calls:
+        with pytest.raises(GuardError, match="window keys for L=1000, t=4"):
+            call()
     assert "materialized=0" in repr(w)  # refused before reading a symbol
-    assert profile(w, 1, 998, kind="abelian").counts() == [4]  # 31968 bytes fit
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 16_008)
+    assert [call() for call in calls] == [[4], 4, 1]
 
 
 def test_periodic_profile_counts():
@@ -284,28 +289,80 @@ def test_lattice_profile_spread_is_squared_distance(thue_morse):
     assert prof.spreads()[1] == 8  # n=2 from the spread test above
 
 
+def _image_prefix(xs, images):
+    """mu(w(1..i)) for i = 0..len(xs), summed in Python ints."""
+    C = [(0,) * len(next(iter(images.values())))]
+    for x in xs:
+        C.append(tuple(a + b for a, b in zip(C[-1], images[x])))
+    return C
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 3).flatmap(
         lambda t: st.lists(
-            st.lists(st.integers(-5, 5), min_size=t, max_size=t), min_size=1, max_size=8
+            st.lists(st.integers(-5, 5), min_size=t, max_size=t), min_size=1, max_size=4
         )
     ),
+    st.lists(st.integers(0, 3), min_size=1, max_size=12),
+    st.integers(1, 12),
     st.sampled_from([1, 2**40]),
 )
-def test_pack_rows_separates_row_differences(rows, scale):
-    # at scale 2^40, t = 2..3 rows have radix products past 2^62 and split into pieces
-    C = np.array(rows, dtype=np.int64) * scale
-    K = pack_rows(C)
-    pairs = list(itertools.product(range(len(rows)), repeat=2))
-    for (i, j), (k, l) in itertools.product(pairs, repeat=2):
-        same_rows = np.array_equal(C[j] - C[i], C[l] - C[k])
-        assert same_rows == np.array_equal(K[j] - K[i], K[l] - K[k])
+def test_key_prefix_separates_block_images(rows, xs, n_max, scale):
+    # at scale 2^40, t = 2..3 columns have radix products past 2^62 and split into pieces
+    images = {i: tuple(scale * v for v in rows[i % len(rows)]) for i in range(4)}
+    S, lo, radix, _ = _key_prefix(from_finite(xs), LatticeMap(images), n_max, len(xs))
+    C = _image_prefix(xs, images)
+    for b in range(1, min(n_max, len(xs)) + 1):
+        K = S[b:] - S[:-b]
+        assert complexity._decode(K, b, lo, radix).tolist() == [
+            [x - y for x, y in zip(C[i + b], C[i])] for i in range(len(xs) - b + 1)]
+        for i, j in itertools.product(range(len(xs) - b + 1), repeat=2):
+            same_images = all(C[i + b][c] - C[i][c] == C[j + b][c] - C[j][c]
+                              for c in range(len(C[0])))
+            assert same_images == np.array_equal(K[i], K[j])
 
 
-def test_pack_rows_splits_keys_past_int64():
-    C = np.array([[0, 0], [2**40, 2**40]], dtype=np.int64)
-    assert pack_rows(C).tolist() == [[0, 0], [2**40, 2**40]]  # one piece per column
+def test_key_prefix_splits_keys_past_int64():
+    # radices 2^40 + 1 per column multiply past 2^62: one piece per column
+    w, mu = from_finite([0, 1]), LatticeMap({0: (0, 0), 1: (2**40, 2**40)})
+    S = _key_prefix(w, mu, 1, 2)[0]
+    assert S.shape[1] == 2
+    assert S.tolist() == [[0, 0], [0, 0], [2**40, 2**40]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda t: st.lists(
+            st.lists(st.integers(-5, 5) | st.integers(-5, 5).map(lambda d: d * 2**40 + 3),
+                     min_size=t, max_size=t), min_size=3, max_size=3
+        )
+    ),
+    st.lists(st.integers(0, 2), min_size=1, max_size=60),
+    st.data(),
+)
+def test_window_images_match_bruteforce(rows, xs, data):
+    # signed images, and images near +-2^42 whose radix products pass 2^62 into pieces;
+    # n runs up to L, a single window
+    images = dict(enumerate(rows))
+    n = data.draw(st.integers(1, len(xs)))
+    got = window_images(from_finite(xs), LatticeMap(images), n, len(xs))
+    expected = [[sum(images[x][c] for x in xs[i : i + n]) for c in range(len(rows[0]))]
+                for i in range(len(xs) - n + 1)]
+    assert got.tolist() == expected
+
+
+def test_window_images_table_guard_at_its_edge(monkeypatch):
+    # the (L - n + 1) x t output: 991 x 4 cells of 8 bytes, past the 2001-key prefix
+    w = enumeration_word(3)
+    mu = LatticeMap.parikh_map(w.alphabet)
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 991 * 4 - 1)
+    with pytest.raises(GuardError, match="window images for n=10, L=1000, t=4"):
+        window_images(w, mu, 10, 1000)
+    assert "materialized=0" in repr(w)
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 991 * 4)
+    assert window_images(w, mu, 10, 1000).sum(axis=1).tolist() == [10] * 991
 
 
 # -- the distinct-count kernel, one test per branch ------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wordsums import (
     Alphabet,
@@ -26,7 +26,7 @@ from wordsums import (
     verify_power,
 )
 from wordsums import powers
-from wordsums.complexity import image_prefix_sums, pack_rows
+from wordsums.complexity import _key_prefix
 
 DEKKING3 = {0: (0, 0, 1, 2), 1: (1, 1, 2), 2: (0, 2, 2)}
 # base-3 numbers with only the digits 0 and 1 hold no 3-term arithmetic progression
@@ -199,9 +199,33 @@ def test_mod_mu_unpacked_rows_match_bruteforce(tail, k):
     # images near 2**40 in both columns leave no room for one int64 key per row
     xs = [0, 1] + tail
     images = {0: (2**40, 1), 1: (1, 2**40), 2: (2**40 - 1, 2**40)}
-    C = image_prefix_sums(from_finite(xs), LatticeMap(images), len(xs))
-    assert pack_rows(C).shape == (len(C), 2)
+    # two pieces even at n_max = 1, the narrowest radices
+    assert _key_prefix(from_finite(xs), LatticeMap(images), 1, len(xs))[0].shape[1] == 2
     _check_mod_mu_against_bruteforce(xs, images, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from([0, 1, 1, 0, 2]), min_size=24, max_size=90),
+       st.integers(4, 5), _SMALL_TILES)
+def test_mod_mu_keys_whose_prefix_wraps_int64(xs, k, tiles):
+    # images spanning A, with A as large as one key piece allows at n_max = L/k: the
+    # heavy letters 0 and 1 weigh about 2^62 / n_max each, so the key prefix of k * n_max
+    # mostly heavy letters passes 2^63, while every block key fits
+    n_max = len(xs) // k
+    A = (2**31 - 2) // n_max
+    images = {0: (A, 7), 1: (A - 3, A), 2: (0, 0)}
+    radix = n_max * A + 1
+    assert radix * radix < 2**62
+    assume(sum(images[x][0] * radix + images[x][1] for x in xs) >= 2**63)
+    for budget in (contextlib.nullcontext(), _tiles(tiles)):
+        with budget:
+            _check_mod_mu_against_bruteforce(xs, images, k)
+
+
+def _image_prefix(xs, mu):
+    """C[i] = mu(w(1..i)) for i = 0..len(xs), rows of int64."""
+    images = np.array([mu.images[int(x)] for x in xs], dtype=np.int64)
+    return np.concatenate((np.zeros((1, mu.dim), dtype=np.int64), np.cumsum(images, axis=0)))
 
 
 def _gapwise_rows_kpower(C, k):
@@ -223,8 +247,8 @@ def test_mod_mu_unpacked_rows_past_the_head():
     # past the first goes through the gap-major pass as rows of pieces
     w = morphic_fixed_point(Morphism(DEKKING3), 0)
     mu = LatticeMap({0: (2**40, 1), 1: (1, 2**40), 2: (2**40 - 1, 2**40)})
-    C = image_prefix_sums(w, mu, 2000)
-    assert pack_rows(C).shape == (len(C), 2)
+    assert _key_prefix(w, mu, 2000 // 3, 2000)[0].shape[1] == 2
+    C = _image_prefix(w.prefix(2000), mu)
     assert find_kpower_mod_mu(w, mu, 3, 2000) is None
     assert _gapwise_rows_kpower(C, 3) is None
     # a cube planted at start 101 makes the first witness; one planted at start 2, the
@@ -234,7 +258,7 @@ def test_mod_mu_unpacked_rows_past_the_head():
         xs[at : at + 3] = [2, 2, 2]
         planted = from_finite(xs)
         wit = find_kpower_mod_mu(planted, mu, 3, 2000)
-        C = image_prefix_sums(planted, mu, 2000)
+        C = _image_prefix(xs, mu)
         assert (wit.start, wit.block_length) == _gapwise_rows_kpower(C, 3) == first
         assert verify_power(planted, wit, mu)
 
@@ -456,3 +480,22 @@ def test_scans_hold_no_memory_after_they_return():
         tracemalloc.stop()
         gc.enable()
     assert held < 2**20
+
+
+def test_parikh_square_scan_holds_no_image_table():
+    # thm11:k=2 has five letters, whose keys take two pieces at n_max = L/2: this scan
+    # peaks near 7 words a letter, and one that also held an (L + 1) x 5 image table
+    # would peak near 12
+    w, L = constant_complexity_word(2), 10**5
+    mu = LatticeMap.parikh_map(w.alphabet)
+    w.prefix_sums(L)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        wit = find_kpower_mod_mu(w, mu, 2, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 8 * L
+    assert (wit.start, wit.block_length, wit.value) == (3, 8, (2, 1, 2, 1, 2))
+    assert verify_power(w, wit, mu)

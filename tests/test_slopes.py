@@ -213,3 +213,17 @@ def test_scaled_prefix_guard():
     w = periodic([10**9])
     with pytest.raises(GuardError):
         deviation_constant(w, Fraction(1, 10**9), 100_000)
+
+
+def test_scaled_prefix_guards_a_denominator_past_int64():
+    # prefix sums all 0 make q * bound vanish; q itself must still fit int64
+    w = periodic([0])
+    for q in (2**70, 2**62):
+        with pytest.raises(GuardError):
+            deviation_constant(w, Fraction(1, q), 10)
+        with pytest.raises(GuardError):
+            greedy_slope_cuts(w, Fraction(1, q), 1, 10)
+    with pytest.raises(GuardError):
+        deviation_constant(w, Fraction(2**70, 3), 0)  # p * j with j = [0]
+    assert deviation_constant(w, Fraction(1, 2**62 - 1), 10).constant == Fraction(10, 2**62 - 1)
+    assert greedy_slope_cuts(w, Fraction(1, 2**62 - 1), 1, 10).truncated
