@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -48,56 +48,58 @@ _KEY_CHUNK = 1 << 14  # letters weighed per step of a lattice key prefix
 
 
 class LatticeMap:
-    """Additive map into Z^t determined by integer images of the letters."""
+    """Additive map into Z^t determined by integer images of the letters, held as one
+    k x t int64 table with a row per letter."""
 
     def __init__(self, images: Mapping[int, Sequence[int]]):
         if not images:
             raise ValueError("need at least one letter image")
-        rows = {}
-        dim = None
-        for s, vec in images.items():
-            v = tuple(map(_integer, vec))
-            if dim is None:
-                dim = len(v)
-            if len(v) != dim or dim == 0:
-                raise ValueError("all images must share one positive dimension")
-            rows[_integer(s)] = v
-        self.images = dict(sorted(rows.items()))
-        self.alphabet = Alphabet(self.images)
-        self.dim = dim
+        rows = {_integer(s): tuple(map(_integer, v)) for s, v in images.items()}
+        dims = {len(v) for v in rows.values()}
+        if len(dims) != 1 or 0 in dims:
+            raise ValueError("all images must share one positive dimension")
+        alphabet = Alphabet(rows)
+        self._fill(alphabet, [rows[s] for s in alphabet])
+
+    def _fill(self, alphabet: Alphabet, table: Sequence[Sequence[int]]) -> None:
+        """Hold the letters and their k x t image table, one row per letter in sorted order."""
+        self.alphabet = alphabet
         try:
-            self._table = np.array([self.images[s] for s in self.alphabet], dtype=np.int64)
-            self._syms = np.array(self.alphabet.symbols, dtype=np.int64)
+            self._syms = np.array(alphabet.symbols, dtype=np.int64)
+            self._table = np.array(table, dtype=np.int64)
         except OverflowError:
-            raise ValueError(f"letters and images of {self!r} must fit int64") from None
+            spec = _rules(zip(alphabet, table))
+            raise ValueError(f"letters and images of {spec} must fit int64") from None
+        self.dim = self._table.shape[1]
 
     @functools.cached_property
     def images(self) -> dict[int, tuple[int, ...]]:
-        """Letter -> image in Python ints; a Parikh map reads it from its table when first asked."""
+        """Letter -> image in Python ints, read from the table when first asked."""
         return dict(zip(self.alphabet.symbols, map(tuple, self._table.tolist())))
 
     @classmethod
-    def sum_map(cls, alphabet: Alphabet) -> "LatticeMap":
+    def sum_map(cls, letters: Iterable[int]) -> "LatticeMap":
         """t = 1 with mu(s) = s: plain symbol sums."""
-        return cls({s: (s,) for s in alphabet})
+        return cls({s: (s,) for s in letters})
 
     @classmethod
-    def parikh_map(cls, alphabet: Alphabet) -> "LatticeMap":
+    def parikh_map(cls, letters: Iterable[int]) -> "LatticeMap":
         """Unit-vector images, an identity table: mu(B) is the Parikh vector of B."""
+        alphabet = Alphabet(letters)
         k = len(alphabet)
         _check_table(k, k, f"the Parikh map of {k} letters")
-        mu = cls({s: (0,) for s in alphabet})  # placeholder images that check the letters
-        del mu.images  # now read from the identity table when first asked
-        mu.dim, mu._table = k, np.eye(k, dtype=np.int64)
+        mu = cls.__new__(cls)
+        mu._fill(alphabet, np.eye(k, dtype=np.int64))
         return mu
 
-    def of_word(self, B: FiniteWord) -> tuple[int, ...]:
-        """mu(B), summed exactly in Python ints."""
+    def of_word(self, B: Iterable[int]) -> tuple[int, ...]:
+        """mu(B), summed exactly in Python ints; letters are looked up by value, so 1.5 has none."""
         acc = [0] * self.dim
         for s in B:
-            img = self.images.get(int(s))
-            if img is None:
-                raise ValueError(f"symbol {s} outside the map's alphabet")
+            try:
+                img = self.images[s]
+            except KeyError:
+                raise ValueError(f"symbol {s} outside the map's alphabet") from None
             for j, x in enumerate(img):
                 acc[j] += x
         return tuple(acc)
@@ -116,8 +118,12 @@ class LatticeMap:
         return max(int(self._table.max()), -int(self._table.min()))
 
     def __repr__(self) -> str:
-        rules = ";".join(f"{s}={','.join(map(str, v))}" for s, v in self.images.items())
-        return f"mu:{rules}"
+        return _rules(self.images.items())
+
+
+def _rules(images: Iterable[tuple[int, Sequence[int]]]) -> str:
+    """The mu:<s>=<v1,...>;... spec of letter images."""
+    return "mu:" + ";".join(f"{s}={','.join(map(str, v))}" for s, v in images)
 
 
 @dataclass(frozen=True)
@@ -161,15 +167,11 @@ def _check_table(rows: int, cols: int, what: str) -> None:
         raise GuardError(f"{what} exceeds the memory guard")
 
 
-def _windows(C: np.ndarray, n: int) -> np.ndarray:
-    """The window kernel: images of every length-n window, from prefix sums C."""
-    return C[n:] - C[:-n]
-
-
 def window_sums(w: WordStream, n: int, L: int) -> np.ndarray:
     """Sums of w(i..i+n-1) for every window inside the length-L prefix."""
     _check_window(n, L)
-    return _windows(w.prefix_sums(L), n)
+    P = w.prefix_sums(L)
+    return P[n:] - P[:-n]
 
 
 def _pieces(radix: list[int]) -> list[tuple[int, int]]:
@@ -422,12 +424,7 @@ def naive_complexity_oracle(
     syms = [int(x) for x in w.prefix(L)]
     if mu is None:
         return len({sum(syms[i : i + n]) for i in range(L - n + 1)})
-    imgs = []
-    for s in syms:
-        img = mu.images.get(s)
-        if img is None:
-            raise ValueError(f"symbol {s} outside the map's alphabet")
-        imgs.append(img)
+    imgs = [mu.of_word((s,)) for s in syms]
     seen = set()
     for i in range(L - n + 1):
         seen.add(tuple(map(sum, zip(*imgs[i : i + n]))))

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .complexity import LatticeMap, window_images
+from .complexity import LatticeMap, parikh, window_images
 from .core import Alphabet, FiniteWord, WordStream, _integer, word_slope, word_sum
 
 
@@ -46,7 +46,7 @@ class Morphism:
 
     def image(self, s: int) -> FiniteWord:
         try:
-            return self.images[int(s)]
+            return self.images[s]
         except KeyError:
             raise ValueError(f"letter {s} has no image") from None
 
@@ -94,17 +94,14 @@ def apply_morphism(phi: Morphism, w: WordStream) -> WordStream:
 
 
 def anchor_matrix(phi: Morphism) -> tuple[np.ndarray, Callable[[Fraction], list[Fraction]]]:
-    """Incidence matrix M[i, j] = |phi(s_i)|_{t_j} plus the t_alpha builder.
+    """Incidence matrix plus the t_alpha builder: row i of M is the Parikh vector of
+    phi(s_i) over the target, so M[i, j] = |phi(s_i)|_{t_j}.
 
     phi is an anchor of weight alpha exactly when M @ t_alpha == 0, where
     t_alpha has components t_j - alpha.
     """
-    S = phi.source.symbols
     T = phi.target.symbols
-    M = np.zeros((len(S), len(T)), dtype=np.int64)
-    for i, s in enumerate(S):
-        for t in phi.image(s):
-            M[i, phi.target.index(t)] += 1
+    M = np.array([parikh(phi.image(s), phi.target) for s in phi.source], dtype=np.int64)
 
     def t_alpha(alpha) -> list[Fraction]:
         a = Fraction(alpha)

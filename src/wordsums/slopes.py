@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .complexity import _check_window, _factor_keys, _windows
+from .complexity import _check_window, _factor_keys, window_sums
 from .core import _SUM_LIMIT, GuardError, WordStream, _sorted_distinct, word_slope
 
 Rational = Union[int, Fraction]
@@ -182,10 +182,9 @@ def factors_with_slope(w: WordStream, alpha: Rational, L: int, n_max: int) -> in
     a = _as_fraction(alpha)
     p, q = a.numerator, a.denominator
     prefix = w.prefix(L)
-    P = w.prefix_sums(L)
     total = 0
     for n in range(q, n_max + 1, q):
-        hits = np.flatnonzero(_windows(P, n) == p * (n // q))
+        hits = np.flatnonzero(window_sums(w, n, L) == p * (n // q))
         if hits.size:
             total += len(_sorted_distinct(_factor_keys(prefix, n, w._lo, w._hi)[hits]))
     return total

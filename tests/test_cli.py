@@ -293,6 +293,18 @@ def test_chi_refuses_m_max_below_one(capsys, m_max):
     assert "--m-max" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["profile", "contract:base=periodic:0;ivals=2-4"],
+     "expected contract:base=(<spec>);ivals=..."),
+    (["chi", "periodic:0,1", "--slope", "1/3", "-L", "2"], "prefix too short for one q=3 block"),
+    (["chi", "periodic:0,1", "--slope", "1/2", "--m-max", "3", "-L", "5"],
+     "m-max needs a prefix past L; raise -L or pass --unsafe-large"),
+], ids=["contract-base-without-parentheses", "chi-L-below-q", "chi-m-max-past-L"])
+def test_refusals_exit_2_with_their_message(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_factorize_csv_and_json(capsys):
     rc = main(["factorize", "thm11:k=1", "--slope", "1", "-L", "50"])
     out = capsys.readouterr().out.splitlines()

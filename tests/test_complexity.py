@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -156,6 +157,31 @@ def test_oracle_matches_fast_path(xs, data):
         {s: (data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))) for s in ab}
     )
     assert naive_complexity_oracle(w, mu, n, L) == lattice_complexity(w, mu, n, L)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LatticeMap({}), "need at least one letter image"),
+    (lambda: naive_complexity_oracle(periodic([0, 1]), LatticeMap({0: (1,)}), 1, 4),
+     "symbol 1 outside the map's alphabet"),
+], ids=["empty-map", "oracle-unknown-letter"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_letter_maps_take_any_iterable_and_look_letters_up_by_value():
+    for build, letters in ((LatticeMap.parikh_map, [0, 1]), (LatticeMap.sum_map, [-1, 2])):
+        mu, ref = build(letters), build(Alphabet(letters))
+        for attr in ("alphabet", "dim", "images"):
+            assert getattr(mu, attr) == getattr(ref, attr)
+        assert repr(mu) == repr(ref)
+        assert np.array_equal(mu._table, ref._table)
+    with pytest.raises(ValueError, match="not an integer"):
+        LatticeMap.parikh_map([1.5])
+    mu = LatticeMap.parikh_map([0, 1])
+    assert mu.of_word([np.int64(1), 1.0, 0]) == (1, 2)
+    with pytest.raises(ValueError, match="symbol 1.5 outside the map's alphabet"):
+        mu.of_word([1.5])  # was read as letter 1
 
 
 def test_oracle_guard():

@@ -36,6 +36,22 @@ def test_alphabet_sorted_and_indexed():
         Alphabet([])
 
 
+def test_alphabet_and_finite_word_equality_items_hash_and_repr():
+    a = Alphabet([1, 0])
+    assert a == Alphabet((0, 1, 1)) and a != Alphabet([0]) and a != (0, 1)
+    assert hash(a) == hash(Alphabet([0, 1])) and repr(a) == "Alphabet([0, 1])"
+    B = FiniteWord(range(30))
+    assert B[3] == 3 and B[-1] == 29 and B[2:5] == FiniteWord([2, 3, 4])
+    assert hash(B[:3]) == hash(FiniteWord([0, 1, 2]))
+    assert repr(B) == "FiniteWord([" + ",".join(map(str, range(24))) + ",...] len=30)"
+    assert repr(B[:2]) == "FiniteWord([0,1])"
+
+
+def test_negative_prefix_length_is_refused():
+    with pytest.raises(ValueError, match="negative prefix length -1"):
+        periodic([0, 1]).prefix_sums(-1)
+
+
 @given(words)
 def test_prefix_sums_identity(xs):
     B = FiniteWord(xs)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -59,6 +60,15 @@ def test_morphic_rejects_bad_seeds():
     # non-endomorphism: image symbol 2 has no image of its own
     with pytest.raises(ValueError):
         morphic_fixed_point(Morphism({0: (0, 2)}), 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: enumeration_word(-1), "alphabet bound k must be >= 0"),
+    (lambda: mirror_anchor(-1), "weight k must be >= 0"),
+], ids=["enumeration-word", "mirror-anchor"])
+def test_negative_family_parameters_are_refused(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_enumeration_word_prefix():

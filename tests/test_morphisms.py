@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from wordsums import (
     Alphabet,
     FiniteWord,
     Morphism,
+    WordStream,
     abelian_unbounding_morphism,
     anchor_matrix,
     anchor_spread_bound,
@@ -46,6 +48,25 @@ def test_morphism_refuses_letters_and_images_that_are_not_integers():
         Morphism({0: (0.5, 1)})  # kept the image (0, 1)
     with pytest.raises(ValueError, match="not an integer"):
         Morphism({0.5: (1,)})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: abelian_unbounding_morphism(periodic([0, 1]), 7),
+     "prefix too short to estimate count growth"),
+    # letters are looked up by value: 1.5 was read as letter 1
+    (lambda: Morphism({0: (0, 1), 1: (1, 0)}).image(1.5), "letter 1.5 has no image"),
+    (lambda: apply_morphism(Morphism({0: (0, 1), 1: (1, 0)}),
+                            WordStream(lambda: iter([1.5, 0]))).prefix(2),
+     "letter 1.5 has no image"),
+], ids=["unbounding-guess-L-below-8", "image-of-1.5", "apply-to-a-1.5-letter"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_letters_equal_to_an_integer_find_its_image():
+    phi = Morphism({0: (0, 1), 1: (1, 0)})
+    assert phi.image(np.int64(1)) == phi.image(1.0) == FiniteWord([1, 0])
 
 
 def test_apply_morphism_stream():

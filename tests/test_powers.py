@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -138,6 +139,16 @@ def test_kpower_scan_refuses_a_word_of_float_symbols():
     w = WordStream(lambda: iter([1.5, 1.2, 3.9]))
     with pytest.raises(ValueError, match="not an integer"):
         find_additive_kpower(w, 2, 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: find_additive_kpower(periodic([0, 1]), 2, 0), "need a nonempty prefix, got L = 0"),
+    (lambda: find_anchored_power(periodic([0, 1]), Fraction(1, 2), 0, 2, 10),
+     "the length divisor k must be >= 1"),
+], ids=["L-below-1", "anchored-divisor-0"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_kpower_arg_checks():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -114,6 +115,16 @@ def test_chi_factorization_tie_goes_to_smallest_color():
 def test_chi_factorization_needs_one_block():
     with pytest.raises(ValueError):
         chi_factorization(periodic([0, 1]), Fraction(1, 2), 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: slope_estimate(periodic([0, 1]), 0), "need L >= 1"),
+    (lambda: greedy_slope_cuts(periodic([0, 1]), Fraction(1, 2), 0, 10), "start must be >= 1"),
+    (lambda: greedy_slope_cuts(periodic([0, 1]), Fraction(1, 2), 5, 4), "need L >= start"),
+], ids=["slope-estimate-L-0", "greedy-start-0", "greedy-L-below-start"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_greedy_cuts_alternating():
