@@ -7,31 +7,25 @@ images under an additive map mu: S* -> Z^t.  Bounded complexity is
 equivalent to bounded spread, where spread is max - min of the sums
 (t = 1) or the max squared Euclidean distance between images (t > 1).
 
-Every count runs one kernel on one int64 key prefix per call.  The radices
-R_c = n_max * (hi_c - lo_c) + 1 come from the range [lo_c, hi_c] of each
-column of the letter images, and letter s weighs omega(s) = sum_c (mu(s)_c -
-lo_c) * place_c in mixed radix, so the key of a length-n window is the window
-sum S[i + n] - S[i] of the prefix sums S of omega; symbol sums weigh s - lo,
-and S is the word's cache itself when its least letter is 0.  Past 2^62 the
-columns split into runs of key pieces, one weighted prefix each.  Each length
-n subtracts into one reused buffer, and the keys, all in [0, n * top], take
-one of four reductions: a 64-bit mask of the keys when n * top < 64, with no
-min/max scan; the same mask after a scan when the keys span fewer than 64
-values; a boolean presence table when they span at most the number of
-windows; and a sort otherwise (a lexsort for rows of pieces).  Sums read their
-count and spread off the mask or the sorted keys, and distinct keys decode
-into image points only for the spreads of lattice images.  The same key
-prefix (`_key_prefix`, the only place letters become lattice keys) serves the
-mod-mu power scans, whose blocks are at most L/k letters long, and
-`window_images`, which decodes every window key into its image; the
-unbounding guess in `morphisms` takes spreads of those Parikh images.
-Factor-set intersections count the shared keys of two words' factor rows,
-packed under one letter box.
+Every count runs one kernel on one int64 key prefix per call, built by
+`_key_prefix`, the only place letters become window keys: the key of a length-n
+window is a difference S[i + n] - S[i] of that prefix.  Each length n subtracts
+into one reused buffer, and the keys, all in [0, n * top], take one of four
+reductions: a 64-bit mask of the keys when n * top < 64, with no min/max scan;
+the same mask after a scan when the keys span fewer than 64 values; a boolean
+presence table when they span at most the number of windows; and a sort
+otherwise (a lexsort for rows of pieces).  Sums read their count and spread off
+the mask or the sorted keys, and distinct keys decode into image points only
+for the spreads of lattice images.  The same key prefix serves the mod-mu power
+scans, whose blocks are at most L/k letters long, and `window_images`, which
+decodes every window key into its image; the unbounding guess in `morphisms`
+takes spreads of those Parikh images.  Factor-set intersections count the
+shared keys of two words' factor rows, packed under one letter box.
 """
 
 from __future__ import annotations
 
-import functools
+import collections
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -69,13 +63,13 @@ class LatticeMap:
             self._table = np.array(table, dtype=np.int64)
         except OverflowError:
             spec = _rules(zip(alphabet, table))
-            raise ValueError(f"letters and images of {spec} must fit int64") from None
+            raise ValueError(f"letters and images of mu:{spec} must fit int64") from None
         self.dim = self._table.shape[1]
 
-    @functools.cached_property
+    @property
     def images(self) -> dict[int, tuple[int, ...]]:
-        """Letter -> image in Python ints, read from the table when first asked."""
-        return dict(zip(self.alphabet.symbols, map(tuple, self._table.tolist())))
+        """Letter -> image in Python ints, read from the table on each call."""
+        return dict(zip(self.alphabet, map(tuple, self._table.tolist())))
 
     @classmethod
     def sum_map(cls, letters: Iterable[int]) -> "LatticeMap":
@@ -93,15 +87,17 @@ class LatticeMap:
         return mu
 
     def of_word(self, B: Iterable[int]) -> tuple[int, ...]:
-        """mu(B), summed exactly in Python ints; letters are looked up by value, so 1.5 has none."""
-        acc = [0] * self.dim
+        """mu(B), summed exactly in Python ints from the table rows of B's letters; letters are
+        looked up by value, so 1.0 finds 1 and 1.5 finds none."""
+        counts: collections.Counter[int] = collections.Counter()
         for s in B:
             try:
-                img = self.images[s]
-            except KeyError:
+                counts[self.alphabet.index(s)] += 1
+            except ValueError:
                 raise ValueError(f"symbol {s} outside the map's alphabet") from None
-            for j, x in enumerate(img):
-                acc[j] += x
+        acc = [0] * self.dim
+        for m, row in zip(counts.values(), self._table[list(counts)].tolist()):
+            acc = [a + m * x for a, x in zip(acc, row)]
         return tuple(acc)
 
     def letter_indices(self, symbols: np.ndarray) -> np.ndarray:
@@ -118,12 +114,12 @@ class LatticeMap:
         return max(int(self._table.max()), -int(self._table.min()))
 
     def __repr__(self) -> str:
-        return _rules(self.images.items())
+        return "mu:" + _rules(zip(self.alphabet, self._table.tolist()))
 
 
 def _rules(images: Iterable[tuple[int, Sequence[int]]]) -> str:
-    """The mu:<s>=<v1,...>;... spec of letter images."""
-    return "mu:" + ";".join(f"{s}={','.join(map(str, v))}" for s, v in images)
+    """The <s>=<v1,...>;... rules of letter images, as lattice maps and morphisms spell them."""
+    return ";".join(f"{s}={','.join(map(str, v))}" for s, v in images)
 
 
 @dataclass(frozen=True)
@@ -190,8 +186,7 @@ def _pack(W: np.ndarray, lo: list[int], radix: list[int]) -> np.ndarray:
     column most significant: one per row, else an (N, p) table of one per `_pieces` run."""
     pieces = []
     for a, b in _pieces(radix):
-        # a lone column from lo = 0 is W's own; wider keys are built in place
-        keys = W[:, a] - lo[a] if lo[a] or b - a > 1 else W[:, a]
+        keys = W[:, a] - lo[a]
         for c in range(a + 1, b):
             keys *= radix[c]
             keys += W[:, c] - lo[c]
@@ -239,17 +234,34 @@ def _decode(keys: np.ndarray, n: int, lo: list[int], radix: list[int]) -> np.nda
 
 
 def _key_prefix(
-    w: WordStream, mu: LatticeMap, n_max: int, L: int
+    w: WordStream, mu: Optional[LatticeMap], n_max: int, L: int
 ) -> tuple[np.ndarray, list[int], list[int], int]:
-    """The weighted key prefix S of w(1..L) under mu, for windows of length <= n_max.
+    """The weighted key prefix S of w(1..L) under mu, or of its symbol sums when mu is None,
+    for windows of length <= n_max: the only builder of window keys.
 
-    Returns (S, lo, radix, top): S[i + n] - S[i] is the key of a length-n window, an int64
-    or a row of `_pieces`, with digits in [0, n * (hi_c - lo_c)] below radix R_c, so equal
-    keys of equal-length windows mean equal images, and `_decode` reads them back; top is
-    the largest letter weight.  Refuses images whose sums may overflow int64, and the
-    (L + 1) x p prefix plus an L x p buffer of keys past the memory guard, before reading
-    a symbol.  This is the only place that turns letters into lattice keys.
+    Returns (S, lo, radix, top).  Column c of the letter images spans [lo_c, hi_c], its
+    radix is R_c = n_max * (hi_c - lo_c) + 1, and letter s weighs omega(s) = sum_c
+    (mu(s)_c - lo_c) * place_c, with place_c the product of the radices after c; top is
+    the largest weight.  So the key S[i + n] - S[i] of a length-n window has digits in
+    [0, n * (hi_c - lo_c)] below R_c: equal keys of equal-length windows mean equal
+    images, and `_decode` reads them back.  Past 2^62 the columns split into `_pieces`
+    runs, one weighted prefix each.  Symbol sums weigh s - lo, with [lo, hi] the range the
+    cache holds: S is the cache itself when lo = 0, and one shifted copy otherwise.  S may
+    wrap past int64, but every key lies in [0, n * top] < 2^63 and differences are exact
+    modulo 2^64.  Refuses images whose sums may overflow int64, and the prefix it builds
+    plus an L x p buffer of keys past the memory guard, for a lattice map before reading a
+    symbol.
     """
+    if mu is None:
+        C = w.prefix_sums(L)
+        lo, top = w._lo, w._hi - w._lo  # the range the cache holds, read after the prefix
+        _check_table(2 * L + 1 if lo else L, 1, f"window keys for L={L}")
+        S = C
+        if lo:
+            S = np.arange(L + 1, dtype=np.int64)
+            S *= -lo
+            S += C
+        return S, [lo], [n_max * top + 1], top
     if mu.max_abs() * (L + 1) >= _SUM_LIMIT:
         raise GuardError("lattice prefix sums may overflow int64")
     T = mu._table
@@ -279,29 +291,12 @@ def window_images(w: WordStream, mu: LatticeMap, n: int, L: int) -> np.ndarray:
 def _key_rows(
     w: WordStream, mu: Optional[LatticeMap], ns: range, L: int, spreads: bool
 ) -> Iterator[ProfileRow]:
-    """The kernel: a ProfileRow for each n in ns, from one int64 key prefix of w(1..L).
+    """The kernel: a ProfileRow for each n in ns, from one `_key_prefix` of w(1..L).
 
-    Letter s weighs omega(s) = sum_c (mu(s)_c - lo_c) * place_c, where column c of the
-    letter images spans [lo_c, hi_c] and place_c is the product of the radices
-    R_c = n_max * (hi_c - lo_c) + 1 after c, so the key S[i + n] - S[i] of a length-n
-    window, with S the prefix sums of omega, is its image in mixed radix.  Past 2^62 the
-    columns split into `_pieces` runs, one weighted prefix each.  Symbol sums (mu None)
-    weigh s - lo with lo the least letter cached: S is the cache itself when lo = 0.
-    S may wrap past int64, but every key lies in [0, n * max omega] < 2^63, and
-    differences are exact modulo 2^64.  Spreads are max - min for symbol sums; image
-    spreads decode the distinct keys into points, and are 0 unless `spreads`.
+    Spreads are max - min for symbol sums (mu None); image spreads decode the distinct
+    keys into points, and are 0 unless `spreads`.
     """
-    if mu is None:
-        C = w.prefix_sums(L)
-        lo, top = w._lo, w._hi - w._lo  # the range the cache holds, read after the prefix
-        _check_table(2 * L + 1 if lo else L, 1, f"window keys for L={L}")
-        S = C
-        if lo:
-            S = np.arange(L + 1, dtype=np.int64)
-            S *= -lo
-            S += C
-    else:
-        S, lo, radix, top = _key_prefix(w, mu, ns[-1], L)
+    S, lo, radix, top = _key_prefix(w, mu, ns[-1], L)
     buf = np.empty((L,) + S.shape[1:], dtype=np.int64)
     for n in ns:
         K = np.subtract(S[n:], S[:-n], out=buf[: L - n + 1])
@@ -424,7 +419,8 @@ def naive_complexity_oracle(
     syms = [int(x) for x in w.prefix(L)]
     if mu is None:
         return len({sum(syms[i : i + n]) for i in range(L - n + 1)})
-    imgs = [mu.of_word((s,)) for s in syms]
+    letter_images = {s: mu.of_word((s,)) for s in set(syms)}
+    imgs = [letter_images[s] for s in syms]
     seen = set()
     for i in range(L - n + 1):
         seen.add(tuple(map(sum, zip(*imgs[i : i + n]))))

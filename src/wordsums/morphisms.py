@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .complexity import LatticeMap, parikh, window_images
+from .complexity import LatticeMap, _rules, parikh, window_images
 from .core import Alphabet, FiniteWord, WordStream, _integer, word_slope, word_sum
 
 
@@ -68,10 +68,7 @@ class Morphism:
         return all(t in self.source for t in self.target)
 
     def __repr__(self) -> str:
-        rules = ";".join(
-            f"{s}={','.join(map(str, w.symbols))}" for s, w in sorted(self.images.items())
-        )
-        return rules
+        return _rules((s, w.symbols) for s, w in sorted(self.images.items()))
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,7 @@ def chi_factorization(w: WordStream, alpha: Rational, L: int) -> SlopeFactorizat
     values, counts = np.unique(colors, return_counts=True)
     color = int(values[np.argmax(counts)])
     cuts = (np.flatnonzero(colors == color) + 1) * a.denominator
-    return SlopeFactorization(a, color, tuple(int(c) for c in cuts))
+    return SlopeFactorization(a, color, tuple(cuts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -163,11 +163,7 @@ def greedy_slope_cuts(w: WordStream, alpha: Rational, start: int, L: int) -> Gre
     cuts = np.flatnonzero(E[start:] == E[start - 1]) + start
     gaps = np.diff(cuts, prepend=start - 1)
     return GreedyCuts(
-        a,
-        start,
-        tuple(int(c) for c in cuts),
-        tuple(int(g) for g in gaps),
-        truncated=cuts.size == 0,
+        a, start, tuple(cuts.tolist()), tuple(gaps.tolist()), truncated=cuts.size == 0
     )
 
 

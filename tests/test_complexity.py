@@ -137,10 +137,16 @@ def test_window_sums_match_factors():
 
 
 def test_sum_map_equals_additive():
-    w = periodic([1, 0, 2, 1])
-    mu = LatticeMap.sum_map(Alphabet([0, 1, 2]))
-    for n in (1, 2, 3, 7):
-        assert lattice_complexity(w, mu, n, 500) == additive_complexity(w, n, 500)
+    for letters in ([1, 0, 2, 1], [2, -3, 0, 5]):
+        w = periodic(letters)
+        mu = LatticeMap.sum_map(Alphabet(letters))
+        # symbol-sum keys weigh s - lo: the cache itself when the least letter is 0
+        S, lo, _, top = _key_prefix(w, None, 7, 500)
+        assert (lo, top) == ([min(letters)], max(letters) - min(letters))
+        assert np.shares_memory(S, w.prefix_sums(500)) == (lo == [0])
+        for n in (1, 2, 3, 7):
+            assert lattice_complexity(w, mu, n, 500) == additive_complexity(w, n, 500)
+            assert (S[n:] - S[:-n]).tolist() == (window_sums(w, n, 500) - n * lo[0]).tolist()
 
 
 @settings(max_examples=80, deadline=None)
@@ -182,6 +188,20 @@ def test_letter_maps_take_any_iterable_and_look_letters_up_by_value():
     assert mu.of_word([np.int64(1), 1.0, 0]) == (1, 2)
     with pytest.raises(ValueError, match="symbol 1.5 outside the map's alphabet"):
         mu.of_word([1.5])  # was read as letter 1
+
+
+def test_one_letter_of_a_large_parikh_map_reads_one_table_row():
+    # the map once turned its whole 1000 x 1000 table into Python tuples: 16 MB
+    mu = LatticeMap.parikh_map(range(1000))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        img = mu.of_word([0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert img == (1,) + (0,) * 999
 
 
 def test_oracle_guard():
