@@ -337,12 +337,14 @@ def _cmd_anchor(args, phi) -> Optional[int]:
 def _cmd_powers(args, w) -> Optional[int]:
     if args.slope is not None and args.mu is not None:
         raise WordSpecError("--slope and --mu are mutually exclusive")
+    if args.divisor is not None and args.slope is None:
+        raise WordSpecError("--divisor needs --slope")
     mu = parse_mu_spec(args.mu) if args.mu else None
     limit = 100 * LARGE_PREFIX if args.unsafe_large else LARGE_PREFIX
     if args.slope is not None:
         alpha = parse_slope(args.slope)
-        witness = find_anchored_power(w, alpha, args.divisor, args.k, args.prefix_length,
-                                      limit=limit)
+        divisor = 1 if args.divisor is None else args.divisor
+        witness = find_anchored_power(w, alpha, divisor, args.k, args.prefix_length, limit=limit)
     elif mu is not None:
         witness = find_kpower_mod_mu(w, mu, args.k, args.prefix_length, limit=limit)
     else:
@@ -412,8 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="number of blocks")
     p.add_argument("--mu", help="search modulo this lattice map instead of sums")
     p.add_argument("--slope", help="slope-constrained search: exact rational p/q")
-    p.add_argument("--divisor", type=int, default=1,
-                   help="with --slope: block length must be divisible by divisor*q")
+    p.add_argument("--divisor", type=int,
+                   help="with --slope: block length must be divisible by divisor*q (default 1)")
 
     p = _command(subs, "intersect", "count shared length-n factors of two words", _cmd_intersect,
                  specs=("word1", "word2"))

@@ -60,7 +60,7 @@ class LatticeMap:
         self.alphabet = alphabet
         try:
             self._syms = np.array(alphabet.symbols, dtype=np.int64)
-            self._table = np.array(table, dtype=np.int64)
+            self._table = np.asarray(table, dtype=np.int64)
         except OverflowError:
             spec = _rules(zip(alphabet, table))
             raise ValueError(f"letters and images of mu:{spec} must fit int64") from None
@@ -230,7 +230,8 @@ def _decode(keys: np.ndarray, n: int, lo: list[int], radix: list[int]) -> np.nda
         for c in range(b - 1, a, -1):
             piece, U[:, c] = np.divmod(piece, radix[c])
         U[:, a] = piece
-    return U + np.array([n * x for x in lo], dtype=np.int64)
+    U += np.array([n * x for x in lo], dtype=np.int64)
+    return U
 
 
 def _key_prefix(

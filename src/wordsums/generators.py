@@ -55,7 +55,7 @@ def periodic(pattern: Sequence[int]) -> WordStream:
     pat = tuple(map(_integer, pattern))
     if not pat:
         raise ValueError("empty period")
-    return WordStream(lambda: itertools.cycle(pat), alphabet=Alphabet(pat),
+    return WordStream(lambda: itertools.cycle(pat), alphabet=Alphabet(set(pat)),
                       label=f"periodic:{','.join(map(str, pat))}")
 
 
@@ -88,25 +88,13 @@ def cf_value(cf: Sequence[int]) -> Fraction:
     return x
 
 
-def _directive(cf: Sequence[int], repeat: Optional[int]) -> Iterator[int]:
-    # standard-word directive: d1 = a1 - 1, dn = an afterwards
-    if repeat is None:
-        coeffs: Iterable[int] = cf
-    else:
-        coeffs = itertools.chain(cf, itertools.cycle(cf[len(cf) - repeat :]))
-    for i, a in enumerate(coeffs):
-        yield a - 1 if i == 0 else a
-
-
 def mechanical(cf: Sequence[int], repeat: Optional[int] = None) -> WordStream:
-    """Lower mechanical word of slope alpha = [0; a1, a2, ...].
+    """Lower mechanical word w(i) = floor(alpha*i) - floor(alpha*(i-1)), alpha = [0; a1, ...].
 
-    Built through the standard-word recursion s_n = s_{n-1}^{d_n} s_{n-2}
-    with s_{-1} = 1, s_0 = 0.  Without a repeat marker alpha = p/q is
-    rational and the emitted period is 0 c 1 where s_last = c 10 or c 01;
-    with repeat=r the last r coefficients cycle forever and the word is
-    0 followed by the characteristic word.  Either way the output matches
-    w(i) = floor(alpha*i) - floor(alpha*(i-1)).
+    Without a repeat marker alpha = p/q is rational and the word repeats the lower
+    Christoffel word w(1..q).  With repeat=r the last r coefficients cycle forever and the
+    word is 0 followed by the limit of the standard words s_n = s_{n-1}^{d_n} s_{n-2},
+    with s_{-1} = 1, s_0 = 0, d_1 = a1 - 1 and d_n = a_n afterwards.
     """
     cf = [_integer(a, "coefficient") for a in cf]
     if not cf or any(a < 1 for a in cf):
@@ -115,26 +103,20 @@ def mechanical(cf: Sequence[int], repeat: Optional[int] = None) -> WordStream:
         raise ValueError(f"repeat marker {repeat} out of range for {cf}")
     label = f"mechanical:cf={','.join(map(str, cf))}"
     if repeat is None:
-        prev, cur = (1,), (0,)
-        for d in _directive(cf, None):
-            prev, cur = cur, cur * d + prev
-        if len(cur) == 1:
-            # slope is 0/1 or 1/1; the rotation below needs q >= 2
-            period = cur
-        else:
-            period = (0,) + cur[:-2] + (1,)
-        w = periodic(period)
+        alpha = cf_value(cf)
+        p, q = alpha.numerator, alpha.denominator
+        w = periodic([(p * i) // q - (p * (i - 1)) // q for i in range(1, q + 1)])
         w.label = label
         return w
 
     def gen() -> Iterator[int]:
+        # s_0 = 0, s_1 = 0^(a1 - 1) 1; each s_n starts with s_{n-1}, so only its tail is new
+        prev, cur = (0,), (0,) * (cf[0] - 1) + (1,)
         yield 0
-        emitted = 0
-        prev, cur = (1,), (0,)
-        for d in _directive(cf, repeat):
-            prev, cur = cur, cur * d + prev
-            yield from cur[emitted:]
-            emitted = len(cur)
+        yield from cur
+        for a in itertools.chain(cf[1:], itertools.cycle(cf[len(cf) - repeat :])):
+            prev, cur = cur, cur * a + prev
+            yield from cur[len(prev) :]
 
     return WordStream(gen, alphabet=Alphabet((0, 1)), label=f"{label};repeat={repeat}")
 

@@ -366,6 +366,17 @@ def test_powers_anchored(capsys):
     assert payload["verified"]
 
 
+def test_powers_divisor_needs_a_slope(capsys):
+    # only the slope search reads the divisor, so alone it is refused, not ignored
+    assert main(["powers", "thm11:k=1", "--k", "4", "--divisor", "3", "-L", "2000"]) == 2
+    assert capsys.readouterr() == ("", "error: --divisor needs --slope\n")
+    argv = ["powers", "thm11:k=1", "--k", "3", "--slope", "1", "-L", "20000"]
+    assert main(argv) == 0
+    alone = capsys.readouterr().out
+    assert main(argv + ["--divisor", "1"]) == 0
+    assert capsys.readouterr().out == alone
+
+
 def test_powers_takes_no_format(capsys):
     # powers always prints JSON, as anchor does
     with pytest.raises(SystemExit) as exc:

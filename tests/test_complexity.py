@@ -204,6 +204,38 @@ def test_one_letter_of_a_large_parikh_map_reads_one_table_row():
     assert img == (1,) + (0,) * 999
 
 
+def test_a_parikh_map_holds_one_table():
+    # the memory guard measures one k x k table, so the map may hold no second one
+    letters = Alphabet(range(2000))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mu = LatticeMap.parikh_map(letters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2000 * 2000 * 8
+    assert mu.of_word([0, 1999, 1999]) == (1,) + (0,) * 1998 + (2,)
+
+
+def test_window_images_decode_in_place():
+    # n * lo is added to the decoded table in place, not to a second answer-sized copy
+    w, mu, L = constant_complexity_word(2), LatticeMap.parikh_map(range(5)), 10**5
+    w.prefix_sums(L)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        U = window_images(w, mu, 5, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * U.nbytes
+    x = w.prefix(L)
+    assert U.sum(axis=1).tolist() == [5] * (L - 4)
+    for i in range(0, L - 4, 997):
+        assert U[i].tolist() == np.bincount(x[i : i + 5], minlength=5).tolist(), i
+
+
 def test_oracle_guard():
     with pytest.raises(GuardError):
         naive_complexity_oracle(periodic([0, 1]), None, 2, 20_001)

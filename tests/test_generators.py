@@ -127,6 +127,29 @@ def test_mechanical_matches_floor_formula(cf):
     assert _prefix(w, L) == floors
 
 
+@st.composite
+def _slopes(draw):
+    cf = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    return cf, draw(st.none() | st.integers(1, len(cf)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_slopes())
+def test_mechanical_words_are_balanced(slope):
+    # whatever builds them, equal-length windows differ by at most one 1
+    cf, repeat = slope
+    alpha = cf_value(cf)
+    q = alpha.denominator
+    L = 2000 if repeat is not None else max(2000, 3 * q)
+    P = mechanical(cf, repeat).prefix_sums(L)
+    for n in range(1, 41):
+        sums = P[n:] - P[:-n]
+        assert np.unique(sums).size <= 2 and np.ptp(sums) <= 1, n
+    if repeat is None:  # slope p/q: each period holds p ones
+        m = np.arange(L // q + 1)
+        assert P[m * q].tolist() == (m * alpha.numerator).tolist()
+
+
 def _isqrt_floor(mult, i, shift):
     # floor(i*sqrt(mult)) + shift*i, exactly
     return math.isqrt(mult * i * i) + shift * i
