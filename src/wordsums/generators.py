@@ -94,7 +94,9 @@ def mechanical(cf: Sequence[int], repeat: Optional[int] = None) -> WordStream:
     Without a repeat marker alpha = p/q is rational and the word repeats the lower
     Christoffel word w(1..q).  With repeat=r the last r coefficients cycle forever and the
     word is 0 followed by the limit of the standard words s_n = s_{n-1}^{d_n} s_{n-2},
-    with s_{-1} = 1, s_0 = 0, d_1 = a1 - 1 and d_n = a_n afterwards.
+    with s_{-1} = 1, s_0 = 0, d_1 = a1 - 1 and d_n = a_n afterwards.  Either word is
+    generated as it is read, so reading L symbols costs O(L) time and memory whatever
+    the denominator q or the coefficients are.
     """
     cf = [_integer(a, "coefficient") for a in cf]
     if not cf or any(a < 1 for a in cf):
@@ -103,20 +105,23 @@ def mechanical(cf: Sequence[int], repeat: Optional[int] = None) -> WordStream:
         raise ValueError(f"repeat marker {repeat} out of range for {cf}")
     label = f"mechanical:cf={','.join(map(str, cf))}"
     if repeat is None:
-        alpha = cf_value(cf)
-        p, q = alpha.numerator, alpha.denominator
-        w = periodic([(p * i) // q - (p * (i - 1)) // q for i in range(1, q + 1)])
-        w.label = label
-        return w
+        p, q = cf_value(cf).as_integer_ratio()
+
+        def period() -> Iterator[int]:
+            return itertools.cycle((p * i) // q - (p * (i - 1)) // q for i in range(1, q + 1))
+
+        return WordStream(period, alphabet=Alphabet((0, 1) if q > 1 else (1,)), label=label)
 
     def gen() -> Iterator[int]:
-        # s_0 = 0, s_1 = 0^(a1 - 1) 1; each s_n starts with s_{n-1}, so only its tail is new
+        # s_0 = 0, s_1 = 0^(a1 - 1) 1; each s_n starts with s_{n-1}, so only its tail
+        # s_{n-1}^(a_n - 1) s_{n-2} is new: it is emitted first and s_n is built after
+        yield from itertools.repeat(0, cf[0])
+        yield 1
         prev, cur = (0,), (0,) * (cf[0] - 1) + (1,)
-        yield 0
-        yield from cur
         for a in itertools.chain(cf[1:], itertools.cycle(cf[len(cf) - repeat :])):
+            yield from itertools.chain.from_iterable(itertools.repeat(cur, a - 1))
+            yield from prev
             prev, cur = cur, cur * a + prev
-            yield from cur[len(prev) :]
 
     return WordStream(gen, alphabet=Alphabet((0, 1)), label=f"{label};repeat={repeat}")
 

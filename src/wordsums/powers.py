@@ -93,9 +93,7 @@ def _first_progression(
     def tile(buf: np.ndarray, lo: int, m: int, g0: int, T: int) -> Optional[tuple[int, int]]:
         """First hit among starts [lo, lo+m) at gaps g0, g0+step, ..., of T gaps."""
         g1 = g0 + (T - 1) * step
-        if not blocks:
-            vals = [view(buf, (T, m), lo + j * g0, j * step) for j in range(terms)]
-        elif g1 <= m:
+        if blocks and g1 <= m:
             # the blocks overlap: one windows array W[t, p] = X[lo+p+g_t] - X[lo+p]
             # holds them all, block j of (t, i) at W[t, i + j*g_t]
             P = m + (terms - 1) * g1
@@ -103,9 +101,10 @@ def _first_progression(
                             order="C")
             vals = [view(W, (T, m), j * g0, P + j * step) for j in range(terms)]
         else:
-            # blocks lie apart, where most cells of W would go unread: subtract per block
-            pts = [view(buf, (T, m), lo + j * g0, j * step) for j in range(terms + 1)]
-            vals = [b - a for a, b in zip(pts, pts[1:])]
+            # values, or blocks that lie apart, where most cells of W would go unread:
+            # one strided view per point of the progression; a block is two points' difference
+            pts = [view(buf, (T, m), lo + j * g0, j * step) for j in range(reach + 1)]
+            vals = [b - a for a, b in zip(pts, pts[1:])] if blocks else pts
         ok = vals[1] == vals[0]
         for v in vals[2:]:
             ok &= v == vals[0]

@@ -35,8 +35,10 @@ def _scaled_prefix(w: WordStream, alpha: Fraction, L: int) -> np.ndarray:
     # q * P and p * j take q and p as int64 scalars, even when P or j is all 0
     if max(q, abs(p)) >= _SUM_LIMIT or q * bound + abs(p) * L >= _SUM_LIMIT:
         raise GuardError("q*P - p*j may overflow int64; reduce L or the slope")
-    j = np.arange(L + 1, dtype=np.int64)
-    return q * P - p * j
+    E = np.arange(L + 1, dtype=np.int64)
+    E *= -p
+    E += P if q == 1 else q * P
+    return E
 
 
 def slope_estimate(w: WordStream, L: int) -> list[tuple[int, Fraction]]:

@@ -1,5 +1,8 @@
+import gc
+import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -128,8 +131,8 @@ def test_mechanical_matches_floor_formula(cf):
 
 
 @st.composite
-def _slopes(draw):
-    cf = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+def _slopes(draw, top=5, size=5):
+    cf = draw(st.lists(st.integers(1, top), min_size=1, max_size=size))
     return cf, draw(st.none() | st.integers(1, len(cf)))
 
 
@@ -166,6 +169,47 @@ def test_mechanical_quadratic_irrationals():
     seq = _prefix(w, 2000)
     f = [(math.isqrt(5 * i * i) - i) // 2 for i in range(2001)]
     assert seq == [f[i] - f[i - 1] for i in range(1, 2001)]
+
+
+@pytest.mark.parametrize(
+    "cf, repeat, L",
+    [
+        ([1000, 1000], None, 10),  # q = 1,000,001
+        ([2, 3000], 1, 6010),  # s_3 has 18 million symbols
+        ([10**6], 1, 10),  # s_1 has a million symbols
+    ],
+)
+def test_mechanical_words_are_generated_as_they_are_read(cf, repeat, L):
+    # neither a long rational period nor a long standard word is built ahead of the reader
+    gc.collect()
+    tracemalloc.start()
+    try:
+        prefix = mechanical(cf, repeat).prefix(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert prefix.tolist() == _eager_mechanical(cf, repeat, L)
+
+
+def _eager_mechanical(cf, repeat, L):
+    """The first L symbols of mechanical(cf, repeat), each standard word built before it is read."""
+    if repeat is None:
+        p, q = cf_value(cf).as_integer_ratio()
+        return [(p * i) // q - (p * (i - 1)) // q for i in range(1, L + 1)]
+    coefficients = itertools.chain(cf, itertools.cycle(cf[len(cf) - repeat :]))
+    prev, cur, d = (1,), (0,), next(coefficients) - 1  # s_{-1}, s_0, d_1
+    while len(cur) < L:  # s_n for n >= 1 is a prefix of every later one
+        # only as many copies of s_{n-1} as reach past symbol L: a capped step is the last
+        prev, cur, d = cur, cur * min(d, L // len(cur) + 1) + prev, next(coefficients)
+    return [0, *cur[: L - 1]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_slopes(top=6, size=6))
+def test_mechanical_matches_the_eager_standard_words(slope):
+    cf, repeat = slope
+    assert _prefix(mechanical(cf, repeat), 3000) == _eager_mechanical(cf, repeat, 3000)
 
 
 def test_mechanical_rejects_bad_input():

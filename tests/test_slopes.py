@@ -1,4 +1,6 @@
+import gc
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -238,3 +240,20 @@ def test_scaled_prefix_guards_a_denominator_past_int64():
         deviation_constant(w, Fraction(2**70, 3), 0)  # p * j with j = [0]
     assert deviation_constant(w, Fraction(1, 2**62 - 1), 10).constant == Fraction(10, 2**62 - 1)
     assert greedy_slope_cuts(w, Fraction(1, 2**62 - 1), 1, 10).truncated
+
+
+def test_scaled_prefix_is_built_in_place():
+    # E = q*P - p*j is one array: no (L + 1)-sized temporaries beside it when q = 1
+    w, L = constant_complexity_word(2), 10**6
+    w.prefix_sums(L)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dev = deviation_constant(w, 2, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * (L + 1)
+    P = w.prefix_sums(L)
+    E = P - 2 * np.arange(L + 1)
+    assert dev.constant == int(E.max() - E.min())
