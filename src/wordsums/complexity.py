@@ -9,18 +9,19 @@ equivalent to bounded spread, where spread is max - min of the sums
 
 Every count runs one kernel on one int64 key prefix per call, built by
 `_key_prefix`, the only place letters become window keys: the key of a length-n
-window is a difference S[i + n] - S[i] of that prefix.  Each length n subtracts
-into one reused buffer, and the keys, all in [0, n * top], take one of four
-reductions: a 64-bit mask of the keys when n * top < 64, with no min/max scan;
-the same mask after a scan when the keys span fewer than 64 values; a boolean
-presence table when they span at most the number of windows; and a sort
-otherwise (a lexsort for rows of pieces).  Sums read their count and spread off
-the mask or the sorted keys, and distinct keys decode into image points only
-for the spreads of lattice images.  The same key prefix serves the mod-mu power
-scans, whose blocks are at most L/k letters long, and `window_images`, which
-decodes every window key into its image; the unbounding guess in `morphisms`
-takes spreads of those Parikh images.  Factor-set intersections count the
-shared keys of two words' factor rows, packed under one letter box.
+window is a difference S[i + n] - S[i] of that prefix, and for symbol sums, the
+sum map's keys, that prefix is the word's own cached prefix sums.  Each length n
+subtracts into one reused buffer, and the keys, all in the box [n * lo, n * hi]
+for letter weights in [lo, hi], take one of four reductions: a 64-bit mask of
+the keys when the box spans fewer than 64 values, with no min/max scan; the same
+mask after a scan when the keys do; a boolean presence table when they span at
+most the number of windows; and a sort otherwise (a lexsort for rows of pieces).
+Sums read their count and spread off the mask or the sorted keys, and distinct
+keys decode into image points only for the spreads of lattice images.  The same
+key prefix serves the additive and mod-mu power scans and `window_images`; the
+unbounding guess in `morphisms` takes spreads of those Parikh images.  Factor-set
+intersections count the shared keys of two words' factor rows, packed under one
+letter box.
 """
 
 from __future__ import annotations
@@ -194,15 +195,15 @@ def _pack(W: np.ndarray, lo: list[int], radix: list[int]) -> np.ndarray:
     return pieces[0] if len(pieces) == 1 else np.stack(pieces, axis=1)
 
 
-def _reduce(K: np.ndarray, top: int) -> tuple[int, int, Optional[np.ndarray]]:
-    """The reduction of one row of keys K, each in [0, top], overwriting K.
+def _reduce(K: np.ndarray, low: int, high: int) -> tuple[int, int, Optional[np.ndarray]]:
+    """The reduction of one row of keys K, each in the box [low, high], overwriting K.
 
     Returns (mask, base, None), where bit i of the Python int mask marks the key base + i,
     when the keys span fewer than 64 values; else (0, 0, the sorted distinct keys).  The
-    box picks the tier first: a top below 64 needs no min/max scan.
+    box picks the tier first: a box narrower than 64 values needs no min/max scan.
     """
-    base = 0
-    if top >= 64:
+    base = 0 if 0 <= low and high < 64 else low  # keys already below 64 need no shift
+    if high - base >= 64:
         base = int(K.min())
         span = int(K.max()) - base
         if span >= 64:
@@ -211,6 +212,7 @@ def _reduce(K: np.ndarray, top: int) -> tuple[int, int, Optional[np.ndarray]]:
             seen = np.zeros(span + 1, dtype=bool)
             seen[np.subtract(K, base, out=K)] = True
             return 0, 0, np.flatnonzero(seen) + base
+    if base:
         K -= base
     bits = K.view(np.uint64)
     np.left_shift(np.uint64(1), bits, out=bits)
@@ -236,33 +238,26 @@ def _decode(keys: np.ndarray, n: int, lo: list[int], radix: list[int]) -> np.nda
 
 def _key_prefix(
     w: WordStream, mu: Optional[LatticeMap], n_max: int, L: int
-) -> tuple[np.ndarray, list[int], list[int], int]:
+) -> tuple[np.ndarray, list[int], list[int], tuple[int, int]]:
     """The weighted key prefix S of w(1..L) under mu, or of its symbol sums when mu is None,
     for windows of length <= n_max: the only builder of window keys.
 
-    Returns (S, lo, radix, top).  Column c of the letter images spans [lo_c, hi_c], its
+    Returns (S, lo, radix, box).  Column c of the letter images spans [lo_c, hi_c], its
     radix is R_c = n_max * (hi_c - lo_c) + 1, and letter s weighs omega(s) = sum_c
-    (mu(s)_c - lo_c) * place_c, with place_c the product of the radices after c; top is
-    the largest weight.  So the key S[i + n] - S[i] of a length-n window has digits in
-    [0, n * (hi_c - lo_c)] below R_c: equal keys of equal-length windows mean equal
-    images, and `_decode` reads them back.  Past 2^62 the columns split into `_pieces`
-    runs, one weighted prefix each.  Symbol sums weigh s - lo, with [lo, hi] the range the
-    cache holds: S is the cache itself when lo = 0, and one shifted copy otherwise.  S may
-    wrap past int64, but every key lies in [0, n * top] < 2^63 and differences are exact
-    modulo 2^64.  Refuses images whose sums may overflow int64, and the prefix it builds
-    plus an L x p buffer of keys past the memory guard, for a lattice map before reading a
-    symbol.
+    (mu(s)_c - lo_c) * place_c, with place_c the product of the radices after c; the box
+    is the weight range [min omega, max omega].  So the key S[i + n] - S[i] of a length-n
+    window lies in [n * min omega, n * max omega] and has digits in [0, n * (hi_c - lo_c)]
+    below R_c: equal keys of equal-length windows mean equal images, and `_decode` reads
+    them back.  Past 2^62 the columns split into `_pieces` runs, one weighted prefix each.
+    Symbol sums weigh s itself: S is the cache, the offset lo is [0], and the box is the
+    range of letters the cache holds.  A lattice S may wrap past int64, but every key lies
+    in its box below 2^63 and differences are exact modulo 2^64.  Refuses images whose sums
+    may overflow int64, and the lattice prefix it builds plus an L x p buffer of keys past
+    the memory guard, before reading a symbol.
     """
-    if mu is None:
-        C = w.prefix_sums(L)
-        lo, top = w._lo, w._hi - w._lo  # the range the cache holds, read after the prefix
-        _check_table(2 * L + 1 if lo else L, 1, f"window keys for L={L}")
-        S = C
-        if lo:
-            S = np.arange(L + 1, dtype=np.int64)
-            S *= -lo
-            S += C
-        return S, [lo], [n_max * top + 1], top
+    if mu is None:  # the box is the range the cache holds, read after the prefix
+        S = w.prefix_sums(L)
+        return S, [0], [n_max * (w._hi - w._lo) + 1], (w._lo, w._hi)
     if mu.max_abs() * (L + 1) >= _SUM_LIMIT:
         raise GuardError("lattice prefix sums may overflow int64")
     T = mu._table
@@ -278,7 +273,7 @@ def _key_prefix(
         np.take(omega, mu.letter_indices(np.diff(C[a : a + len(seg) + 1])), axis=0, out=seg)
         np.cumsum(seg, axis=0, out=seg)
         seg += S[a]
-    return S, lo, radix, int(omega.max())
+    return S, lo, radix, (int(omega.min()), int(omega.max()))
 
 
 def window_images(w: WordStream, mu: LatticeMap, n: int, L: int) -> np.ndarray:
@@ -297,11 +292,13 @@ def _key_rows(
     Spreads are max - min for symbol sums (mu None); image spreads decode the distinct
     keys into points, and are 0 unless `spreads`.
     """
-    S, lo, radix, top = _key_prefix(w, mu, ns[-1], L)
+    S, lo, radix, (low, high) = _key_prefix(w, mu, ns[-1], L)
+    _check_table(L, S[0].size, f"window keys for L={L}")  # the buffer, before it is built
     buf = np.empty((L,) + S.shape[1:], dtype=np.int64)
     for n in ns:
         K = np.subtract(S[n:], S[:-n], out=buf[: L - n + 1])
-        mask, base, keys = _reduce(K, n * top) if K.ndim == 1 else (0, 0, _sorted_distinct(K))
+        mask, base, keys = (_reduce(K, n * low, n * high) if K.ndim == 1
+                            else (0, 0, _sorted_distinct(K)))
         count = mask.bit_count() if keys is None else len(keys)
         spread = 0
         if mu is None:  # straight off the mask or the sorted keys

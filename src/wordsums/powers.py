@@ -10,14 +10,14 @@ consecutive gaps × live starts, read as strided views.  The first start
 reads the prefix in place, the rest go gap-major over one copy of it in
 the narrowest integer dtype (int8 to int64) whose wrap-around equality is
 still exact.  The prefix guard (L <= 10^6 unless the caller raises
-`limit`) bounds that work.  mu-images compare as block differences of the
-weighted key prefix (`complexity._key_prefix`), one int64 or a row of key
-pieces per position: column c of the letter images, in [lo_c, hi_c], takes
-mixed radix (L/k) * (hi_c - lo_c) + 1, so two blocks of one length b <= L/k
-have equal keys exactly when they have equal images.  Words of
-bounded sum spread still contain additive k-powers for every k; the
-slope-constrained search finds them through monochromatic arithmetic
-progressions in the chi coloring.
+`limit`) bounds that work.  Sums and mu-images share one search over block
+differences of the key prefix (`complexity._key_prefix`): the word's own
+prefix sums, or for mu one int64 or a row of key pieces per position: column
+c of the letter images, in [lo_c, hi_c], takes mixed radix (L/k) * (hi_c -
+lo_c) + 1, so two blocks of one length b <= L/k have equal keys exactly when
+they have equal images.  Words of bounded sum spread still contain additive
+k-powers for every k; the slope-constrained search finds them through
+monochromatic arithmetic progressions in the chi coloring.
 """
 
 from __future__ import annotations
@@ -140,23 +140,10 @@ def _first_progression(
     return scan(_narrow_copy(X, blocks, min(n, math.isqrt(_TILE_CELLS) * reach * step)), 1, n)
 
 
-def find_additive_kpower(
-    w: WordStream, k: int, L: int, limit: int = _POWER_MAX_PREFIX
+def _block_power(
+    w: WordStream, mu: Optional[LatticeMap], k: int, L: int, limit: int
 ) -> Optional[PowerWitness]:
-    """First (start asc, then b asc) run of k equal-length equal-sum blocks."""
-    _check_power_args(k, L, limit)
-    P = w.prefix_sums(L)
-    hit = _first_progression(P, k, 1, blocks=True)
-    if hit is None:
-        return None
-    i, b = hit
-    return PowerWitness(i + 1, b, k, int(P[i + b]) - int(P[i]))
-
-
-def find_kpower_mod_mu(
-    w: WordStream, mu: LatticeMap, k: int, L: int, limit: int = _POWER_MAX_PREFIX
-) -> Optional[PowerWitness]:
-    """Like find_additive_kpower, but blocks must share their mu-image."""
+    """First run of k equal-length blocks with equal keys under mu, or symbol sums if None."""
     _check_power_args(k, L, limit)
     # blocks compared in one scan share a length b <= L/k, so equal keys mean equal images
     S, lo, radix, _ = _key_prefix(w, mu, L // k, L)
@@ -164,8 +151,22 @@ def find_kpower_mod_mu(
     if hit is None:
         return None
     i, b = hit
-    v = _decode(S[i + b : i + b + 1] - S[i : i + 1], b, lo, radix)[0]
-    return PowerWitness(i + 1, b, k, tuple(v.tolist()))
+    v = _decode(S[i + b : i + b + 1] - S[i : i + 1], b, lo, radix)[0].tolist()
+    return PowerWitness(i + 1, b, k, v[0] if mu is None else tuple(v))
+
+
+def find_additive_kpower(
+    w: WordStream, k: int, L: int, limit: int = _POWER_MAX_PREFIX
+) -> Optional[PowerWitness]:
+    """First (start asc, then b asc) run of k equal-length equal-sum blocks."""
+    return _block_power(w, None, k, L, limit)
+
+
+def find_kpower_mod_mu(
+    w: WordStream, mu: LatticeMap, k: int, L: int, limit: int = _POWER_MAX_PREFIX
+) -> Optional[PowerWitness]:
+    """Like find_additive_kpower, but blocks must share their mu-image."""
+    return _block_power(w, mu, k, L, limit)
 
 
 def monochromatic_ap(

@@ -20,6 +20,7 @@ from wordsums import (
     constant_complexity_word,
     enumeration_word,
     factor_set_intersection,
+    find_additive_kpower,
     find_kpower_mod_mu,
     from_finite,
     lattice_complexity,
@@ -137,16 +138,47 @@ def test_window_sums_match_factors():
 
 
 def test_sum_map_equals_additive():
-    for letters in ([1, 0, 2, 1], [2, -3, 0, 5]):
+    for letters in ([1, 0, 2, 1], [5, 3, 2, 7], [2, -3, 0, 5]):
         w = periodic(letters)
         mu = LatticeMap.sum_map(Alphabet(letters))
-        # symbol-sum keys weigh s - lo: the cache itself when the least letter is 0
-        S, lo, _, top = _key_prefix(w, None, 7, 500)
-        assert (lo, top) == ([min(letters)], max(letters) - min(letters))
-        assert np.shares_memory(S, w.prefix_sums(500)) == (lo == [0])
+        # symbol-sum keys are the sums themselves: the cache, whatever the least letter
+        S, lo, _, box = _key_prefix(w, None, 7, 500)
+        assert (lo, box) == ([0], (min(letters), max(letters)))
+        assert S.base is w._ps and len(S) == 501
         for n in (1, 2, 3, 7):
             assert lattice_complexity(w, mu, n, 500) == additive_complexity(w, n, 500)
-            assert (S[n:] - S[:-n]).tolist() == (window_sums(w, n, 500) - n * lo[0]).tolist()
+            assert (S[n:] - S[:-n]).tolist() == window_sums(w, n, 500).tolist()
+
+
+def test_symbol_sums_hold_no_copy_of_the_prefix():
+    # sums over a least letter 2 once shifted a copy of the whole prefix beside the buffer
+    w, L = periodic([5, 3, 2, 7]), 10**6
+    w.prefix_sums(L)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        count = additive_complexity(w, 5, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * L
+    assert count == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=200),
+       st.sampled_from([-(2**40), -5, 3, 2**40]), st.integers(2, 3))
+def test_shifted_letters_shift_every_sum(xs, c, k):
+    # c added to every letter adds n * c to each length-n sum: counts, spreads and power
+    # witnesses stay, with keys in a box of nonzero base, some near n * 2^40
+    w, v, L = from_finite(xs), from_finite([x + c for x in xs]), len(xs)
+    assert profile(v, L, L).rows == profile(w, L, L).rows
+    a, b = find_additive_kpower(w, k, L), find_additive_kpower(v, k, L)
+    if a is None:
+        assert b is None
+    else:
+        assert (b.start, b.block_length) == (a.start, a.block_length)
+        assert b.value == a.value + a.block_length * c
 
 
 @settings(max_examples=80, deadline=None)
@@ -732,6 +764,13 @@ def test_kernel_table_guard_at_its_edge(monkeypatch):
     monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 2 * 201)
     assert profile(w, 2, 100, kind="lattice", mu=mu).counts() == [2, 1]
     # symbol sums from the least letter 0 read the cache in place: the buffer alone
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 100 - 1)
+    with pytest.raises(GuardError, match="window keys for L=100"):
+        additive_complexity(w, 1, 100)
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 100)
+    assert additive_complexity(w, 1, 100) == 2
+    # and so do they from any least letter: no shifted copy of the prefix
+    w = from_finite([1, 2] * 50)
     monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 100 - 1)
     with pytest.raises(GuardError, match="window keys for L=100"):
         additive_complexity(w, 1, 100)
