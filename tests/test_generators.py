@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 import re
@@ -27,6 +28,7 @@ from wordsums import (
     periodic,
     splice,
     unbounded_gap_word,
+    unbounding_stream,
 )
 from wordsums import generators
 
@@ -368,3 +370,40 @@ def test_large_alphabets_are_refused_before_they_are_built():
         constant_complexity_word(2**19)
     with pytest.raises(GuardError):
         constant_tail_word(2**20 + 1)
+
+
+_TM = {0: (0, 1), 1: (1, 0)}
+_CCSS = {0: (0, 3), 1: (4, 3), 3: (1,), 4: (0, 1)}
+_DEKKING3 = {0: (0, 0, 1, 2), 1: (1, 1, 2), 2: (0, 2, 2)}
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: morphic_fixed_point(Morphism(_TM), 0),
+     "76774cbe6999ba059b78aed4f08bd19be472d7619a423d3158533b12aa5ae2bd"),
+    (lambda: morphic_fixed_point(Morphism(_CCSS), 0),
+     "d05ec55ee274af1961ebf9dc947981abce469466df38105a637a2100e6de3607"),
+    (lambda: morphic_fixed_point(Morphism(_DEKKING3), 0),
+     "9d61d104999e9a5153d50114847a236603d92593fc7c4d547de2bb2e0c60f252"),
+    (lambda: morphic_fixed_point(Morphism({0: (0, 1), 1: (1,)}), 0),
+     "cdb18aaa252fbb4577581519b504e4daed28088dcb935b689247b9d73264f570"),
+    (lambda: enumeration_word(2),
+     "572b5c2916562d0c538fc04ab754fc64f80aa38302bd06cff1434d4edbafc283"),
+    (lambda: constant_complexity_word(2),
+     "8a1b108927f31f849b939c7dd3bd91a19f412a4d66b218967d926b4a66e7a9ec"),
+    (unbounded_gap_word,
+     "07ab9eb3e71d18d825e184d992cca5b1c77552877a1a30804d28c02eedaa67db"),
+    (lambda: constant_tail_word(5),
+     "b9abdbc92e06179073d7d7ee7acf2d4ced46564bbd0f9588cd7be42e1ec4c3b8"),
+    (nested_enum_word,
+     "8b821ce822ada9db1ac10dba4f7ebbcb5bca1743dc3e35c060caf3a6f6180375"),
+    (lambda: unbounding_stream(Morphism({0: (0, 1), 1: (1, 1)})),
+     "02c60a23d83d337b96e76f64ede4c9ba893858f608257f6eaaed25dabccfbb80"),
+    (lambda: splice([constant_complexity_word(1), periodic([1, 1])], SpliceSchedule(((1, 1),))),
+     "ab3bdb926903e27eb3558e48514c67b0c2678103f6abd29fe545d767993a4638"),
+    (lambda: contract(constant_complexity_word(1), SeparatedIntervalSet.arithmetic(5, 9, 3)),
+     "f14f8e21fb793c530af490953bfe2307e30f97e2836f0a3c55ba84896ea20ee1"),
+])
+def test_long_prefixes_are_frozen(build, digest):
+    # 2e5 symbols cross several 2^16-symbol fill chunks, which the short frozen
+    # prefixes above never reach
+    assert hashlib.sha256(build().prefix(2 * 10**5).tobytes()).hexdigest() == digest
