@@ -6,14 +6,17 @@ mechanical (Sturmian) words from continued fractions, enumeration words,
 the paired-enumeration family with constant additive complexity 2k+1,
 the bounded-spread word whose equal-slope cuts have unbounded gaps, the
 staircase word with constant complexity n, plus the splice and contract
-combinators.  Derived words iterate their sources' factories, never their
-caches, apply images through Morphism.expand, and end where a finite
-source ends.  Each stream's label is its canonical spec, e.g. thm11:k=2
-(see cli), or <nested enumeration word> for the one word no spec builds.
+combinators.  Each family is a pipeline of itertools iterators, with no
+Python loop per symbol.  Derived words iterate their sources' factories,
+never their caches, and end where a finite source ends; every image, fixed
+points included, goes through Morphism.expand.  Each stream's label is its
+canonical spec, e.g. thm11:k=2 (see cli), or <nested enumeration word> for
+the one word no spec builds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,7 +63,11 @@ def periodic(pattern: Sequence[int]) -> WordStream:
 
 
 def morphic_fixed_point(phi: Morphism, seed: int) -> WordStream:
-    """The fixed point phi^inf(seed); phi must be prolongable at seed."""
+    """The fixed point phi^inf(seed); phi must be prolongable at seed.
+
+    w = phi(w) is phi.expand of its own letters, read back through a lagging copy that
+    never catches up, as phi(seed) has at least two symbols; only that lag is held.
+    """
     if not phi.is_endomorphism():
         raise ValueError("fixed points need target symbols inside the source")
     head = phi.image(seed)
@@ -68,14 +75,11 @@ def morphic_fixed_point(phi: Morphism, seed: int) -> WordStream:
         raise ValueError(f"phi is not prolongable at {seed}: phi({seed}) = {head}")
 
     def gen() -> Iterator[int]:
-        # out is the word itself and stays ahead of the letter read; one
-        # extend per image beats appending phi.expand's symbols one by one.
-        out = list(head.symbols)
-        yield from out
-        for s in itertools.islice(out, 1, None):
-            img = phi.image(s).symbols
-            out.extend(img)
-            yield from img
+        # the list is read lazily, so the copy joins it before it is reached
+        letters: list[Iterable[int]] = [(seed,)]
+        word, lag = itertools.tee(phi.expand(itertools.chain.from_iterable(letters)))
+        letters.append(itertools.islice(lag, 1, None))
+        return word
 
     return WordStream(gen, alphabet=phi.source, label=f"morphic:{phi!r};seed={seed}")
 
@@ -133,9 +137,8 @@ def enumeration_word(k: int) -> WordStream:
     _check_letters(k + 1, f"enum:k={k}")
 
     def gen() -> Iterator[int]:
-        for ell in itertools.count(1):
-            for tup in itertools.product(range(k + 1), repeat=ell):
-                yield from tup
+        words = map(lambda ell: itertools.product(range(k + 1), repeat=ell), itertools.count(1))
+        return itertools.chain.from_iterable(itertools.chain.from_iterable(words))
 
     return WordStream(gen, alphabet=Alphabet(range(k + 1)), label=f"enum:k={k}")
 
@@ -164,9 +167,8 @@ def nested_enum_word() -> WordStream:
     """Concatenation of all words over {1..n} of length n, for n = 1, 2, ..."""
 
     def gen() -> Iterator[int]:
-        for n in itertools.count(1):
-            for tup in itertools.product(range(1, n + 1), repeat=n):
-                yield from tup
+        words = map(lambda n: itertools.product(range(1, n + 1), repeat=n), itertools.count(1))
+        return itertools.chain.from_iterable(itertools.chain.from_iterable(words))
 
     return WordStream(gen, label="<nested enumeration word>")
 
@@ -181,14 +183,12 @@ def unbounded_gap_word() -> WordStream:
     """
     feed = nested_enum_word()
 
-    def gen() -> Iterator[int]:
-        for v in feed._factory():
-            first, last = (0, 2) if v % 2 else (2, 0)
-            yield first
-            yield from itertools.repeat(1, v)
-            yield last
+    @functools.cache
+    def block(v: int) -> tuple[int, ...]:
+        return (0, *[1] * v, 2) if v % 2 else (2, *[1] * v, 0)
 
-    return WordStream(gen, alphabet=Alphabet((0, 1, 2)), label="sec24")
+    return WordStream(lambda: itertools.chain.from_iterable(map(block, feed._factory())),
+                      alphabet=Alphabet((0, 1, 2)), label="sec24")
 
 
 def constant_tail_word(n: int) -> WordStream:
@@ -203,11 +203,8 @@ def constant_tail_word(n: int) -> WordStream:
     _check_letters(n, f"ladder:n={n}")
     ramp = tuple(range(n))
 
-    def gen() -> Iterator[int]:
-        yield from ramp
-        yield from itertools.repeat(n - 1)
-
-    return WordStream(gen, alphabet=Alphabet(ramp), label=f"ladder:n={n}")
+    return WordStream(lambda: itertools.chain(ramp, itertools.repeat(n - 1)),
+                      alphabet=Alphabet(ramp), label=f"ladder:n={n}")
 
 
 @dataclass(frozen=True)
@@ -247,13 +244,11 @@ def splice(sources: Sequence[WordStream], schedule: SpliceSchedule) -> WordStrea
         )
 
     def gen() -> Iterator[int]:
+        # a block is ln reads of its source; unlike a bare map, yield from ends at a short one
         readers = [iter(src._factory()) for src in sources]
-        for row in itertools.cycle(schedule.rounds):
-            for reader, ln in zip(readers, row):
-                block = list(itertools.islice(reader, ln))
-                yield from block
-                if len(block) < ln:
-                    return
+        blocks = [(r, ln) for row in schedule.rounds for r, ln in zip(readers, row)]
+        per_symbol = itertools.starmap(itertools.repeat, itertools.cycle(blocks))
+        yield from map(next, itertools.chain.from_iterable(per_symbol))
 
     merged: Optional[Alphabet] = None
     if all(s.alphabet is not None for s in sources):
@@ -309,15 +304,15 @@ def contract(w: WordStream, intervals: SeparatedIntervalSet) -> WordStream:
     The contracted word ends where a finite w ends.
     """
 
+    def runs() -> Iterator[Iterator[bool]]:  # keep, drop an interval, ..., keep the rest
+        end = 0
+        for lo, hi in intervals:
+            yield from (itertools.repeat(True, lo - end - 1), itertools.repeat(False, hi - lo + 1))
+            end = hi
+        yield itertools.repeat(True)
+
     def gen() -> Iterator[int]:
-        # separated intervals: one step past iv.hi is never inside the next one
-        ivals = iter(intervals)
-        iv = next(ivals, None)
-        for i, s in enumerate(w._factory(), start=1):
-            if iv is not None and i > iv.hi:
-                iv = next(ivals, None)
-            if iv is None or i < iv.lo:
-                yield s
+        return itertools.compress(w._factory(), itertools.chain.from_iterable(runs()))
 
     label = f"contract:base=({w.label});ivals={intervals!r}"
     return WordStream(gen, alphabet=w.alphabet, label=label)

@@ -38,6 +38,7 @@ class Morphism:
                 raise ValueError(f"erasing image for letter {s}")
             self.images[_integer(s)] = w
             seen.update(w.symbols)
+        self._symbols = {s: w.symbols for s, w in self.images.items()}
         self.source = Alphabet(self.images)
         self.target = target if target is not None else Alphabet(seen)
         for s in seen:
@@ -51,9 +52,12 @@ class Morphism:
             raise ValueError(f"letter {s} has no image") from None
 
     def expand(self, letters: Iterable[int]) -> Iterator[int]:
-        """phi(s1) phi(s2) ... for the letters s1 s2 ..., lazily."""
-        for s in letters:
-            yield from self.image(s).symbols
+        """phi(s1) phi(s2) ... for the letters s1 s2 ..., lazily and in C; a letter with no
+        image raises ValueError where it is read."""
+        try:
+            yield from itertools.chain.from_iterable(map(self._symbols.__getitem__, letters))
+        except KeyError as e:
+            raise ValueError(f"letter {e.args[0]} has no image") from None
 
     def __call__(self, B: FiniteWord) -> FiniteWord:
         return FiniteWord(self.expand(B))
@@ -145,12 +149,10 @@ def unbounding_stream(phi: Morphism) -> WordStream:
     """
     B1, B2 = non_anchor_witness(phi)
 
-    def gen():
-        for n in itertools.count(1):
-            for _ in range(n):
-                yield from B1.symbols
-            for _ in range(n):
-                yield from B2.symbols
+    def gen() -> Iterator[int]:
+        counts = itertools.chain.from_iterable(zip(itertools.count(1), itertools.count(1)))
+        runs = map(itertools.repeat, itertools.cycle((B1.symbols, B2.symbols)), counts)
+        return itertools.chain.from_iterable(itertools.chain.from_iterable(runs))
 
     return WordStream(gen, alphabet=phi.source, label=f"<unbounding word of {phi!r}>")
 

@@ -151,8 +151,9 @@ def _block_power(
     if hit is None:
         return None
     i, b = hit
-    v = _decode(S[i + b : i + b + 1] - S[i : i + 1], b, lo, radix)[0].tolist()
-    return PowerWitness(i + 1, b, k, v[0] if mu is None else tuple(v))
+    key = S[i + b : i + b + 1] - S[i : i + 1]  # slices: scalars warn where lattice keys wrap
+    v = int(key[0]) if mu is None else tuple(_decode(key, b, lo, radix)[0].tolist())
+    return PowerWitness(i + 1, b, k, v)
 
 
 def find_additive_kpower(

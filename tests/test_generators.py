@@ -407,3 +407,64 @@ def test_long_prefixes_are_frozen(build, digest):
     # 2e5 symbols cross several 2^16-symbol fill chunks, which the short frozen
     # prefixes above never reach
     assert hashlib.sha256(build().prefix(2 * 10**5).tobytes()).hexdigest() == digest
+
+
+def _splice_reference(sources, rounds):
+    """Plain-list splice: rounds repeat until a source runs short inside its block."""
+    readers = [iter(src) for src in sources]
+    out = []
+    for row in itertools.cycle(rounds):
+        for reader, ln in zip(readers, row):
+            block = list(itertools.islice(reader, ln))
+            out += block
+            if len(block) < ln:
+                return out
+
+
+@st.composite
+def _splices(draw):
+    width = draw(st.integers(1, 3))
+    # True: a finite word; False: a period
+    kinds = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    lists = [draw(st.lists(st.integers(-3, 3), min_size=1, max_size=8)) for _ in kinds]
+    rounds = draw(st.lists(st.lists(st.integers(0, 3), min_size=width, max_size=width),
+                           min_size=1, max_size=3).filter(lambda rs: any(map(any, rs))))
+    return kinds, lists, rounds
+
+
+@settings(max_examples=100, deadline=None)
+@given(_splices())
+def test_splice_matches_a_plain_list_splice(case):
+    kinds, lists, rounds = case
+    sp = splice([from_finite(xs) if finite else periodic(xs) for finite, xs in zip(kinds, lists)],
+                SpliceSchedule(rounds))
+    # a period of at most 8 symbols spelled out to 1000 outlasts any finite source here
+    want = _splice_reference([xs if finite else xs * 1000 for finite, xs in zip(kinds, lists)],
+                             rounds)
+    # the splice is finite exactly when some finite source is read
+    if any(finite and any(row[i] for row in rounds) for i, finite in enumerate(kinds)):
+        assert _prefix(sp, len(want)) == want
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"ends at length {len(want)};"):
+                sp.prefix(len(want) + 1)
+    else:
+        assert _prefix(sp, 60) == want[:60]
+
+
+def test_fixed_point_of_a_linearly_growing_morphism():
+    w = morphic_fixed_point(Morphism({0: (0, 1), 1: (1,)}), 0)
+    assert _prefix(w, 2 * 10**5) == [0] + [1] * (2 * 10**5 - 1)
+
+
+def test_fixed_points_hold_their_lag_not_the_word():
+    # phi(0) = 01, phi(1) = 1: the letter read lags the symbol written by one,
+    # so a cold 1e6 fill holds little beyond its 8e6-byte prefix sums
+    w = morphic_fixed_point(Morphism({0: (0, 1), 1: (1,)}), 0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        w.prefix_sums(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * 10**6
