@@ -62,8 +62,13 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     """Distinct values of a 1-D array, ascending, or rows of a 2-D one, lexicographic: a sort
     and a neighbour mask, several times faster than the hash table np.unique uses."""
     if values.ndim > 1:  # a row starts a new value where any of its columns does
-        values = values[np.lexsort(values.T[::-1])]
-        return values[np.concatenate(([True], (values[1:] != values[:-1]).any(axis=1)))]
+        order = np.lexsort(values.T[::-1])
+        keep = np.zeros(len(order), dtype=bool)
+        keep[:1] = True
+        for column in values.T:  # gathered one at a time: no sorted copy of the table
+            column = column[order]
+            keep[1:] |= column[1:] != column[:-1]
+        return values[order[keep]]
     values = np.sort(values)
     keep = np.ones(values.size, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=keep[1:])
@@ -124,20 +129,17 @@ class Alphabet:
 
 
 class FiniteWord:
-    """Immutable finite word; prefix sums are computed lazily and exactly."""
+    """Immutable finite word, held as its tuple of symbols; sums are read from it exactly."""
 
-    __slots__ = ("symbols", "_psums")
+    __slots__ = ("symbols",)
 
     def __init__(self, symbols: Iterable[int]):
         self.symbols: tuple[int, ...] = tuple(map(_integer, symbols))
-        self._psums: Optional[tuple[int, ...]] = None
 
     @property
     def prefix_sums(self) -> tuple[int, ...]:
-        """P[0..n] with P[0] = 0 and P[i] = s_1 + ... + s_i, exact ints."""
-        if self._psums is None:
-            self._psums = tuple(itertools.accumulate(self.symbols, initial=0))
-        return self._psums
+        """P[0..n] with P[0] = 0 and P[i] = s_1 + ... + s_i, exact ints, accumulated per call."""
+        return tuple(itertools.accumulate(self.symbols, initial=0))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -297,7 +299,7 @@ class WordStream:
 
 def word_sum(B: FiniteWord) -> int:
     """Sum of the symbols of B."""
-    return B.prefix_sums[len(B)]
+    return sum(B.symbols)
 
 
 def word_slope(B: FiniteWord) -> Fraction:

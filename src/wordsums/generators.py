@@ -9,9 +9,11 @@ staircase word with constant complexity n, plus the splice and contract
 combinators.  Each family is a pipeline of itertools iterators, with no
 Python loop per symbol.  Derived words iterate their sources' factories,
 never their caches, and end where a finite source ends; every image, fixed
-points included, goes through Morphism.expand.  Each stream's label is its
-canonical spec, e.g. thm11:k=2 (see cli), or <nested enumeration word> for
-the one word no spec builds.
+points included, goes through Morphism.expand.  An interval set is the
+lengths of the kept and deleted runs it cuts a word into, and contract
+compresses its source by those runs, with no Python step per interval.
+Each stream's label is its canonical spec, e.g. thm11:k=2 (see cli), or
+<nested enumeration word> for the one word no spec builds.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .core import Alphabet, GuardError, Interval, WordStream, _integer
 from .morphisms import Morphism, apply_morphism
@@ -259,7 +261,9 @@ def splice(sources: Sequence[WordStream], schedule: SpliceSchedule) -> WordStrea
 
 
 class SeparatedIntervalSet:
-    """Ascending 1-based intervals, at least one, with at least one position between them."""
+    """Ascending 1-based intervals, at least one, with at least one position between them,
+    held as the alternating lengths of the kept and deleted runs they cut a word into: a
+    head read once, then a period repeated forever (empty for an explicit list)."""
 
     def __init__(self, intervals: Iterable[Union[Interval, tuple[int, int]]]):
         ivals = [Interval(_integer(a), _integer(b)).validate() for a, b in intervals]
@@ -271,8 +275,8 @@ class SeparatedIntervalSet:
                     f"intervals [{prev.lo},{prev.hi}] and [{nxt.lo},{nxt.hi}] "
                     "are not separated"
                 )
-        self._intervals: Callable[[], Iterator[Interval]] = lambda: iter(ivals)
-        self._repr = ",".join(f"{i.lo}-{i.hi}" for i in ivals)
+        ends = [0, *itertools.chain.from_iterable((lo - 1, hi) for lo, hi in ivals)]
+        self._runs = (tuple(b - a for a, b in zip(ends, ends[1:])), ())
 
     @classmethod
     def arithmetic(cls, start: int, period: int, width: int) -> "SeparatedIntervalSet":
@@ -283,17 +287,20 @@ class SeparatedIntervalSet:
                 f"need start >= 1, width >= 1, period > width; got {start},{period},{width}"
             )
         obj = cls.__new__(cls)
-        obj._intervals = lambda: (
-            Interval(lo, lo + width - 1) for lo in itertools.count(start, period)
-        )
-        obj._repr = f"arith:{start},{period},{width}"
+        obj._runs = ((start - 1,), (width, period - width))
         return obj
 
+    def _lengths(self) -> Iterator[int]:  # kept, deleted, kept, ...
+        return itertools.chain(self._runs[0], itertools.cycle(self._runs[1]))
+
     def __iter__(self) -> Iterator[Interval]:
-        return self._intervals()
+        ends = itertools.accumulate(self._lengths())
+        return (Interval(a + 1, b) for a, b in zip(ends, ends))
 
     def __repr__(self) -> str:
-        return self._repr
+        head, period = self._runs
+        return (f"arith:{head[0] + 1},{sum(period)},{period[0]}" if period
+                else ",".join(f"{lo}-{hi}" for lo, hi in self))
 
 
 def contract(w: WordStream, intervals: SeparatedIntervalSet) -> WordStream:
@@ -304,15 +311,10 @@ def contract(w: WordStream, intervals: SeparatedIntervalSet) -> WordStream:
     The contracted word ends where a finite w ends.
     """
 
-    def runs() -> Iterator[Iterator[bool]]:  # keep, drop an interval, ..., keep the rest
-        end = 0
-        for lo, hi in intervals:
-            yield from (itertools.repeat(True, lo - end - 1), itertools.repeat(False, hi - lo + 1))
-            end = hi
-        yield itertools.repeat(True)
-
-    def gen() -> Iterator[int]:
-        return itertools.compress(w._factory(), itertools.chain.from_iterable(runs()))
+    def gen() -> Iterator[int]:  # keep, drop, ..., by the run lengths; then keep the rest
+        runs = map(itertools.repeat, itertools.cycle((True, False)), intervals._lengths())
+        keep = itertools.chain(itertools.chain.from_iterable(runs), itertools.repeat(True))
+        return itertools.compress(w._factory(), keep)
 
     label = f"contract:base=({w.label});ivals={intervals!r}"
     return WordStream(gen, alphabet=w.alphabet, label=label)

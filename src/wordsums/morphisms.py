@@ -16,12 +16,12 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .complexity import LatticeMap, _rules, parikh, window_images
-from .core import Alphabet, FiniteWord, WordStream, _integer, word_slope, word_sum
+from .complexity import LatticeMap, _check_table, _rules, window_images
+from .core import Alphabet, FiniteWord, WordStream, _integer
 
 
 class Morphism:
-    """Letter-to-word map with nonempty images, applied by concatenation."""
+    """Non-erasing letter-to-word map, held as one letter -> symbol-tuple table."""
 
     def __init__(
         self,
@@ -30,32 +30,28 @@ class Morphism:
     ):
         if not images:
             raise ValueError("morphism needs at least one letter image")
-        self.images: dict[int, FiniteWord] = {}
-        seen: set[int] = set()
-        for s, img in images.items():
-            w = img if isinstance(img, FiniteWord) else FiniteWord(img)
-            if len(w) == 0:
+        self._table = {_integer(s): tuple(map(_integer, img)) for s, img in images.items()}
+        for s, img in self._table.items():
+            if not img:
                 raise ValueError(f"erasing image for letter {s}")
-            self.images[_integer(s)] = w
-            seen.update(w.symbols)
-        self._symbols = {s: w.symbols for s, w in self.images.items()}
-        self.source = Alphabet(self.images)
-        self.target = target if target is not None else Alphabet(seen)
-        for s in seen:
-            if s not in self.target:
-                raise ValueError(f"image symbol {s} outside target alphabet")
+        symbols = set(itertools.chain.from_iterable(self._table.values()))
+        self.source = Alphabet(self._table)
+        self.target = target if target is not None else Alphabet(symbols)
+        if outside := symbols.difference(self.target):
+            raise ValueError(f"image symbol {min(outside)} outside target alphabet")
+
+    @property
+    def images(self) -> dict[int, FiniteWord]:  # built from the table on each call
+        return {s: FiniteWord(img) for s, img in self._table.items()}
 
     def image(self, s: int) -> FiniteWord:
-        try:
-            return self.images[s]
-        except KeyError:
-            raise ValueError(f"letter {s} has no image") from None
+        return FiniteWord(self.expand((s,)))
 
     def expand(self, letters: Iterable[int]) -> Iterator[int]:
         """phi(s1) phi(s2) ... for the letters s1 s2 ..., lazily and in C; a letter with no
         image raises ValueError where it is read."""
         try:
-            yield from itertools.chain.from_iterable(map(self._symbols.__getitem__, letters))
+            yield from itertools.chain.from_iterable(map(self._table.__getitem__, letters))
         except KeyError as e:
             raise ValueError(f"letter {e.args[0]} has no image") from None
 
@@ -63,16 +59,16 @@ class Morphism:
         return FiniteWord(self.expand(B))
 
     def max_image_len(self) -> int:
-        return max(len(w) for w in self.images.values())
+        return max(map(len, self._table.values()))
 
     def image_slopes(self) -> dict[int, Fraction]:
-        return {s: word_slope(w) for s, w in sorted(self.images.items())}
+        return {s: Fraction(sum(img), len(img)) for s, img in sorted(self._table.items())}
 
     def is_endomorphism(self) -> bool:
         return all(t in self.source for t in self.target)
 
     def __repr__(self) -> str:
-        return _rules((s, w.symbols) for s, w in sorted(self.images.items()))
+        return _rules(sorted(self._table.items()))
 
 
 @dataclass(frozen=True)
@@ -101,8 +97,11 @@ def anchor_matrix(phi: Morphism) -> tuple[np.ndarray, Callable[[Fraction], list[
     phi is an anchor of weight alpha exactly when M @ t_alpha == 0, where
     t_alpha has components t_j - alpha.
     """
-    T = phi.target.symbols
-    M = np.array([parikh(phi.image(s), phi.target) for s in phi.source], dtype=np.int64)
+    T, images = phi.target, [phi._table[s] for s in phi.source]
+    _check_table(len(images), len(T), f"the {len(images)} x {len(T)} anchor matrix")
+    M = np.zeros((len(images), len(T)), dtype=np.int64)
+    rows = np.repeat(np.arange(len(images)), list(map(len, images)))
+    np.add.at(M, (rows, [T.index(t) for img in images for t in img]), 1)
 
     def t_alpha(alpha) -> list[Fraction]:
         a = Fraction(alpha)
@@ -132,9 +131,9 @@ def non_anchor_witness(phi: Morphism) -> tuple[FiniteWord, FiniteWord]:
 
 def is_anchor(phi: Morphism) -> AnchorReport:
     """Decide equal image slopes; on failure attach a length-matched witness."""
+    M, _ = anchor_matrix(phi)  # refused past the memory guard before any slope is taken
     slopes = phi.image_slopes()
     vals = set(slopes.values())
-    M, _ = anchor_matrix(phi)
     if len(vals) == 1:
         return AnchorReport(True, next(iter(vals)), slopes, M, None)
     return AnchorReport(False, None, slopes, M, non_anchor_witness(phi))

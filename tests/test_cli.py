@@ -131,6 +131,8 @@ def test_word_spec_errors():
         "contract:base=(periodic:0,1);ivals=",
         "<image of thm11:k=1>",
         "splice:[<image of thm11:k=1>|periodic:0];sched=1,1",
+        "periodic:0,1)",                  # a closing bracket before its opening one
+        "splice:[periodic:1]|periodic:0];sched=1,1",
     ]:
         with pytest.raises(WordSpecError):
             parse_word_spec(bad)

@@ -274,3 +274,18 @@ def test_concurrent_extension_consistent():
 def test_observed_alphabet():
     w = periodic([4, -2, 4])
     assert w.observed_alphabet(6).symbols == (-2, 4)
+
+
+def test_distinct_rows_hold_no_sorted_copy_of_the_table():
+    # rows were once gathered into a lexsorted copy of the whole table before they were
+    # compared; a column at a time, the extra peak is an order and one gathered column
+    rng = np.random.default_rng(5)
+    table = rng.integers(0, 2, size=(200_000, 8), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        rows = core._sorted_distinct(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * table.nbytes
+    assert np.array_equal(rows, np.unique(table, axis=0))

@@ -299,7 +299,7 @@ def test_contract_explicit():
     assert _prefix(out, 8) == _contract_oracle(_prefix(w, 13), [(2, 3), (5, 7)])[:8]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_contract_matches_oracle(data):
     finite = data.draw(st.booleans())
@@ -311,11 +311,19 @@ def test_contract_matches_oracle(data):
         width = data.draw(st.integers(1, 3))
         ivals.append((pos, pos + width - 1))
         pos += width + data.draw(st.integers(1, 3))
-    if not ivals:
+    if data.draw(st.booleans()):  # or an arithmetic set, whose 200th interval starts past 200
+        start, width = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+        period = data.draw(st.integers(width + 1, 8))
+        intervals = SeparatedIntervalSet.arithmetic(start, period, width)
+        ivals = list(itertools.islice(intervals, 200))
+        assert ivals == [(start + j * period, start + j * period + width - 1) for j in range(200)]
+    elif not ivals:
         with pytest.raises(ValueError):  # its label would end in "ivals=", which is no spec
             SeparatedIntervalSet(ivals)
         return
-    out = contract(w, SeparatedIntervalSet(ivals))
+    else:
+        intervals = SeparatedIntervalSet(ivals)
+    out = contract(w, intervals)
     if finite:
         # the whole contracted word, which may be empty, and nothing after it
         kept = _contract_oracle(base, ivals)

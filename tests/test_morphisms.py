@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from wordsums import (
     Alphabet,
     FiniteWord,
+    GuardError,
     Morphism,
     WordStream,
     abelian_unbounding_morphism,
@@ -20,12 +21,14 @@ from wordsums import (
     mirror_anchor,
     morphic_fixed_point,
     non_anchor_witness,
+    parikh,
     periodic,
     sum_spread,
     unbounding_stream,
     word_slope,
     word_sum,
 )
+from wordsums import complexity
 
 
 def test_morphism_validation():
@@ -117,6 +120,30 @@ def test_anchor_matrix_identity():
     # a wrong alpha does not annihilate
     tb = t_alpha(1)
     assert any(sum(int(M[i, j]) * tb[j] for j in range(M.shape[1])) != 0 for i in range(M.shape[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(-5, 5),
+                       st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+                       min_size=1, max_size=6))
+def test_anchor_matrix_rows_are_parikh_vectors(images):
+    phi = Morphism(images)
+    M, _ = anchor_matrix(phi)
+    assert M.shape == (len(phi.source), len(phi.target))
+    assert [tuple(row) for row in M.tolist()] == [parikh(phi.image(s), phi.target)
+                                                   for s in phi.source]
+
+
+@pytest.mark.parametrize("phi", [mirror_anchor(3), Morphism({0: (0, 0, 1), 5: (-2, 1)})],
+                         ids=["mirror-anchor-3", "repeated-symbols"])
+def test_anchor_matrix_guard_at_its_edge(monkeypatch, phi):
+    # a 2^18-letter mirror anchor, inside the 2^20-letter guard, once asked for a 1 TB matrix
+    cells = len(phi.source) * len(phi.target)
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * cells)
+    assert is_anchor(phi).matrix.size == cells
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * cells - 1)
+    with pytest.raises(GuardError, match="anchor matrix exceeds the memory guard"):
+        is_anchor(phi)
 
 
 def test_witness_blocks_have_equal_image_length():
