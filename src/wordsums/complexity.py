@@ -32,7 +32,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import _SUM_LIMIT, Alphabet, FiniteWord, GuardError, WordStream, _integer, _sorted_distinct
+from .core import (_SUM_LIMIT, Alphabet, FiniteWord, GuardError, WordStream, _distinct_rows,
+                   _integer, _sorted_distinct)
 
 _ORACLE_MAX_PREFIX = 10_000
 _DIAMETER_MAX_POINTS = 100_000
@@ -298,7 +299,7 @@ def _key_rows(
     for n in ns:
         K = np.subtract(S[n:], S[:-n], out=buf[: L - n + 1])
         mask, base, keys = (_reduce(K, n * low, n * high) if K.ndim == 1
-                            else (0, 0, _sorted_distinct(K)))
+                            else (0, 0, _distinct_rows(K)))  # rows of pieces: gathered only to decode
         count = mask.bit_count() if keys is None else len(keys)
         spread = 0
         if mu is None:  # straight off the mask or the sorted keys
@@ -309,7 +310,7 @@ def _key_rows(
         elif spreads:
             if keys is None:
                 keys = _bits(mask) + base
-            spread = _points_diameter_sq(_decode(keys, n, lo, radix))
+            spread = _points_diameter_sq(_decode(keys if K.ndim == 1 else K[keys], n, lo, radix))
         yield ProfileRow(n, count, spread)
 
 

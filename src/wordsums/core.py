@@ -12,7 +12,6 @@ Python int or Fraction.
 from __future__ import annotations
 
 import array
-import collections
 import itertools
 import numbers
 import threading
@@ -61,18 +60,24 @@ def _int64(values: Sequence[int], what: str) -> np.ndarray:
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     """Distinct values of a 1-D array, ascending, or rows of a 2-D one, lexicographic: a sort
     and a neighbour mask, several times faster than the hash table np.unique uses."""
-    if values.ndim > 1:  # a row starts a new value where any of its columns does
-        order = np.lexsort(values.T[::-1])
-        keep = np.zeros(len(order), dtype=bool)
-        keep[:1] = True
-        for column in values.T:  # gathered one at a time: no sorted copy of the table
-            column = column[order]
-            keep[1:] |= column[1:] != column[:-1]
-        return values[order[keep]]
+    if values.ndim > 1:
+        return values[_distinct_rows(values)]
     values = np.sort(values)
     keep = np.ones(values.size, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
+
+
+def _distinct_rows(table: np.ndarray) -> np.ndarray:
+    """Row numbers of one row per distinct row of a 2-D table, in lexicographic row order, so
+    a count gathers no row."""
+    order = np.lexsort(table.T[::-1])
+    keep = np.zeros(len(order), dtype=bool)
+    keep[:1] = True
+    for column in table.T:  # gathered one at a time: no sorted copy of the table
+        column = column[order]  # a row starts a new value where any of its columns does
+        keep[1:] |= column[1:] != column[:-1]
+    return order[keep]
 
 
 class Interval(NamedTuple):
@@ -173,15 +178,20 @@ class WordStream:
     `factory` must return a fresh symbol iterator each call and always
     produce the same sequence; the word ends where that iterator stops.
     The cache only ever grows, so every reported value is stable across
-    calls.  A request sizes the cache once and fills it from lists of at
-    most 2^16 symbols, so a fill holds little beside the cache.  Symbols
+    calls.  It is filled from int64 chunks: a chunk reader `read(want)`
+    returns the word's next symbols as one int64 array, at most `want` of
+    them unless one letter's image is longer, and an empty array where the
+    word ends.  A symbol factory is read through one adapter that takes
+    `want` symbols into a list; morphic words build their chunks natively
+    (see generators).  A request sizes the cache once and asks for at most
+    2^16 symbols a chunk, so a fill holds little beside the cache.  Symbols
     are read as differences of the prefix sums, and the least and greatest
     symbol held bound the overflow guard and the letter boxes of the
-    complexity keys.  Derived words iterate their sources' factories, not
-    their caches, and so end where a finite source ends; only the word
-    a caller reads holds a cache.  Extension is serialized with a lock so
-    streams can be shared between threads.  A symbol that is no integer
-    raises ValueError when it is read.  The label names the word: its
+    complexity keys.  Derived words read their sources' factories or chunk
+    readers, not their caches, and so end where a finite source ends; only
+    the word a caller reads holds a cache.  Extension is serialized with a
+    lock so streams can be shared between threads.  A symbol that is no
+    integer raises ValueError when it is read.  The label names the word: its
     canonical spec (see cli), or a <...> form for a word that no spec builds.
     """
 
@@ -192,7 +202,8 @@ class WordStream:
         label: str = "<word>",
     ):
         self._factory = factory
-        self._it: Optional[Iterator[int]] = None
+        self._chunks: Optional[Callable[[], Callable[[int], np.ndarray]]] = None
+        self._read: Optional[Callable[[int], np.ndarray]] = None
         self._ps = np.zeros(1, dtype=np.int64)
         self._n = 0
         self._lo, self._hi = 2**63, -(2**63)  # the symbols' range: empty until a chunk
@@ -201,45 +212,72 @@ class WordStream:
         self.alphabet = alphabet
         self.label = label
 
+    @classmethod
+    def _chunked(cls, chunks: Callable[[], Callable[[int], np.ndarray]],
+                 alphabet: Optional[Alphabet], label: str) -> "WordStream":
+        """A word built from native int64 chunks: chunks() returns a reader from its start."""
+        w = cls(None, alphabet, label)
+        w._chunks = chunks
+        return w
+
     # -- materialization ------------------------------------------------
 
+    def _open(self) -> Callable[[int], np.ndarray]:
+        """A chunk reader from the word's start; a symbol factory goes through the adapter."""
+        if self._chunks is not None:
+            return self._chunks()
+        it, what = iter(self._factory()), f"a symbol of {self.label}"
+        return lambda want: _int64(list(itertools.islice(it, want)), what)
+
+    def _symbols(self) -> Iterator[int]:
+        """The word's symbols from its start, one at a time, for a derived word reading it."""
+        if self._chunks is None:
+            return iter(self._factory())
+        chunks = itertools.takewhile(len, map(self._chunks(), itertools.repeat(_CHUNK)))
+        return itertools.chain.from_iterable(map(np.ndarray.tolist, chunks))
+
     def _extend(self, n: int) -> None:
-        """Take symbols from the factory until w(n) is held or the word ends; needs the lock."""
-        if self._it is None:
-            self._it = iter(self._factory())
-            collections.deque(itertools.islice(self._it, self._n), maxlen=0)
+        """Take chunks from the reader until w(n) is held or the word ends; needs the lock."""
+        if self._read is None:  # a fresh reader skips the held symbols, not past them
+            self._read, skip = self._open(), self._n
+            while skip > 0 and len(chunk := self._read(min(skip, _MAX_CHUNK))):
+                skip -= len(chunk)
+            if skip < 0:  # one long image ran past the held symbols
+                self._append(chunk[skip:], n)
         while self._n < n and not self._exhausted:
-            want = min(max(_CHUNK, n - self._n), _MAX_CHUNK)
-            chunk = list(itertools.islice(self._it, want))
-            if not chunk:
+            chunk = self._read(min(max(_CHUNK, n - self._n), _MAX_CHUNK))
+            if len(chunk):
+                self._append(chunk, n)
+            else:  # the word ended: its cache shrinks to the symbols it holds
                 self._exhausted = True
-                break
-            arr = _int64(chunk, f"a symbol of {self.label}")
-            # the range in Python ints: -lo and np.abs wrap at -2**63
-            lo, hi = min(self._lo, int(arr.min())), max(self._hi, int(arr.max()))
-            m = max(hi, -lo)
-            total = self._n + arr.size
-            if m * (total + _CHUNK) >= _SUM_LIMIT:
-                raise GuardError(
-                    f"prefix sums of {self.label} may overflow int64 at "
-                    f"length {total} with max|s| = {m}"
-                )
-            if total >= self._ps.size:
-                # sized once for the whole request, so later chunks fit: no chunk ends past
-                # n + _CHUNK; a short chunk ends the word, which needs no more than its length
-                size = n + _CHUNK if len(chunk) == want else total + 1
-                ps = np.empty(max(2 * self._ps.size, size), dtype=np.int64)
-                ps[: self._n + 1] = self._ps[: self._n + 1]
-                self._ps = ps
-            np.cumsum(arr, out=self._ps[self._n + 1 : total + 1])
-            self._ps[self._n + 1 : total + 1] += self._ps[self._n]
-            # stored left to right: a lock-free reader that sees the new length sees its range
-            self._lo, self._hi, self._n = lo, hi, total
+                self._ps = self._ps[: self._n + 1].copy()
+
+    def _append(self, arr: np.ndarray, n: int) -> None:
+        """Add one chunk's prefix sums to the cache, sized for a request of w(n)."""
+        # the range in Python ints: -lo and np.abs wrap at -2**63
+        lo, hi = min(self._lo, int(arr.min())), max(self._hi, int(arr.max()))
+        m = max(hi, -lo)
+        total = self._n + arr.size
+        if m * (total + _CHUNK) >= _SUM_LIMIT:
+            raise GuardError(
+                f"prefix sums of {self.label} may overflow int64 at "
+                f"length {total} with max|s| = {m}"
+            )
+        if total >= self._ps.size:
+            # sized once for the whole request, so later chunks fit: no chunk of it ends past
+            # n + _CHUNK unless one letter's image is longer than that
+            ps = np.empty(max(2 * self._ps.size, n + _CHUNK, total + 1), dtype=np.int64)
+            ps[: self._n + 1] = self._ps[: self._n + 1]
+            self._ps = ps
+        np.cumsum(arr, out=self._ps[self._n + 1 : total + 1])
+        self._ps[self._n + 1 : total + 1] += self._ps[self._n]
+        # stored left to right: a lock-free reader that sees the new length sees its range
+        self._lo, self._hi, self._n = lo, hi, total
 
     def _ensure(self, n: int) -> None:
         """Materialize up to w(n); ValueError if a finite word ends first.
 
-        A failure drops the factory iterator; the next call starts a fresh one
+        A failure drops the chunk reader; the next call opens a fresh one
         and skips the symbols already held, so no symbol is lost or repeated.
         """
         if n <= self._n:
@@ -248,7 +286,7 @@ class WordStream:
             try:
                 self._extend(n)
             except BaseException:
-                self._it = None
+                self._read = None
                 raise
         if self._n < n:
             raise ValueError(

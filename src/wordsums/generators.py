@@ -6,12 +6,14 @@ mechanical (Sturmian) words from continued fractions, enumeration words,
 the paired-enumeration family with constant additive complexity 2k+1,
 the bounded-spread word whose equal-slope cuts have unbounded gaps, the
 staircase word with constant complexity n, plus the splice and contract
-combinators.  Each family is a pipeline of itertools iterators, with no
-Python loop per symbol.  Derived words iterate their sources' factories,
-never their caches, and end where a finite source ends; every image, fixed
-points included, goes through Morphism.expand.  An interval set is the
-lengths of the kept and deleted runs it cuts a word into, and contract
-compresses its source by those runs, with no Python step per interval.
+combinators.  Morphic words, fixed points and images alike, are computed in
+int64 chunks by Morphism's gather over its flat image table.  Every other
+family is a pipeline of itertools iterators, with no Python loop per
+symbol, read through WordStream's chunk adapter.  Derived words read their
+sources' symbols, never their caches, and end where a finite source ends.
+An interval set is the lengths of the kept and deleted runs it cuts a word
+into, and contract compresses its source by those runs, with no Python
+step per interval.
 Each stream's label is its canonical spec, e.g. thm11:k=2 (see cli), or
 <nested enumeration word> for the one word no spec builds.
 """
@@ -23,6 +25,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from .core import Alphabet, GuardError, Interval, WordStream, _integer
 from .morphisms import Morphism, apply_morphism
@@ -48,6 +52,7 @@ __all__ = [
 # symbols without --unsafe-large.  The families below build their whole alphabet
 # before reading a symbol, so a larger one only exhausts memory.
 _MAX_LETTERS = 2**20
+_LAG_STEP = 1 << 15  # lagging letters a fixed point expands per step
 
 
 def _check_letters(count: int, what: str) -> None:
@@ -67,23 +72,60 @@ def periodic(pattern: Sequence[int]) -> WordStream:
 def morphic_fixed_point(phi: Morphism, seed: int) -> WordStream:
     """The fixed point phi^inf(seed); phi must be prolongable at seed.
 
-    w = phi(w) is phi.expand of its own letters, read back through a lagging copy that
-    never catches up, as phi(seed) has at least two symbols; only that lag is held.
+    w = phi(w) is computed in int64 chunks, in step with the demand: each step expands at
+    most 2^15 of the letters written but not yet expanded, the lag, through phi's gather
+    table, and only that lag is held, as letter ranks in the narrowest dtype.  A letter is
+    bounded when its iterated images keep length 1.  Once every lagging letter is bounded,
+    w[t] = f(w[t - g]) for f = phi on those letters and g the lag, so the rest is emitted
+    in blocks w[t : t + l] = f^(l/g)(w[t - l : t]), the letter table squared as l doubles
+    up to 2^16: 0 -> 01, 1 -> 1 costs O(log L) steps, not one step per symbol.
     """
     if not phi.is_endomorphism():
         raise ValueError("fixed points need target symbols inside the source")
     head = phi.image(seed)
     if head.symbols[0] != seed or len(head) < 2:
         raise ValueError(f"phi is not prolongable at {seed}: phi({seed}) = {head}")
+    return WordStream._chunked(functools.partial(_FixedPoint, phi, seed), alphabet=phi.source,
+                               label=f"morphic:{phi!r};seed={seed}")
 
-    def gen() -> Iterator[int]:
-        # the list is read lazily, so the copy joins it before it is reached
-        letters: list[Iterable[int]] = [(seed,)]
-        word, lag = itertools.tee(phi.expand(itertools.chain.from_iterable(letters)))
-        letters.append(itertools.islice(lag, 1, None))
-        return word
 
-    return WordStream(gen, alphabet=phi.source, label=f"morphic:{phi!r};seed={seed}")
+class _FixedPoint:
+    """Chunk reader of a fixed point, in ranks of phi's source (see morphic_fixed_point)."""
+
+    def __init__(self, phi: Morphism, seed: int):
+        starts, lens, flat = phi._flat
+        self._phi, self._step = phi, int(lens.max())
+        self._ranks = phi._ranks(flat.tolist()).astype(np.min_scalar_type(len(lens) - 1))
+        self._syms = np.zeros(len(lens), dtype=np.int64)
+        self._syms[self._ranks] = flat  # every letter written is some image's letter
+        self._f = f = self._ranks[starts]  # each image's first letter: phi on bounded letters
+        bounded = lens == 1
+        for _ in range(len(lens).bit_length()):  # then a .. f^(2^j - 1)(a) all have length 1
+            bounded, f = bounded & bounded[f], f[f]
+        self._unbounded = ~bounded
+        s = int(phi._ranks([seed])[0])
+        self._head = self._ranks[starts[s] : starts[s] + lens[s]]  # phi(seed), emitted first
+        self._lag = self._head[1:]  # the last symbols written: the lag, then the block source
+        self._pending = np.count_nonzero(self._unbounded[self._lag])  # unbounded lagging letters
+
+    def __call__(self, want: int) -> np.ndarray:
+        if self._head is not None:
+            out, self._head = self._head, None
+            return self._syms[out]
+        lag, k = self._lag, 0
+        if self._pending:  # expand the first k lagging letters
+            k = min(_LAG_STEP, len(lag), max(1, want // self._step))
+            out = self._ranks[self._phi._positions(lag[:k])]
+            self._pending += (np.count_nonzero(self._unbounded[out])
+                              - np.count_nonzero(self._unbounded[lag[:k]]))
+        else:  # w[t] = F(w[t - l]), l = len(lag) and F = f^(l/g): a whole block doubles l
+            out = self._f[lag[:want]]
+            if len(out) == len(lag) <= _LAG_STEP:
+                self._f = self._f[self._f]
+            else:
+                k = len(out)
+        self._lag = np.concatenate((lag[k:], out))
+        return self._syms[out]
 
 
 def cf_value(cf: Sequence[int]) -> Fraction:
@@ -189,7 +231,7 @@ def unbounded_gap_word() -> WordStream:
     def block(v: int) -> tuple[int, ...]:
         return (0, *[1] * v, 2) if v % 2 else (2, *[1] * v, 0)
 
-    return WordStream(lambda: itertools.chain.from_iterable(map(block, feed._factory())),
+    return WordStream(lambda: itertools.chain.from_iterable(map(block, feed._symbols())),
                       alphabet=Alphabet((0, 1, 2)), label="sec24")
 
 
@@ -247,7 +289,7 @@ def splice(sources: Sequence[WordStream], schedule: SpliceSchedule) -> WordStrea
 
     def gen() -> Iterator[int]:
         # a block is ln reads of its source; unlike a bare map, yield from ends at a short one
-        readers = [iter(src._factory()) for src in sources]
+        readers = [src._symbols() for src in sources]
         blocks = [(r, ln) for row in schedule.rounds for r, ln in zip(readers, row)]
         per_symbol = itertools.starmap(itertools.repeat, itertools.cycle(blocks))
         yield from map(next, itertools.chain.from_iterable(per_symbol))
@@ -314,7 +356,7 @@ def contract(w: WordStream, intervals: SeparatedIntervalSet) -> WordStream:
     def gen() -> Iterator[int]:  # keep, drop, ..., by the run lengths; then keep the rest
         runs = map(itertools.repeat, itertools.cycle((True, False)), intervals._lengths())
         keep = itertools.chain(itertools.chain.from_iterable(runs), itertools.repeat(True))
-        return itertools.compress(w._factory(), keep)
+        return itertools.compress(w._symbols(), keep)
 
     label = f"contract:base=({w.label});ivals={intervals!r}"
     return WordStream(gen, alphabet=w.alphabet, label=label)

@@ -8,6 +8,7 @@ the incidence matrix is integer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,11 +18,12 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .complexity import LatticeMap, _check_table, _rules, window_images
-from .core import Alphabet, FiniteWord, WordStream, _integer
+from .core import Alphabet, FiniteWord, WordStream, _int64, _integer
 
 
 class Morphism:
-    """Non-erasing letter-to-word map, held as one letter -> symbol-tuple table."""
+    """Non-erasing letter-to-word map, held as one letter -> symbol-tuple table; words are
+    computed from the flat gather table built from it on first use."""
 
     def __init__(
         self,
@@ -58,6 +60,32 @@ class Morphism:
     def __call__(self, B: FiniteWord) -> FiniteWord:
         return FiniteWord(self.expand(B))
 
+    @functools.cached_property
+    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The gather table: image starts and lengths by source rank, and the images laid end
+        to end as int64 symbols; an image symbol past int64 raises GuardError here."""
+        images = [self._table[s] for s in self.source]
+        lens = np.fromiter(map(len, images), np.intp, len(images))
+        flat = _int64(list(itertools.chain.from_iterable(images)), "an image symbol")
+        return np.cumsum(lens) - lens, lens, flat
+
+    def _ranks(self, letters: Sequence[int]) -> np.ndarray:
+        """Source-alphabet ranks of the letters, looked up by value like `expand`."""
+        try:
+            return np.fromiter(map(self.source._index.__getitem__, letters), np.intp, len(letters))
+        except KeyError as e:
+            raise ValueError(f"letter {e.args[0]} has no image") from None
+
+    def _positions(self, ranks: np.ndarray) -> np.ndarray:
+        """Where phi(s1) phi(s2) ... lie in the flat table, for letters of the given ranks: each
+        image's start, repeated over its length, plus an arange."""
+        starts, lens, _ = self._flat
+        size = lens[ranks]
+        ends = np.cumsum(size)
+        pos = np.repeat(starts[ranks] - ends + size, size)
+        pos += np.arange(len(pos))
+        return pos
+
     def max_image_len(self) -> int:
         return max(map(len, self._table.values()))
 
@@ -83,11 +111,18 @@ class AnchorReport:
 def apply_morphism(phi: Morphism, w: WordStream) -> WordStream:
     """The stream phi(w(1)) phi(w(2)) ...; symbols outside phi's source fail late.
 
-    No spec builds an image, so its label is <image of ...>, naming w.
+    Each chunk is the gather of phi's flat image table over the next want // N letters of
+    w, N the longest image, so no letter past the demand is read.  No spec builds an
+    image, so its label is <image of ...>, naming w.
     """
-    return WordStream(
-        lambda: phi.expand(w._factory()), alphabet=phi.target, label=f"<image of {w.label}>"
-    )
+    step = phi.max_image_len()
+
+    def chunks() -> Callable[[int], np.ndarray]:
+        letters = w._symbols()  # each chunk in one call, so its temporaries end with it
+        return lambda want: phi._flat[2][phi._positions(
+            phi._ranks(list(itertools.islice(letters, max(1, want // step)))))]
+
+    return WordStream._chunked(chunks, alphabet=phi.target, label=f"<image of {w.label}>")
 
 
 def anchor_matrix(phi: Morphism) -> tuple[np.ndarray, Callable[[Fraction], list[Fraction]]]:

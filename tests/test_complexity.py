@@ -912,3 +912,21 @@ def test_diameter_overflow_fallback_refuses_too_many_pairs():
     U = rng.integers(-(2**31), 2**31, size=(1100, 3))
     with pytest.raises(GuardError):
         _points_diameter_sq(U)
+
+
+def test_multi_piece_count_gathers_no_distinct_rows():
+    # 66 letters at n = 1000 need 11 key pieces; the count is read off the lexsort mask,
+    # so beside the key prefix and its buffer it holds less than the distinct rows would
+    w, L, n = enumeration_word(65), 10**5, 1000
+    w.prefix_sums(L)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        count = abelian_complexity(w, n, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pieces = 11
+    assert len(complexity._pieces([n + 1] * 66)) == pieces
+    assert peak - (2 * L + 1) * pieces * 8 < count * pieces * 8  # 11.1 MB past it when gathered
+    assert count == 97195

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wordsums import (
     GuardError,
@@ -30,7 +30,7 @@ from wordsums import (
     unbounded_gap_word,
     unbounding_stream,
 )
-from wordsums import generators
+from wordsums import core, generators
 
 
 def _prefix(w, L):
@@ -476,3 +476,91 @@ def test_fixed_points_hold_their_lag_not_the_word():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * 10**6
+
+
+def _naive_fixed_point(images, seed, N):
+    """The first N symbols of phi^n(seed), n = 2^j >= N, on FiniteWords: psi = phi^(2^j) by
+    squaring, its images cut to N symbols (each image is nonempty, so the cut is exact)."""
+    psi = Morphism(images)
+    for _ in range(N.bit_length()):
+        psi = Morphism({a: tuple(itertools.islice(psi.expand(psi.image(a)), N)) for a in images})
+    return list(psi.image(seed).symbols[:N])
+
+
+@st.composite
+def _prolongable(draw):
+    """2-4 letters with images of 1-3 of them, prolongable at the first; a letter whose
+    iterated images keep length 1 is bounded, and such letters come up often."""
+    letters = draw(st.lists(st.integers(-5, 9), min_size=2, max_size=4, unique=True))
+    letter = st.sampled_from(letters)
+    images = {a: tuple(draw(st.lists(letter, min_size=1, max_size=3))) for a in letters}
+    images[letters[0]] = (letters[0], *draw(st.lists(letter, min_size=1, max_size=2)))
+    return images, letters[0]
+
+
+_reads = st.lists(st.tuples(st.integers(1, 5000), st.booleans()), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_prolongable(), _reads, st.sampled_from([3, 8192]))
+# bounded lags that phi permutes: each doubled block needs the squared letter table
+@example(({0: (0, 1, 2), 1: (2,), 2: (1,)}, 0), [(40, True)], 3)
+@example(({5: (5, 1), 1: (2,), 2: (-3,), -3: (1,)}, 5), [], 8192)
+def test_fixed_points_match_a_naive_iteration(case, reads, chunk):
+    images, seed = case
+    want = _naive_fixed_point(images, seed, 5000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_CHUNK", chunk)  # 3: demands below the lag and the doubling block
+        w = morphic_fixed_point(Morphism(images), seed)
+        for L, drop in reads:
+            assert _prefix(w, L) == want[:L]
+            if drop:  # as a failed fill does: a fresh reader skips the held symbols
+                w._read = None
+        assert _prefix(w, 5000) == want
+
+
+def _chunks_pulled(w, L):
+    """How many chunks a cold fill of w(1..L) takes from its reader."""
+    pulled, chunks = [0], w._chunks
+
+    def counted():
+        read = chunks()
+        return lambda want: pulled.__setitem__(0, pulled[0] + 1) or read(want)
+
+    w._chunks = counted
+    w.prefix_sums(L)
+    return pulled[0]
+
+
+@pytest.mark.parametrize("images", [
+    {0: (0, 1), 1: (1, 0)},
+    {0: (0, 3), 1: (4, 3), 3: (1,), 4: (0, 1)},
+    {0: (0, 1), 1: (1,)},
+    {0: (0, 1, 2), 1: (2,), 2: (1,)},
+], ids=["thue-morse", "ccss", "0-01-1-1", "bounded-swap"])
+def test_fixed_point_fill_takes_logarithmically_many_chunks(images):
+    # 2^15 letters a step once the lag is that long; a bounded lag doubles its block
+    L = 10**6
+    assert _chunks_pulled(morphic_fixed_point(Morphism(images), 0), L) <= (
+        2 * math.log2(L) + L / 2**15)
+
+
+def test_a_slowly_lagging_fixed_point_takes_square_root_many_chunks():
+    # 0 -> 01, 1 -> 12, 2 -> 2: the lag grows like sqrt(2t) and never becomes bounded
+    L = 10**6
+    w = morphic_fixed_point(Morphism({0: (0, 1), 1: (1, 2), 2: (2,)}), 0)
+    assert _chunks_pulled(w, L) <= 2 * math.sqrt(L)
+    ones = np.flatnonzero(w.prefix(L) == 1)
+    assert np.array_equal(ones[:5], [1, 2, 4, 7, 11])  # 0 1 12 122 1222 ...
+
+
+def test_a_refused_fixed_point_resumes_where_it_stopped():
+    # Thue-Morse over {0, s}: the guard refuses 10^5 symbols but keeps the chunks it took
+    # (2^15 symbols); a fresh reader skips them and goes on
+    s = 2**62 // 50_000
+    w = morphic_fixed_point(Morphism({0: (0, s), s: (s, 0)}), 0)
+    with pytest.raises(GuardError):
+        w.prefix(100_000)
+    assert 0 < w._n < 40_000
+    tm = _prefix(morphic_fixed_point(Morphism(_TM), 0), 40_000)
+    assert _prefix(w, 40_000) == [s * x for x in tm]

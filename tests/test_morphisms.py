@@ -28,6 +28,7 @@ from wordsums import (
     word_slope,
     word_sum,
 )
+from wordsums import core
 from wordsums import complexity
 
 
@@ -84,6 +85,35 @@ def test_apply_morphism_finite_source():
     assert [int(x) for x in img.prefix(6)] == [0, 2, 1, 1, 1, 1]
     with pytest.raises(ValueError):
         img.prefix(7)
+
+
+@st.composite
+def _images_of(draw):
+    """A morphism on 2-4 letters with images of 1-3 symbols, and a finite word over them."""
+    letters = draw(st.lists(st.integers(-5, 9), min_size=2, max_size=4, unique=True))
+    symbol = st.integers(-(2**40), 2**40) | st.sampled_from(letters)
+    images = {a: tuple(draw(st.lists(symbol, min_size=1, max_size=3))) for a in letters}
+    return images, draw(st.lists(st.sampled_from(letters), min_size=1, max_size=300))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_images_of(), st.lists(st.tuples(st.integers(1, 900), st.booleans()), max_size=4),
+       st.sampled_from([3, 8192]))
+def test_apply_morphism_matches_the_finite_image(case, reads, chunk):
+    images, xs = case
+    phi = Morphism(images)
+    want = list(phi(FiniteWord(xs)).symbols)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_CHUNK", chunk)
+        img = apply_morphism(phi, from_finite(xs))
+        for L, drop in reads:
+            L = min(L, len(want))
+            assert img.prefix(L).tolist() == want[:L]
+            if drop:  # as a failed fill does: a fresh reader skips the held symbols
+                img._read = None
+        assert img.prefix(len(want)).tolist() == want
+        with pytest.raises(ValueError, match=f"ends at length {len(want)};"):
+            img.prefix(len(want) + 1)
 
 
 def test_apply_morphism_foreign_symbol_fails_late():
