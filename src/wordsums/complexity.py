@@ -17,7 +17,10 @@ the keys when the box spans fewer than 64 values, with no min/max scan; the same
 mask after a scan when the keys do; a boolean presence table when they span at
 most the number of windows; and a sort otherwise (a lexsort for rows of pieces).
 Sums read their count and spread off the mask or the sorted keys, and distinct
-keys decode into image points only for the spreads of lattice images.  The same
+keys decode into image points only for the spreads of lattice images.  Images that
+share one coordinate sum c (Parikh maps, c = 1) lie on a hyperplane, so their keys
+weigh only the first t - 1 columns and decoding writes the last back as n * c minus
+the others: fewer radices, so fewer key pieces and narrower power-scan copies.  The same
 key prefix serves the additive and mod-mu power scans and `window_images`; the
 unbounding guess in `morphisms` takes spreads of those Parikh images.  Factor-set
 intersections count the shared keys of two words' factor rows, packed under one
@@ -227,13 +230,21 @@ def _bits(mask: int) -> np.ndarray:
 
 
 def _decode(keys: np.ndarray, n: int, lo: list[int], radix: list[int]) -> np.ndarray:
-    """Image points of length-n window keys (one per row, or a row of pieces), in columns."""
-    U = np.empty((len(keys), len(radix)), dtype=np.int64, order="F")
+    """Image points of length-n window keys (one per row, or a row of pieces), in columns.
+
+    An offset past the radices is the coordinate sum c that every letter image shares: the
+    keys leave that last column out, and it is written back in place as n * c minus the rest.
+    """
+    U = np.empty((len(keys), len(lo)), dtype=np.int64, order="F")
+    t = len(radix)
     for (a, b), piece in zip(_pieces(radix), keys.reshape(len(keys), -1).T):
         for c in range(b - 1, a, -1):
             piece, U[:, c] = np.divmod(piece, radix[c])
         U[:, a] = piece
-    U += np.array([n * x for x in lo], dtype=np.int64)
+    U[:, :t] += np.array([n * x for x in lo[:t]], dtype=np.int64)
+    if t < len(lo):
+        last = np.sum(U[:, :t], axis=1, out=U[:, t])
+        np.subtract(n * lo[t], last, out=last)
     return U
 
 
@@ -249,9 +260,12 @@ def _key_prefix(
     is the weight range [min omega, max omega].  So the key S[i + n] - S[i] of a length-n
     window lies in [n * min omega, n * max omega] and has digits in [0, n * (hi_c - lo_c)]
     below R_c: equal keys of equal-length windows mean equal images, and `_decode` reads
-    them back.  Past 2^62 the columns split into `_pieces` runs, one weighted prefix each.
-    Symbol sums weigh s itself: S is the cache, the offset lo is [0], and the box is the
-    range of letters the cache holds.  A lattice S may wrap past int64, but every key lies
+    them back.  When t >= 2 and every letter image has one coordinate sum c (c = 1 for a
+    Parikh map), the images lie on a hyperplane: the last column is n * c minus the others,
+    so only the first t - 1 columns are weighed, and lo gets c as a last entry past the t - 1
+    radices.  Past 2^62 the weighed columns split into `_pieces` runs, one weighted prefix
+    each.  Symbol sums weigh s itself: S is the cache, the offset lo is [0], and the box is
+    the range of letters the cache holds.  A lattice S may wrap past int64, but every key lies
     in its box below 2^63 and differences are exact modulo 2^64.  Refuses images whose sums
     may overflow int64, and the lattice prefix it builds plus an L x p buffer of keys past
     the memory guard, before reading a symbol.
@@ -259,12 +273,19 @@ def _key_prefix(
     if mu is None:  # the box is the range the cache holds, read after the prefix
         S = w.prefix_sums(L)
         return S, [0], [n_max * (w._hi - w._lo) + 1], (w._lo, w._hi)
-    if mu.max_abs() * (L + 1) >= _SUM_LIMIT:
+    top = mu.max_abs()
+    if top * (L + 1) >= _SUM_LIMIT:
         raise GuardError("lattice prefix sums may overflow int64")
     T = mu._table
+    sums = T.sum(axis=1)  # exact, and n * c fits int64, when t * top passes the same guard
+    shared = mu.dim > 1 and mu.dim * top * (L + 1) < _SUM_LIMIT and bool((sums == sums[0]).all())
+    if shared:  # on the hyperplane: the last column follows from the others
+        T = T[:, :-1]
     lo, hi = T.min(axis=0).tolist(), T.max(axis=0).tolist()
     radix = [n_max * (h - l) + 1 for l, h in zip(lo, hi)]
     omega = _pack(T, lo, radix)
+    if shared:
+        lo.append(int(sums[0]))
     _check_table(2 * L + 1, len(_pieces(radix)), f"window keys for L={L}, t={mu.dim}")
     C = w.prefix_sums(L)
     S = np.empty((L + 1,) + omega.shape[1:], dtype=np.int64)

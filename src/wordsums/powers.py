@@ -15,9 +15,12 @@ differences of the key prefix (`complexity._key_prefix`): the word's own
 prefix sums, or for mu one int64 or a row of key pieces per position: column
 c of the letter images, in [lo_c, hi_c], takes mixed radix (L/k) * (hi_c -
 lo_c) + 1, so two blocks of one length b <= L/k have equal keys exactly when
-they have equal images.  Words of bounded sum spread still contain additive
-k-powers for every k; the slope-constrained search finds them through
-monochromatic arithmetic progressions in the chi coloring.
+they have equal images.  When every letter image has one coordinate sum (a
+Parikh map), the keys leave out the last column, which equal-length blocks
+agree on once the others agree; the smaller keys fit a narrower copy.  Words of
+bounded sum spread still contain additive k-powers for every k; the
+slope-constrained search finds them through monochromatic arithmetic
+progressions in the chi coloring, read as one strided view of the prefix sums.
 """
 
 from __future__ import annotations

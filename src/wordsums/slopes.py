@@ -84,7 +84,8 @@ def chi(w: WordStream, alpha: Rational, m: int) -> int:
 
 
 def chi_sequence(w: WordStream, alpha: Rational, m_max: int) -> np.ndarray:
-    """chi(1..m_max) as an int64 array."""
+    """chi(1..m_max) as an int64 array: -m * p plus the strided view P[q::q] of the cached
+    prefix sums, so the answer is the one array built, with no index array or gather."""
     a = _as_fraction(alpha)
     if m_max < 1:
         raise ValueError("need m_max >= 1")
@@ -92,8 +93,10 @@ def chi_sequence(w: WordStream, alpha: Rational, m_max: int) -> np.ndarray:
     if abs(p) * m_max >= _SUM_LIMIT:
         raise GuardError("m*p may overflow int64")
     P = w.prefix_sums(m_max * q)
-    m = np.arange(1, m_max + 1, dtype=np.int64)
-    return P[m * q] - m * p
+    colors = np.arange(1, m_max + 1, dtype=np.int64)
+    colors *= -p
+    colors += P[q::q]
+    return colors
 
 
 def block_slope(w: WordStream, a: int, b: int) -> Fraction:

@@ -475,6 +475,90 @@ def test_window_images_table_guard_at_its_edge(monkeypatch):
     assert window_images(w, mu, 10, 1000).sum(axis=1).tolist() == [10] * 991
 
 
+# -- images on a hyperplane: letter images that share one coordinate sum ----
+
+
+def _hyperplane_images(c, rows, equal):
+    """Letter i maps to rows[i] (rows[0] for every letter when `equal`), then c minus its
+    sum, so every image has coordinate sum c."""
+    rows = [rows[0]] * len(rows) if equal else rows
+    return {i: tuple(r) + (c - sum(r),) for i, r in enumerate(rows)}
+
+
+hyperplane_maps = st.builds(
+    _hyperplane_images,
+    st.integers(-3, 3),
+    st.integers(2, 5).flatmap(lambda t: st.lists(
+        st.lists(st.integers(-3, 3), min_size=t - 1, max_size=t - 1), min_size=2, max_size=4)),
+    st.booleans(),
+)
+
+
+def _hyperplane_word(data, images, min_size=1):
+    return data.draw(st.lists(st.integers(0, len(images) - 1), min_size=min_size, max_size=300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyperplane_maps, st.data())
+def test_hyperplane_profile_matches_bruteforce(images, data):
+    xs = _hyperplane_word(data, images)
+    n_max = data.draw(st.integers(1, min(len(xs), 10)))
+    t = len(images[0])
+    _, lo, radix, _ = _key_prefix(from_finite(xs), LatticeMap(images), n_max, len(xs))
+    assert (len(lo), len(radix)) == (t, t - 1)  # the keys leave the last column out
+    _check_profile(xs, "lattice", n_max, None, images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyperplane_maps, st.data())
+def test_hyperplane_window_images_match_bruteforce(images, data):
+    xs = _hyperplane_word(data, images)
+    n = data.draw(st.integers(1, len(xs)))
+    C = _image_prefix(xs, images)
+    got = window_images(from_finite(xs), LatticeMap(images), n, len(xs))
+    assert got.tolist() == [[a - b for a, b in zip(C[i + n], C[i])]
+                            for i in range(len(xs) - n + 1)]
+
+
+def test_images_whose_sums_pass_int64_keep_every_column():
+    # eight coordinates of +-2^60 sum to +-2^63, one value modulo 2^64, and n * c passes
+    # int64 at n = 2: such images are not taken for a hyperplane, and decode exactly
+    B = 2**60
+    w, mu = from_finite([0, 1]), LatticeMap({0: (B,) * 8, 1: (-B,) * 8})
+    _, lo, radix, _ = _key_prefix(w, mu, 2, 2)
+    assert len(lo) == len(radix) == 8
+    prof = profile(w, 2, 2, kind="lattice", mu=mu)
+    assert prof.counts() == [2, 1] and prof.spreads() == [8 * (2 * B) ** 2, 0]
+    assert window_images(w, mu, 2, 2).tolist() == [[0] * 8]
+
+
+def _bruteforce_mu_kpower(xs, images, k):
+    """First (start, b, image) of k adjacent length-b blocks with one image, from
+    Python-int prefix images."""
+    C, L = _image_prefix(xs, images), len(xs)
+    for s in range(L):
+        for b in range(1, (L - s) // k + 1):
+            imgs = {tuple(x - y for x, y in zip(C[s + (j + 1) * b], C[s + j * b]))
+                    for j in range(k)}
+            if len(imgs) == 1:
+                return s + 1, b, imgs.pop()
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(hyperplane_maps, st.integers(2, 4), st.integers(0, 20), st.data())
+def test_hyperplane_mod_mu_matches_bruteforce(images, k, quiet, data):
+    # letters 4, 5, ... of images (2^(12+i), 0, ..., c - 2^(12+i)) stay on the
+    # hyperplane and keep powers out of a quiet prefix, so later starts are scanned too
+    t, c = len(images[0]), sum(images[0])
+    xs = [4 + i for i in range(quiet)] + _hyperplane_word(data, images, min_size=2)
+    images = images | {4 + i: (2 ** (12 + i),) + (0,) * (t - 2) + (c - 2 ** (12 + i),)
+                       for i in range(quiet)}
+    wit = find_kpower_mod_mu(from_finite(xs), LatticeMap(images), k, len(xs))
+    assert (wit and (wit.start, wit.block_length, wit.value)) == \
+        _bruteforce_mu_kpower(xs, images, k)
+
+
 # -- the distinct-count kernel, one test per branch ------------------------
 
 B40, B30 = 2**40, 2**30
@@ -757,12 +841,20 @@ def test_kernel_table_guard_at_its_edge(monkeypatch):
     # rows of two key pieces: a (L + 1) x 2 prefix and an L x 2 buffer of 8-byte cells,
     # past the (L + 1) x 2 image table the lattice guard also measures
     w = from_finite([0, 1] * 50)
-    mu = LatticeMap({0: (B40, 0), 1: (0, B40)})
+    mu = LatticeMap({0: (B40, 0), 1: (0, B40 - 1)})
     monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 2 * 201 - 1)
     with pytest.raises(GuardError, match="window keys for L=100"):
         profile(w, 2, 100, kind="lattice", mu=mu)
     monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 2 * 201)
     assert profile(w, 2, 100, kind="lattice", mu=mu).counts() == [2, 1]
+    # images that share their coordinate sum key only the first column: one piece
+    mu = LatticeMap({0: (B40, 0), 1: (0, B40)})
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 201 - 1)
+    with pytest.raises(GuardError, match="window keys for L=100"):
+        profile(w, 2, 100, kind="lattice", mu=mu)
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 201)
+    prof = profile(w, 2, 100, kind="lattice", mu=mu)
+    assert prof.counts() == [2, 1] and prof.spreads() == [2 * B40**2, 0]
     # symbol sums from the least letter 0 read the cache in place: the buffer alone
     monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 100 - 1)
     with pytest.raises(GuardError, match="window keys for L=100"):

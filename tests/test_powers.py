@@ -453,6 +453,21 @@ def test_blocks_each_side_of_a_narrow_dtype(bits, wide, s, g, rnd):
     assert find_additive_kpower(from_finite(xs), 2, len(xs)) is None is _bruteforce_kpower(xs, 2)
 
 
+@pytest.mark.parametrize("images, L, dtype", [
+    ({0: (1, 0), 1: (0, 1)}, 2100, np.int16),  # the Parikh map: int32 with both columns
+    ({0: (1, -1), 1: (-1, 1)}, 60_000, np.int32),  # images that cancel: int64 with both
+])
+def test_hyperplane_keys_take_a_narrower_copy(images, L, dtype, monkeypatch):
+    # both maps have one coordinate sum, so the key prefix of Dekking's binary word is
+    # its first column alone, whose block differences fit the narrower dtype
+    copies = []
+    real = powers._narrow_copy
+    monkeypatch.setattr(powers, "_narrow_copy", lambda *a: copies.append(real(*a)) or copies[-1])
+    w = morphic_fixed_point(Morphism({0: (0, 0, 0, 1), 1: (0, 1, 1)}), 0)
+    assert find_kpower_mod_mu(w, LatticeMap(images), 4, L) is None
+    assert [X.dtype for X in copies] == [dtype]
+
+
 @pytest.mark.parametrize("tiles", [None, 3, 13])
 def test_least_start_beats_the_first_hit_of_the_gap_major_pass(tiles):
     # the gap-major pass meets the square at (60, 1) first; it must go on over starts

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wordsums import (
     GuardError,
@@ -16,6 +16,7 @@ from wordsums import (
     constant_complexity_word,
     deviation_constant,
     factors_with_slope,
+    find_anchored_power,
     from_finite,
     greedy_slope_cuts,
     periodic,
@@ -73,6 +74,60 @@ def test_slopes_must_be_exact():
         chi(w, np.float64(0.5), 2)
     for alpha in (Fraction(1, 2), 1, np.int64(1)):
         assert deviation_constant(w, alpha, 100).alpha == alpha
+
+
+def _chi_oracle(xs, alpha, m_max):
+    """P[m q] - m p for m = 1..m_max, in Python ints."""
+    p, q = alpha.numerator, alpha.denominator
+    return [sum(xs[: m * q]) - m * p for m in range(1, m_max + 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-5, 5), min_size=1, max_size=400),
+    st.integers(-100, 100),
+    st.integers(1, 50),
+    st.booleans(),
+    st.data(),
+)
+def test_chi_sequence_matches_oracle(xs, p, q, whole, data):
+    alpha = Fraction(p, q)
+    q = alpha.denominator
+    assume(len(xs) >= q)
+    m_max = len(xs) // q
+    if whole:  # the word ends exactly at m_max * q: the last color reads its last sum
+        xs = xs[: m_max * q]
+    else:
+        m_max = data.draw(st.integers(1, m_max))
+    assert chi_sequence(from_finite(xs), alpha, m_max).tolist() == _chi_oracle(xs, alpha, m_max)
+
+
+def _bruteforce_anchored(xs, alpha, k, count, L):
+    """The first (start, block length, value) of `count` blocks at a monochromatic
+    progression of chi with k | gap, start ascending, then gap, as a reference scan."""
+    p, q = alpha.numerator, alpha.denominator
+    c = _chi_oracle(xs, alpha, L // q) if L >= q else []
+    for a in range(1, len(c) + 1):
+        for g in range(k, (len(c) - a) // count + 1, k):
+            if all(c[a - 1 + j * g] == c[a - 1] for j in range(1, count + 1)):
+                return q * a + 1, g * q, g * p
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 2000),
+    st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1), Fraction(3, 5)]),
+    st.integers(1, 3),
+    st.integers(2, 4),
+    st.randoms(use_true_random=False),
+)
+def test_anchored_power_matches_bruteforce(L, alpha, k, count, rnd):
+    # letters 0 and 1 drawn with the slope's odds, so chi drifts slowly and repeats
+    xs = [int(rnd.random() < alpha) for _ in range(L)]
+    wit = find_anchored_power(from_finite(xs), alpha, k, count, L)
+    got = wit and (wit.start, wit.block_length, wit.value)
+    assert got == _bruteforce_anchored(xs, alpha, k, count, L)
 
 
 @settings(max_examples=80, deadline=None)
