@@ -29,7 +29,6 @@ letter box.
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -64,7 +63,8 @@ class LatticeMap:
         """Hold the letters and their k x t image table, one row per letter in sorted order."""
         self.alphabet = alphabet
         try:
-            self._syms = np.array(alphabet.symbols, dtype=np.int64)
+            if alphabet._letters.dtype == object:  # a letter past int64: no word holds it
+                raise OverflowError
             self._table = np.asarray(table, dtype=np.int64)
         except OverflowError:
             spec = _rules(zip(alphabet, table))
@@ -92,27 +92,15 @@ class LatticeMap:
         return mu
 
     def of_word(self, B: Iterable[int]) -> tuple[int, ...]:
-        """mu(B), summed exactly in Python ints from the table rows of B's letters; letters are
-        looked up by value, so 1.0 finds 1 and 1.5 finds none."""
-        counts: collections.Counter[int] = collections.Counter()
-        for s in B:
-            try:
-                counts[self.alphabet.index(s)] += 1
-            except ValueError:
-                raise ValueError(f"symbol {s} outside the map's alphabet") from None
-        acc = [0] * self.dim
-        for m, row in zip(counts.values(), self._table[list(counts)].tolist()):
-            acc = [a + m * x for a, x in zip(acc, row)]
-        return tuple(acc)
-
-    def letter_indices(self, symbols: np.ndarray) -> np.ndarray:
-        """Per-position row of each letter in the image table, shape (len,)."""
-        idx = np.searchsorted(self._syms, symbols)
-        idx = np.clip(idx, 0, len(self._syms) - 1)
-        if not np.array_equal(self._syms[idx], symbols):
-            bad = symbols[self._syms[idx] != symbols][0]
-            raise ValueError(f"symbol {int(bad)} outside the map's alphabet")
-        return idx
+        """mu(B), summed exactly in Python ints over the table rows of B's distinct letters;
+        letters are looked up by value, so 1.0 finds 1 and 1.5 finds none."""
+        try:
+            counts = np.bincount(self.alphabet.ranks(list(B)), minlength=len(self.alphabet))
+        except KeyError as e:
+            raise ValueError(f"symbol {e.args[0]} outside the map's alphabet") from None
+        rows = np.flatnonzero(counts)
+        m = counts[rows].tolist()
+        return tuple(sum(a * x for a, x in zip(m, col)) for col in self._table[rows].T.tolist())
 
     def max_abs(self) -> int:
         """Largest |image coordinate|, exact in Python ints."""
@@ -149,12 +137,10 @@ class ComplexityProfile:
 
 def parikh(B: FiniteWord, alphabet: Alphabet) -> tuple[int, ...]:
     """Occurrence counts of each alphabet letter in B, in sorted letter order."""
-    counts = dict.fromkeys(alphabet.symbols, 0)
-    for s in B:
-        if s not in counts:
-            raise ValueError(f"symbol {s} outside alphabet {alphabet.symbols}")
-        counts[s] += 1
-    return tuple(counts[s] for s in alphabet.symbols)
+    try:
+        return tuple(np.bincount(alphabet.ranks(list(B)), minlength=len(alphabet)).tolist())
+    except KeyError as e:
+        raise ValueError(f"symbol {e.args[0]} outside alphabet {alphabet.symbols}") from None
 
 
 def _check_window(n: int, L: int) -> None:
@@ -290,9 +276,13 @@ def _key_prefix(
     C = w.prefix_sums(L)
     S = np.empty((L + 1,) + omega.shape[1:], dtype=np.int64)
     S[0] = 0
-    for a in range(0, L, _KEY_CHUNK):  # bounded temporaries: letter indices per chunk
+    for a in range(0, L, _KEY_CHUNK):  # bounded temporaries: letter ranks per chunk
         seg = S[a + 1 : a + _KEY_CHUNK + 1]
-        np.take(omega, mu.letter_indices(np.diff(C[a : a + len(seg) + 1])), axis=0, out=seg)
+        try:
+            ranks = mu.alphabet.ranks(np.diff(C[a : a + len(seg) + 1]))
+        except KeyError as e:
+            raise ValueError(f"symbol {e.args[0]} outside the map's alphabet") from None
+        np.take(omega, ranks, axis=0, out=seg)
         np.cumsum(seg, axis=0, out=seg)
         seg += S[a]
     return S, lo, radix, (int(omega.min()), int(omega.max()))

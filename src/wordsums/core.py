@@ -6,7 +6,8 @@ ordinary 0-based Python sequences.  Symbols are integers; a float or a
 string is refused, not truncated.  All sums are exact: int64 prefix sums
 back the long scans, with a guard that refuses lengths where max|s| * L
 could approach 2**63, and everything crossing the API boundary is a
-Python int or Fraction.
+Python int or Fraction.  `Alphabet.ranks` is the only place a letter
+becomes a row: Parikh vectors, lattice images and morphisms read it.
 """
 
 from __future__ import annotations
@@ -96,25 +97,35 @@ class Interval(NamedTuple):
 
 
 class Alphabet:
-    """A finite set of integer symbols, kept sorted ascending."""
+    """A finite set of integer symbols, held as one sorted array: int64, or object dtype when
+    a letter is past int64.  `ranks` is the only place a letter becomes a row."""
 
-    __slots__ = ("symbols", "_index")
+    __slots__ = ("_letters",)
 
     def __init__(self, symbols: Iterable[int]):
         syms = sorted(set(map(_integer, symbols)))
         if not syms:
             raise ValueError("alphabet must be nonempty")
-        self.symbols: tuple[int, ...] = tuple(syms)
-        self._index = {s: i for i, s in enumerate(self.symbols)}
+        fits = -(2**63) <= syms[0] and syms[-1] < 2**63
+        self._letters = np.array(syms, np.int64 if fits else object)
+
+    @property
+    def symbols(self) -> tuple[int, ...]:
+        """The letters ascending, as Python ints."""
+        return tuple(self._letters.tolist())
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(self._letters)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.symbols)
 
     def __contains__(self, s: object) -> bool:
-        return s in self._index
+        try:
+            self.ranks([s])
+        except KeyError:
+            return False
+        return True
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Alphabet) and self.symbols == other.symbols
@@ -122,10 +133,26 @@ class Alphabet:
     def __hash__(self) -> int:
         return hash(self.symbols)
 
+    def ranks(self, letters: Sequence) -> np.ndarray:
+        """Row of each letter in the sorted alphabet, by one searchsorted and an equality check.
+        Letters match by value, as dict keys do: True and 1.0 find 1; 1.5, '1' and None find
+        none.  A miss raises KeyError with the first missing letter as it was given."""
+        try:
+            keys = _int64(letters, "a letter")
+        except (ValueError, GuardError):  # a float, a letter past int64 or a non-number:
+            # compared as Python numbers, a non-number as NaN, which equals nothing
+            keys = np.array([(x.item() if isinstance(x, np.generic) else x)
+                             if isinstance(x, numbers.Real) else np.nan for x in letters], object)
+        rows = np.searchsorted(self._letters, keys)  # past the last letter only on a miss
+        hit = self._letters.take(rows, mode="clip") == keys
+        if not hit.all():
+            raise KeyError(letters[int(np.argmin(hit))])
+        return rows
+
     def index(self, s: int) -> int:
         """Rank of s within the sorted alphabet (used for Parikh coordinates)."""
         try:
-            return self._index[s]
+            return int(self.ranks([s])[0])
         except KeyError:
             raise ValueError(f"symbol {s} not in alphabet {self.symbols}") from None
 

@@ -95,7 +95,7 @@ class _FixedPoint:
     def __init__(self, phi: Morphism, seed: int):
         starts, lens, flat = phi._flat
         self._phi, self._step = phi, int(lens.max())
-        self._ranks = phi._ranks(flat.tolist()).astype(np.min_scalar_type(len(lens) - 1))
+        self._ranks = phi.source.ranks(flat).astype(np.min_scalar_type(len(lens) - 1))
         self._syms = np.zeros(len(lens), dtype=np.int64)
         self._syms[self._ranks] = flat  # every letter written is some image's letter
         self._f = f = self._ranks[starts]  # each image's first letter: phi on bounded letters
@@ -103,7 +103,7 @@ class _FixedPoint:
         for _ in range(len(lens).bit_length()):  # then a .. f^(2^j - 1)(a) all have length 1
             bounded, f = bounded & bounded[f], f[f]
         self._unbounded = ~bounded
-        s = int(phi._ranks([seed])[0])
+        s = phi.source.index(seed)
         self._head = self._ranks[starts[s] : starts[s] + lens[s]]  # phi(seed), emitted first
         self._lag = self._head[1:]  # the last symbols written: the lag, then the block source
         self._pending = np.count_nonzero(self._unbounded[self._lag])  # unbounded lagging letters

@@ -69,13 +69,6 @@ class Morphism:
         flat = _int64(list(itertools.chain.from_iterable(images)), "an image symbol")
         return np.cumsum(lens) - lens, lens, flat
 
-    def _ranks(self, letters: Sequence[int]) -> np.ndarray:
-        """Source-alphabet ranks of the letters, looked up by value like `expand`."""
-        try:
-            return np.fromiter(map(self.source._index.__getitem__, letters), np.intp, len(letters))
-        except KeyError as e:
-            raise ValueError(f"letter {e.args[0]} has no image") from None
-
     def _positions(self, ranks: np.ndarray) -> np.ndarray:
         """Where phi(s1) phi(s2) ... lie in the flat table, for letters of the given ranks: each
         image's start, repeated over its length, plus an arange."""
@@ -93,7 +86,11 @@ class Morphism:
         return {s: Fraction(sum(img), len(img)) for s, img in sorted(self._table.items())}
 
     def is_endomorphism(self) -> bool:
-        return all(t in self.source for t in self.target)
+        try:
+            self.source.ranks(self.target.symbols)
+        except KeyError:
+            return False
+        return True
 
     def __repr__(self) -> str:
         return _rules(sorted(self._table.items()))
@@ -118,9 +115,16 @@ def apply_morphism(phi: Morphism, w: WordStream) -> WordStream:
     step = phi.max_image_len()
 
     def chunks() -> Callable[[int], np.ndarray]:
-        letters = w._symbols()  # each chunk in one call, so its temporaries end with it
-        return lambda want: phi._flat[2][phi._positions(
-            phi._ranks(list(itertools.islice(letters, max(1, want // step)))))]
+        letters = w._symbols()
+
+        def read(want: int) -> np.ndarray:  # letters are looked up by value, like `expand`
+            try:
+                ranks = phi.source.ranks(list(itertools.islice(letters, max(1, want // step))))
+            except KeyError as e:
+                raise ValueError(f"letter {e.args[0]} has no image") from None
+            return phi._flat[2][phi._positions(ranks)]
+
+        return read
 
     return WordStream._chunked(chunks, alphabet=phi.target, label=f"<image of {w.label}>")
 
@@ -136,7 +140,7 @@ def anchor_matrix(phi: Morphism) -> tuple[np.ndarray, Callable[[Fraction], list[
     _check_table(len(images), len(T), f"the {len(images)} x {len(T)} anchor matrix")
     M = np.zeros((len(images), len(T)), dtype=np.int64)
     rows = np.repeat(np.arange(len(images)), list(map(len, images)))
-    np.add.at(M, (rows, [T.index(t) for img in images for t in img]), 1)
+    np.add.at(M, (rows, T.ranks(list(itertools.chain.from_iterable(images)))), 1)
 
     def t_alpha(alpha) -> list[Fraction]:
         a = Fraction(alpha)

@@ -11,6 +11,7 @@ from wordsums import (
     Alphabet,
     FiniteWord,
     GuardError,
+    LatticeMap,
     Morphism,
     WordStream,
     apply_morphism,
@@ -19,6 +20,7 @@ from wordsums import (
     factor,
     from_finite,
     morphic_fixed_point,
+    parikh,
     periodic,
     word_slope,
     word_sum,
@@ -273,6 +275,62 @@ def test_alphabet_refuses_symbols_that_are_not_integers(bad):
     with pytest.raises(ValueError, match="not an integer"):
         Alphabet([1, bad])
     assert Alphabet([np.int64(3), 1]).symbols == (1, 3)
+
+
+EDGES = [-(2**63) - 1, -(2**63), 2**63 - 1, 2**63, 2**70]
+letters = st.one_of(st.integers(-20, 20), st.sampled_from(EDGES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(letters, min_size=1, max_size=12), st.data())
+def test_ranks_match_a_dict_lookup(xs, data):
+    # alphabets with gaps, negative letters and letters past int64; queries of other types
+    # that a dict finds by value (np.int64, True, 1.0) or not (1.5, "1", None)
+    a, table = Alphabet(xs), {s: i for i, s in enumerate(sorted(set(xs)))}
+    in_int64 = [x for x in xs if -(2**63) <= x < 2**63]
+    others = [True, False, 1.0, 1.5, -0.0, 2.0**70, "1", None]
+    query = st.one_of(
+        st.sampled_from(xs), letters, st.sampled_from(others), st.sampled_from(xs).map(float),
+        st.sampled_from(in_int64 or [0]).map(np.int64))
+    queries = data.draw(st.lists(query, max_size=8))
+    for q in queries:  # every miss raises KeyError carrying that letter
+        assert (q in a) == (q in table)
+        if q in table:
+            assert a.ranks([q]).tolist() == [table[q]]
+        else:
+            with pytest.raises(KeyError) as miss:
+                a.ranks([q])
+            assert miss.value.args[0] is q
+    try:
+        want = [table[q] for q in queries]
+    except KeyError as e:
+        with pytest.raises(KeyError) as miss:
+            a.ranks(queries)
+        assert miss.value.args[0] is e.args[0]  # the first miss, as it was given
+    else:
+        got = a.ranks(queries)
+        assert got.dtype == np.intp and got.tolist() == want
+
+
+def _raw_letters(bad):
+    """A word whose factory yields 0 and then bad, unchecked."""
+    return WordStream(lambda: iter([0, bad]), label="<raw>")
+
+
+@pytest.mark.parametrize("bad", ["1", None, 1.5, 2**70])
+@pytest.mark.parametrize("call, message", [
+    (lambda bad: apply_morphism(Morphism({0: (0, 1), 1: (1,)}), _raw_letters(bad)).prefix(3),
+     "letter {} has no image"),
+    (lambda bad: LatticeMap({0: (1,), 1: (2,)}).of_word([0, bad]),
+     "symbol {} outside the map's alphabet"),
+    (lambda bad: parikh([0, bad], Alphabet([0, 1])), "symbol {} outside alphabet (0, 1)"),
+    (lambda bad: Alphabet([0, 1]).index(bad), "symbol {} not in alphabet (0, 1)"),
+], ids=["apply_morphism", "of_word", "parikh", "index"])
+def test_refusals_of_letters_keep_their_messages(bad, call, message):
+    # a letter that is no number must be a miss, not a TypeError from ordering it
+    with pytest.raises(ValueError) as refused:
+        call(bad)
+    assert str(refused.value) == message.format(bad)
 
 
 def test_from_finite_refuses_symbols_that_are_not_integers():

@@ -152,6 +152,14 @@ def test_anchor_matrix_identity():
     assert any(sum(int(M[i, j]) * tb[j] for j in range(M.shape[1])) != 0 for i in range(M.shape[0]))
 
 
+def test_letters_past_int64_that_no_word_holds():
+    # the source alphabet holds 2**70 as an object, but the fixed point never emits it
+    tm = morphic_fixed_point(Morphism({0: (0, 1), 1: (1, 0), 2**70: (0,)}), 0)
+    assert tm.prefix(8).tolist() == [0, 1, 1, 0, 1, 0, 0, 1]
+    # the anchor matrix ranks image letters of the table, not of the int64 gather table
+    assert anchor_matrix(Morphism({0: (2**70, 1)}))[0].tolist() == [[1, 1]]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(st.integers(-5, 5),
                        st.lists(st.integers(-3, 3), min_size=1, max_size=4),
