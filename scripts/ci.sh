@@ -6,7 +6,9 @@
 #
 # Only the two install steps need the network: `install` (pip, the package and its test
 # extras) and `install-numpy <version>` (the numpy 1.24 job).  Every other step runs offline.
-# Where the package is not installed, a `wordsums` shim runs it from ./src instead.
+# A single step runs the installed `wordsums` console script, so `installed-script` fails
+# when `pip install` left no entry point.  The full run alone, meant for a checkout that
+# was never installed, falls back to a shim that runs the package from ./src.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,17 +64,16 @@ r = json.loads(sys.stdin.read())
 sys.exit(not (r["correct"] is True and r["failed"] == 0))'
 }
 
-if ! command -v wordsums > /dev/null; then
-  shim=$(mktemp -d)
-  trap 'rm -rf "$shim"' EXIT
-  printf '#!/bin/sh\nexec python -m wordsums "$@"\n' > "$shim/wordsums"
-  chmod +x "$shim/wordsums"
-  export PATH="$shim:$PATH" PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
-fi
-
 if [ $# -gt 0 ]; then
   "$@"
 else
+  if ! command -v wordsums > /dev/null; then
+    shim=$(mktemp -d)
+    trap 'rm -rf "$shim"' EXIT
+    printf '#!/bin/sh\nexec python -m wordsums "$@"\n' > "$shim/wordsums"
+    chmod +x "$shim/wordsums"
+    export PATH="$shim:$PATH" PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
+  fi
   for step in tests installed-script fixed-point-fills power-free demos; do
     echo "== $step" >&2
     "$step"

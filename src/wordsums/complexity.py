@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .core import (_SUM_LIMIT, Alphabet, FiniteWord, GuardError, WordStream, _distinct_rows,
-                   _integer, _sorted_distinct)
+                   _integer, _rank_letters, _sorted_distinct)
 
 _ORACLE_MAX_PREFIX = 10_000
 _DIAMETER_MAX_POINTS = 100_000
@@ -57,19 +57,17 @@ class LatticeMap:
         if len(dims) != 1 or 0 in dims:
             raise ValueError("all images must share one positive dimension")
         alphabet = Alphabet(rows)
-        self._fill(alphabet, [rows[s] for s in alphabet])
+        self._fill(alphabet, np.array([rows[s] for s in alphabet], dtype=object))
 
-    def _fill(self, alphabet: Alphabet, table: Sequence[Sequence[int]]) -> None:
-        """Hold the letters and their k x t image table, one row per letter in sorted order."""
-        self.alphabet = alphabet
-        try:
-            if alphabet._letters.dtype == object:  # a letter past int64: no word holds it
-                raise OverflowError
-            self._table = np.asarray(table, dtype=np.int64)
-        except OverflowError:
-            spec = _rules(zip(alphabet, table))
-            raise ValueError(f"letters and images of mu:{spec} must fit int64") from None
-        self.dim = self._table.shape[1]
+    def _fill(self, alphabet: Alphabet, table: np.ndarray) -> None:
+        """Hold the letters and their k x t image table, one row per letter in sorted order;
+        a letter or an image past int64 is refused, as no int64 word holds or weighs it."""
+        inside = table.dtype != object or -(2**63) <= table.min() <= table.max() < 2**63
+        if not (alphabet.fits_int64 and inside):
+            raise ValueError(f"letters and images of mu:{_rules(zip(alphabet, table.tolist()))} "
+                             "must fit int64")
+        self.alphabet, self._table = alphabet, table.astype(np.int64, copy=False)
+        self.dim = table.shape[1]
 
     @property
     def images(self) -> dict[int, tuple[int, ...]]:
@@ -94,13 +92,14 @@ class LatticeMap:
     def of_word(self, B: Iterable[int]) -> tuple[int, ...]:
         """mu(B), summed exactly in Python ints over the table rows of B's distinct letters;
         letters are looked up by value, so 1.0 finds 1 and 1.5 finds none."""
-        try:
-            counts = np.bincount(self.alphabet.ranks(list(B)), minlength=len(self.alphabet))
-        except KeyError as e:
-            raise ValueError(f"symbol {e.args[0]} outside the map's alphabet") from None
+        counts = np.bincount(self._rows(list(B)), minlength=len(self.alphabet))
         rows = np.flatnonzero(counts)
         m = counts[rows].tolist()
         return tuple(sum(a * x for a, x in zip(m, col)) for col in self._table[rows].T.tolist())
+
+    def _rows(self, letters: Sequence) -> np.ndarray:
+        """Table row of each letter; a letter outside the map's alphabet raises ValueError."""
+        return _rank_letters(self.alphabet, letters, "symbol {0} outside the map's alphabet")
 
     def max_abs(self) -> int:
         """Largest |image coordinate|, exact in Python ints."""
@@ -137,10 +136,8 @@ class ComplexityProfile:
 
 def parikh(B: FiniteWord, alphabet: Alphabet) -> tuple[int, ...]:
     """Occurrence counts of each alphabet letter in B, in sorted letter order."""
-    try:
-        return tuple(np.bincount(alphabet.ranks(list(B)), minlength=len(alphabet)).tolist())
-    except KeyError as e:
-        raise ValueError(f"symbol {e.args[0]} outside alphabet {alphabet.symbols}") from None
+    rows = _rank_letters(alphabet, list(B), "symbol {0} outside alphabet {1}")
+    return tuple(np.bincount(rows, minlength=len(alphabet)).tolist())
 
 
 def _check_window(n: int, L: int) -> None:
@@ -278,11 +275,7 @@ def _key_prefix(
     S[0] = 0
     for a in range(0, L, _KEY_CHUNK):  # bounded temporaries: letter ranks per chunk
         seg = S[a + 1 : a + _KEY_CHUNK + 1]
-        try:
-            ranks = mu.alphabet.ranks(np.diff(C[a : a + len(seg) + 1]))
-        except KeyError as e:
-            raise ValueError(f"symbol {e.args[0]} outside the map's alphabet") from None
-        np.take(omega, ranks, axis=0, out=seg)
+        np.take(omega, mu._rows(np.diff(C[a : a + len(seg) + 1])), axis=0, out=seg)
         np.cumsum(seg, axis=0, out=seg)
         seg += S[a]
     return S, lo, radix, (int(omega.min()), int(omega.max()))

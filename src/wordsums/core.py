@@ -114,6 +114,11 @@ class Alphabet:
         """The letters ascending, as Python ints."""
         return tuple(self._letters.tolist())
 
+    @property
+    def fits_int64(self) -> bool:
+        """Whether every letter fits int64, as every symbol of a word does."""
+        return self._letters.dtype != object
+
     def __len__(self) -> int:
         return len(self._letters)
 
@@ -151,13 +156,19 @@ class Alphabet:
 
     def index(self, s: int) -> int:
         """Rank of s within the sorted alphabet (used for Parikh coordinates)."""
-        try:
-            return int(self.ranks([s])[0])
-        except KeyError:
-            raise ValueError(f"symbol {s} not in alphabet {self.symbols}") from None
+        return int(_rank_letters(self, [s], "symbol {0} not in alphabet {1}")[0])
 
     def __repr__(self) -> str:
         return f"Alphabet({list(self.symbols)})"
+
+
+def _rank_letters(alphabet: Alphabet, letters: Sequence, miss: str) -> np.ndarray:
+    """alphabet.ranks(letters), a miss raised as ValueError(miss.format(letter, symbols)):
+    each caller names a letter outside its alphabet in its own words."""
+    try:
+        return alphabet.ranks(letters)
+    except KeyError as e:
+        raise ValueError(miss.format(e.args[0], alphabet.symbols)) from None
 
 
 class FiniteWord:

@@ -18,7 +18,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .complexity import LatticeMap, _check_table, _rules, window_images
-from .core import Alphabet, FiniteWord, WordStream, _int64, _integer
+from .core import Alphabet, FiniteWord, WordStream, _int64, _integer, _rank_letters
+
+_NO_IMAGE = "letter {0} has no image"  # expand's and apply_morphism's message
 
 
 class Morphism:
@@ -36,11 +38,10 @@ class Morphism:
         for s, img in self._table.items():
             if not img:
                 raise ValueError(f"erasing image for letter {s}")
-        symbols = set(itertools.chain.from_iterable(self._table.values()))
+        symbols = sorted(set(itertools.chain.from_iterable(self._table.values())))
         self.source = Alphabet(self._table)
         self.target = target if target is not None else Alphabet(symbols)
-        if outside := symbols.difference(self.target):
-            raise ValueError(f"image symbol {min(outside)} outside target alphabet")
+        _rank_letters(self.target, symbols, "image symbol {0} outside target alphabet")
 
     @property
     def images(self) -> dict[int, FiniteWord]:  # built from the table on each call
@@ -55,7 +56,7 @@ class Morphism:
         try:
             yield from itertools.chain.from_iterable(map(self._table.__getitem__, letters))
         except KeyError as e:
-            raise ValueError(f"letter {e.args[0]} has no image") from None
+            raise ValueError(_NO_IMAGE.format(e.args[0])) from None
 
     def __call__(self, B: FiniteWord) -> FiniteWord:
         return FiniteWord(self.expand(B))
@@ -115,16 +116,9 @@ def apply_morphism(phi: Morphism, w: WordStream) -> WordStream:
     step = phi.max_image_len()
 
     def chunks() -> Callable[[int], np.ndarray]:
-        letters = w._symbols()
-
-        def read(want: int) -> np.ndarray:  # letters are looked up by value, like `expand`
-            try:
-                ranks = phi.source.ranks(list(itertools.islice(letters, max(1, want // step))))
-            except KeyError as e:
-                raise ValueError(f"letter {e.args[0]} has no image") from None
-            return phi._flat[2][phi._positions(ranks)]
-
-        return read
+        letters = w._symbols()  # each chunk in one call, so its temporaries end with it
+        return lambda want: phi._flat[2][phi._positions(_rank_letters(  # by value, like `expand`
+            phi.source, list(itertools.islice(letters, max(1, want // step))), _NO_IMAGE))]
 
     return WordStream._chunked(chunks, alphabet=phi.target, label=f"<image of {w.label}>")
 
@@ -163,9 +157,7 @@ def non_anchor_witness(phi: Morphism) -> tuple[FiniteWord, FiniteWord]:
         raise ValueError("all image slopes agree; no witness exists")
     l1, li = len(phi.image(s1)), len(phi.image(si))
     common = math.lcm(l1, li)
-    B1 = FiniteWord([s1] * (common // l1))
-    B2 = FiniteWord([si] * (common // li))
-    return B1, B2
+    return FiniteWord([s1] * (common // l1)), FiniteWord([si] * (common // li))
 
 
 def is_anchor(phi: Morphism) -> AnchorReport:
@@ -203,13 +195,9 @@ def anchor_spread_bound(phi: Morphism) -> int:
     M = (2N-2)*max|t| covers the ragged block edges and M' bounds the
     sum difference of words shorter than N.
     """
-    N = phi.max_image_len()
-    T = phi.target.symbols
-    max_abs = max(abs(t) for t in T)
-    hi = max(max(T), 0)
-    lo = min(min(T), 0)
-    M = (2 * N - 2) * max_abs
-    M_short = (N - 1) * (hi - lo)
+    N, T = phi.max_image_len(), phi.target.symbols
+    M = (2 * N - 2) * max(map(abs, T))
+    M_short = (N - 1) * (max(max(T), 0) - min(min(T), 0))
     return 2 * M_short + M
 
 

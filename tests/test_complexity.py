@@ -64,6 +64,18 @@ def test_lattice_map_constructors():
             LatticeMap(images)
 
 
+def test_lattice_maps_refuse_letters_and_images_past_int64_in_one_message():
+    for images, spec in (({0: (2**63,)}, "0=9223372036854775808"),
+                         ({0: (-(2**63) - 1,)}, "0=-9223372036854775809"),
+                         ({-(2**63) - 1: (0,)}, "-9223372036854775809=0")):
+        with pytest.raises(ValueError, match=f"^letters and images of mu:{spec} must fit int64$"):
+            LatticeMap(images)
+    with pytest.raises(ValueError, match="^letters and images of mu:0=1,0;1180591620717411303424=0,1"):
+        LatticeMap.parikh_map([0, 2**70])  # the identity table fits; the letter does not
+    edge = LatticeMap({-(2**63): (-(2**63), 2**63 - 1)})  # the int64 edges fit
+    assert edge.images == {-(2**63): (-(2**63), 2**63 - 1)}
+
+
 def test_lattice_map_refuses_letters_and_images_that_are_not_integers():
     with pytest.raises(ValueError, match="not an integer"):
         LatticeMap({0: (0.5,)})  # kept the image (0,)

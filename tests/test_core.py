@@ -312,6 +312,12 @@ def test_ranks_match_a_dict_lookup(xs, data):
         assert got.dtype == np.intp and got.tolist() == want
 
 
+def test_an_alphabet_tells_whether_its_letters_fit_int64():
+    assert Alphabet([-(2**63), 2**63 - 1]).fits_int64
+    assert not Alphabet([0, 2**63]).fits_int64
+    assert not Alphabet([-(2**63) - 1, 0]).fits_int64
+
+
 def _raw_letters(bad):
     """A word whose factory yields 0 and then bad, unchecked."""
     return WordStream(lambda: iter([0, bad]), label="<raw>")

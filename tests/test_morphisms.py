@@ -152,6 +152,13 @@ def test_anchor_matrix_identity():
     assert any(sum(int(M[i, j]) * tb[j] for j in range(M.shape[1])) != 0 for i in range(M.shape[0]))
 
 
+def test_an_image_symbol_outside_the_given_target_is_refused():
+    # the smallest such symbol is named, whatever order the images list them in
+    with pytest.raises(ValueError, match="^image symbol 5 outside target alphabet$"):
+        Morphism({0: (7, 0), 1: (5,)}, target=Alphabet([0, 1]))
+    assert Morphism({0: (1, 0)}, target=Alphabet([0, 1, 2])).target.symbols == (0, 1, 2)
+
+
 def test_letters_past_int64_that_no_word_holds():
     # the source alphabet holds 2**70 as an object, but the fixed point never emits it
     tm = morphic_fixed_point(Morphism({0: (0, 1), 1: (1, 0), 2**70: (0,)}), 0)
