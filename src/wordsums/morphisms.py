@@ -157,7 +157,9 @@ def non_anchor_witness(phi: Morphism) -> tuple[FiniteWord, FiniteWord]:
         raise ValueError("all image slopes agree; no witness exists")
     l1, li = len(phi.image(s1)), len(phi.image(si))
     common = math.lcm(l1, li)
-    return FiniteWord([s1] * (common // l1)), FiniteWord([si] * (common // li))
+    B1 = FiniteWord([s1] * (common // l1))
+    B2 = FiniteWord([si] * (common // li))
+    return B1, B2
 
 
 def is_anchor(phi: Morphism) -> AnchorReport:
@@ -195,9 +197,13 @@ def anchor_spread_bound(phi: Morphism) -> int:
     M = (2N-2)*max|t| covers the ragged block edges and M' bounds the
     sum difference of words shorter than N.
     """
-    N, T = phi.max_image_len(), phi.target.symbols
-    M = (2 * N - 2) * max(map(abs, T))
-    M_short = (N - 1) * (max(max(T), 0) - min(min(T), 0))
+    N = phi.max_image_len()
+    T = phi.target.symbols
+    max_abs = max(abs(t) for t in T)
+    hi = max(max(T), 0)
+    lo = min(min(T), 0)
+    M = (2 * N - 2) * max_abs
+    M_short = (N - 1) * (hi - lo)
     return 2 * M_short + M
 
 
