@@ -28,6 +28,9 @@ tests() {
 installed-script() {
   wordsums anchor "0=0,4;1=1,3;2=2,2"
   wordsums profile "contract:base=(thm11:k=1);ivals=arith:5,9,3" -L 2000 --n-max 3
+  # values that begin with '-' and a digit: a morphism spec and a negative slope
+  wordsums anchor "-1=-1,3;1=1,1;3=3,-1"
+  wordsums chi "periodic:-1,0" --slope -1/2 -L 6
 }
 
 fixed-point-fills() {

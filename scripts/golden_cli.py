@@ -1,27 +1,42 @@
-"""Record the CLI's golden transcripts: stdout, stderr and exit code of each command below.
+"""Record the golden transcripts: stdout, stderr and exit code of each command below and of
+each README command line, and the stdout of each demo.
 
 Regenerate with `PYTHONPATH=src python scripts/golden_cli.py` from the repository root; it
-rewrites tests/golden/cli.json, which tests/test_golden.py compares byte for byte.  A change
-that alters a transcript says why in CHANGES.md.  The commands read an Alphabet: anchor
-matrices, Parikh and lattice profiles, power scans modulo a lattice map, and the refusals of
-maps and morphisms that exit 2.
+rewrites tests/golden/cli.json and tests/golden/demos.json, which tests/test_golden.py compares
+byte for byte.  A change that alters a transcript says why in CHANGES.md.  The commands cover
+what reads an Alphabet (anchor matrices, Parikh and lattice profiles, power scans modulo a
+lattice map, and the refusals of maps and morphisms that exit 2), factor-set intersections
+whose keys take each tier of the distinct-key reduction, slopes, chi colorings and
+factorizations in both formats, a nested --explain, and values that begin with '-' and a digit.
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import re
+import runpy
+import shlex
 from pathlib import Path
 
 from wordsums.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+_MAX_STDOUT = 4096  # a longer stdout is kept as its SHA-256
 
 BIG = str(2**70)  # a letter past int64
 PARIKH3 = "mu:0=1,0,0;1=0,1,0;2=0,0,1"
 DEKKING3 = "morphic:0=0,0,1,2;1=1,1,2;2=0,2,2;seed=0"
 SHORT = ["-L", "10", "--n-max", "2"]
+TM = "morphic:0=0,1;1=1,0;seed=0"
+NEGATIVE = "-1=-1,3;1=1,1;3=3,-1"
 
 COMMANDS = {
     "anchor": ["anchor", "0=0,4;1=1,3;2=2,2"],
-    "anchor-negative-letters": ["anchor", "--", "-1=-1,3;1=1,1;3=3,-1"],
+    "anchor-negative-letters": ["anchor", "--", NEGATIVE],
+    "anchor-negative-letters-without-dashes": ["anchor", NEGATIVE],
     "non-anchor": ["anchor", "0=0,1;1=1,1,2;2=2"],
     "anchor-image-past-int64": ["anchor", f"0={BIG},1"],
     "abelian-csv": ["profile", "thm11:k=1", "--kind", "abelian", "-L", "2000", "--n-max", "6"],
@@ -58,18 +73,63 @@ COMMANDS = {
     "refuse-not-endomorphism": ["profile", "morphic:0=0,2;seed=0", *SHORT],
     "refuse-seed-outside-source": ["profile", "morphic:0=0,1;1=1;seed=5", *SHORT],
     "refuse-image-past-int64": ["profile", f"morphic:0=0,{BIG};{BIG}=0;seed=0", *SHORT],
+    # each word's factor keys take one tier: a mask with no scan, a mask after the scan, a
+    # presence table, a sort, and rows of key pieces
+    "intersect-mask": ["intersect", "periodic:0,1", "periodic:1,0", "--n", "3", "-L", "100"],
+    "intersect-mask-after-scan": ["intersect", "periodic:0,1", "periodic:1,0", "--n", "7",
+                                  "-L", "100"],
+    "intersect-presence": ["intersect", TM, "morphic:0=0,1;1=1,0;seed=1", "--n", "10",
+                           "-L", "2000"],
+    "intersect-sort": ["intersect", TM, "sec24", "--n", "20", "-L", "5000", "--format", "json"],
+    "intersect-pieces": ["intersect", "periodic:0,1", "periodic:1,0", "--n", "1000",
+                         "-L", "30000"],
+    "slope-csv": ["slope", "mechanical:cf=2,2", "-L", "5000"],
+    "slope-json": ["slope", "sec24", "-L", "3000", "--format", "json"],
+    "chi-csv": ["chi", "sec24", "--slope", "1/1", "--m-max", "40"],
+    "chi-json": ["chi", "thm11:k=2", "--slope", "2", "-L", "30", "--format", "json"],
+    "chi-negative-slope": ["chi", "periodic:-1,0", "--slope", "-1/2", "-L", "6"],
+    "chi-negative-slope-with-equals": ["chi", "periodic:-1,0", "--slope=-1/2", "-L", "6"],
+    "factorize-csv": ["factorize", "mechanical:cf=1,2", "--slope", "1/3", "-L", "60"],
+    "factorize-json": ["factorize", "thm11:k=1", "--slope", "1/1", "-L", "200", "--format",
+                       "json"],
+    "explain-nested": ["profile", "splice:[ thm11:k=1 | contract:base=(periodic:0,1);"
+                       "ivals=arith:1,5,2 ];sched=2,3", "--explain"],
 }
 
 
+def readme_command_lines() -> list[list[str]]:
+    """argv of each line of the README's command-line block, without its leading `wordsums`."""
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"## Command line\n.*?```\n(.*?)```", readme, re.S)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
+
+
 def transcript(argv: list[str]) -> dict:
-    """argv's exit code, stdout and stderr, run in this process."""
+    """argv's exit code, stdout and stderr, run in this process; a stdout past _MAX_STDOUT
+    characters is kept as the SHA-256 of its UTF-8 bytes."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    text = out.getvalue()
+    stdout = ({"stdout": text} if len(text) <= _MAX_STDOUT
+              else {"stdout_sha256": hashlib.sha256(text.encode()).hexdigest()})
+    return {"argv": argv, "exit": code, **stdout, "stderr": err.getvalue()}
+
+
+def demo_stdout(path: Path) -> str:
+    """What the demo script at path prints, run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return out.getvalue()
+
+
+def _write(name: str, golden: dict) -> None:
+    (GOLDEN / name).write_text(json.dumps(golden, indent=1, ensure_ascii=False) + "\n")
 
 
 if __name__ == "__main__":
-    path = Path(__file__).resolve().parent.parent / "tests" / "golden" / "cli.json"
-    golden = {name: transcript(argv) for name, argv in COMMANDS.items()}
-    path.write_text(json.dumps(golden, indent=1, ensure_ascii=False) + "\n")
+    commands = {**COMMANDS, **{"readme: " + shlex.join(argv): argv
+                               for argv in readme_command_lines()}}
+    _write("cli.json", {name: transcript(argv) for name, argv in commands.items()})
+    _write("demos.json", {path.name: demo_stdout(path) for path in DEMOS})

@@ -39,6 +39,7 @@ import dataclasses
 import functools
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -421,6 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
                  specs=("word1", "word2"))
     p.add_argument("--n", type=int, required=True, help="factor length")
 
+    for p in (parser, *subs.choices.values()):  # argparse takes -1/2 for an option
+        p._negative_number_matcher = re.compile(r"-\d")  # '-' and a digit start a value
     return parser
 
 

@@ -11,20 +11,17 @@ Every count runs one kernel on one int64 key prefix per call, built by
 `_key_prefix`, the only place letters become window keys: the key of a length-n
 window is a difference S[i + n] - S[i] of that prefix, and for symbol sums, the
 sum map's keys, that prefix is the word's own cached prefix sums.  Each length n
-subtracts into one reused buffer, and the keys, all in the box [n * lo, n * hi]
-for letter weights in [lo, hi], take one of four reductions: a 64-bit mask of
-the keys when the box spans fewer than 64 values, with no min/max scan; the same
-mask after a scan when the keys do; a boolean presence table when they span at
-most the number of windows; and a sort otherwise (a lexsort for rows of pieces).
-Sums read their count and spread off the mask or the sorted keys, and distinct
-keys decode into image points only for the spreads of lattice images.  Images that
-share one coordinate sum c (Parikh maps, c = 1) lie on a hyperplane, so their keys
-weigh only the first t - 1 columns and decoding writes the last back as n * c minus
-the others: fewer radices, so fewer key pieces and narrower power-scan copies.  The same
-key prefix serves the additive and mod-mu power scans and `window_images`; the
-unbounding guess in `morphisms` takes spreads of those Parikh images.  Factor-set
-intersections count the shared keys of two words' factor rows, packed under one
-letter box.
+subtracts into one reused buffer, and `core._reduce`, the one reduction, finds the distinct
+keys in the box [n * lo, n * hi] for letter weights in [lo, hi]: a 64-bit mask, a presence
+table or a sort, picked by the box and the keys' span.  It also counts the distinct factors
+of `factors_with_slope` and of factor-set intersections, packed under one letter box, and
+finds `observed_alphabet`'s letters.  Sums read their count and spread off the mask or the
+sorted keys, and distinct keys decode into image points only for the spreads of lattice
+images.  Images that share one coordinate sum c (Parikh maps, c = 1) lie on a hyperplane, so
+their keys weigh only the first t - 1 columns and decoding writes the last back as n * c
+minus the others: fewer radices, so fewer key pieces and narrower power-scan copies.  The
+same key prefix serves the additive and mod-mu power scans and `window_images`; the
+unbounding guess in `morphisms` takes spreads of those Parikh images.
 """
 
 from __future__ import annotations
@@ -34,8 +31,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import (_SUM_LIMIT, Alphabet, FiniteWord, GuardError, WordStream, _distinct_rows,
-                   _integer, _rank_letters, _sorted_distinct)
+from .core import (_SUM_LIMIT, Alphabet, FiniteWord, GuardError, WordStream, _distinct,
+                   _integer, _rank_letters, _reduce)
 
 _ORACLE_MAX_PREFIX = 10_000
 _DIAMETER_MAX_POINTS = 100_000
@@ -182,36 +179,6 @@ def _pack(W: np.ndarray, lo: list[int], radix: list[int]) -> np.ndarray:
     return pieces[0] if len(pieces) == 1 else np.stack(pieces, axis=1)
 
 
-def _reduce(K: np.ndarray, low: int, high: int) -> tuple[int, int, Optional[np.ndarray]]:
-    """The reduction of one row of keys K, each in the box [low, high], overwriting K.
-
-    Returns (mask, base, None), where bit i of the Python int mask marks the key base + i,
-    when the keys span fewer than 64 values; else (0, 0, the sorted distinct keys).  The
-    box picks the tier first: a box narrower than 64 values needs no min/max scan.
-    """
-    base = 0 if 0 <= low and high < 64 else low  # keys already below 64 need no shift
-    if high - base >= 64:
-        base = int(K.min())
-        span = int(K.max()) - base
-        if span >= 64:
-            if span >= len(K):
-                return 0, 0, _sorted_distinct(K)
-            seen = np.zeros(span + 1, dtype=bool)
-            seen[np.subtract(K, base, out=K)] = True
-            return 0, 0, np.flatnonzero(seen) + base
-    if base:
-        K -= base
-    bits = K.view(np.uint64)
-    np.left_shift(np.uint64(1), bits, out=bits)
-    return int(np.bitwise_or.reduce(bits)), base, None
-
-
-def _bits(mask: int) -> np.ndarray:
-    """Positions of the set bits of a 64-bit mask, ascending."""
-    octets = np.array([mask], dtype="<u8").view(np.uint8)
-    return np.flatnonzero(np.unpackbits(octets, bitorder="little"))
-
-
 def _decode(keys: np.ndarray, n: int, lo: list[int], radix: list[int]) -> np.ndarray:
     """Image points of length-n window keys (one per row, or a row of pieces), in columns.
 
@@ -302,20 +269,16 @@ def _key_rows(
     buf = np.empty((L,) + S.shape[1:], dtype=np.int64)
     for n in ns:
         K = np.subtract(S[n:], S[:-n], out=buf[: L - n + 1])
-        mask, base, keys = (_reduce(K, n * low, n * high) if K.ndim == 1
-                            else (0, 0, _distinct_rows(K)))  # rows of pieces: gathered only to decode
-        count = mask.bit_count() if keys is None else len(keys)
-        spread = 0
-        if mu is None:  # straight off the mask or the sorted keys
-            if keys is None:
-                spread = mask.bit_length() - (mask & -mask).bit_length()
-            else:
-                spread = int(keys[-1]) - int(keys[0])
-        elif spreads:
-            if keys is None:
-                keys = _bits(mask) + base
-            spread = _points_diameter_sq(_decode(keys if K.ndim == 1 else K[keys], n, lo, radix))
-        yield ProfileRow(n, count, spread)
+        if mu is not None and spreads:  # the distinct keys decode into image points
+            U = _decode(_distinct(K, n * low, n * high), n, lo, radix)
+            yield ProfileRow(n, len(U), _points_diameter_sq(U))
+            continue
+        mask, _, keys = _reduce(K, n * low, n * high)
+        if keys is None:  # symbol sums read their spread straight off the mask or sorted keys
+            count, spread = mask.bit_count(), mask.bit_length() - (mask & -mask).bit_length()
+        else:
+            count, spread = len(keys), int(keys[-1]) - int(keys[0])
+        yield ProfileRow(n, count, spread if mu is None else 0)
 
 
 def _row(w: WordStream, mu: Optional[LatticeMap], n: int, L: int, spreads: bool) -> ProfileRow:
@@ -431,8 +394,9 @@ def naive_complexity_oracle(
 
 
 def _factor_keys(prefix: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
-    """Keys of the length-n factors of the prefix in the letter box [lo, hi], refused past
-    the memory guard by the (L - n + 1) x p table of pieces they fill."""
+    """Keys of the length-n factors of the prefix in the letter box [lo, hi], in the box
+    [0, (hi - lo + 1)^n - 1] when they fit one piece; refused past the memory guard by the
+    (L - n + 1) x p table of pieces they fill."""
     radix, R = [hi - lo + 1] * n, np.lib.stride_tricks.sliding_window_view(prefix, n)
     _check_table(len(R), len(_pieces(radix)), f"factor keys for n={n}, L={len(prefix)}")
     return _pack(R, [lo] * n, radix)
@@ -443,5 +407,6 @@ def factor_set_intersection(w1: WordStream, w2: WordStream, n: int, L: int) -> i
     _check_window(n, L)
     X1, X2 = w1.prefix(L), w2.prefix(L)  # read first: the box is the range the caches hold
     lo, hi = min(w1._lo, w2._lo), max(w1._hi, w2._hi)  # one box, so equal rows get equal keys
-    U1, U2 = (_sorted_distinct(_factor_keys(X, n, lo, hi)) for X in (X1, X2))
-    return len(U1) + len(U2) - len(_sorted_distinct(np.concatenate((U1, U2))))
+    top = (hi - lo + 1) ** n - 1
+    U1, U2 = (_distinct(_factor_keys(X, n, lo, hi), 0, top) for X in (X1, X2))
+    return len(U1) + len(U2) - len(_distinct(np.concatenate((U1, U2)), 0, top))

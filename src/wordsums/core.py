@@ -58,20 +58,50 @@ def _int64(values: Sequence[int], what: str) -> np.ndarray:
         raise GuardError(f"{what} does not fit int64") from None
 
 
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """Distinct values of a 1-D array, ascending, or rows of a 2-D one, lexicographic: a sort
-    and a neighbour mask, several times faster than the hash table np.unique uses."""
-    if values.ndim > 1:
-        return values[_distinct_rows(values)]
-    values = np.sort(values)
-    keep = np.ones(values.size, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+def _reduce(K: np.ndarray, low: int, high: int) -> tuple[int, int, Optional[np.ndarray]]:
+    """The one reduction, of profile rows, `factors_with_slope`, `factor_set_intersection` and
+    `observed_alphabet`: the distinct keys of K, each in the box [low, high].
+
+    Returns (mask, base, None), where bit i of the Python int mask marks the key base + i,
+    when 1-D keys span fewer than 64 values; else (0, 0, the distinct keys ascending), or for
+    a 2-D table of key pieces (0, 0, the row numbers of its distinct rows), so a count gathers
+    no row.  Tiers: a box narrower than 64 values needs no min/max scan; past that the keys'
+    span picks a mask, a presence table when they span at most their number, or a sort.
+    1-D keys are overwritten.
+    """
+    if K.ndim > 1:
+        return 0, 0, _distinct_rows(K)
+    base = 0 if 0 <= low and high < 64 else low  # keys already below 64 need no shift
+    if high - base >= 64:
+        base = int(K.min())
+        span = int(K.max()) - base
+        if span >= 64:
+            if span >= len(K):
+                K.sort()
+                keep = np.ones(len(K), dtype=bool)
+                np.not_equal(K[1:], K[:-1], out=keep[1:])
+                return 0, 0, K[keep]
+            seen = np.zeros(span + 1, dtype=bool)
+            seen[np.subtract(K, base, out=K)] = True
+            return 0, 0, np.flatnonzero(seen) + base
+    if base:
+        K -= base
+    bits = K.view(np.uint64)
+    np.left_shift(np.uint64(1), bits, out=bits)
+    return int(np.bitwise_or.reduce(bits)), base, None
+
+
+def _distinct(K: np.ndarray, low: int, high: int) -> np.ndarray:
+    """The distinct keys `_reduce` finds in K: values ascending, or rows in lexicographic order."""
+    mask, base, keys = _reduce(K, low, high)
+    if keys is None:
+        octets = np.array([mask], dtype="<u8").view(np.uint8)  # the set bits, ascending
+        return np.flatnonzero(np.unpackbits(octets, bitorder="little")) + base
+    return K[keys] if K.ndim > 1 else keys
 
 
 def _distinct_rows(table: np.ndarray) -> np.ndarray:
-    """Row numbers of one row per distinct row of a 2-D table, in lexicographic row order, so
-    a count gathers no row."""
+    """Row numbers of one row per distinct row of a 2-D table, in lexicographic row order."""
     order = np.lexsort(table.T[::-1])
     keep = np.zeros(len(order), dtype=bool)
     keep[:1] = True
@@ -363,8 +393,9 @@ class WordStream:
         return FiniteWord(np.diff(self._ps[m - 1 : n + 1]).tolist())
 
     def observed_alphabet(self, L: int) -> Alphabet:
-        """Alphabet of the symbols actually seen in w(1..L)."""
-        return Alphabet(_sorted_distinct(self.prefix(L)).tolist())
+        """Alphabet of the symbols actually seen in w(1..L), reduced in the letter box held."""
+        X = np.diff(self.prefix_sums(L))  # read first: the cache's box then covers w(1..L)
+        return Alphabet(_distinct(X, self._lo, self._hi).tolist() if L else ())
 
     def __repr__(self) -> str:
         return f"WordStream({self.label!r}, materialized={self._n})"

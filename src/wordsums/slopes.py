@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .complexity import _check_window, _factor_keys, window_sums
-from .core import _SUM_LIMIT, GuardError, WordStream, _sorted_distinct, word_slope
+from .core import _SUM_LIMIT, GuardError, WordStream, _distinct, word_slope
 
 Rational = Union[int, Fraction]
 
@@ -182,10 +182,10 @@ def factors_with_slope(w: WordStream, alpha: Rational, L: int, n_max: int) -> in
     _check_window(n_max, L)
     a = _as_fraction(alpha)
     p, q = a.numerator, a.denominator
-    prefix = w.prefix(L)
+    prefix, b = w.prefix(L), w._hi - w._lo + 1  # the letter box of the cache the prefix filled
     total = 0
     for n in range(q, n_max + 1, q):
         hits = np.flatnonzero(window_sums(w, n, L) == p * (n // q))
         if hits.size:
-            total += len(_sorted_distinct(_factor_keys(prefix, n, w._lo, w._hi)[hits]))
+            total += len(_distinct(_factor_keys(prefix, n, w._lo, w._hi)[hits], 0, b**n - 1))
     return total

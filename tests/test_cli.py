@@ -295,6 +295,22 @@ def test_chi_refuses_m_max_below_one(capsys, m_max):
     assert "--m-max" in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    ["chi", "periodic:-1,0", "-L", "6"],
+    ["factorize", "periodic:-1,0", "-L", "6"],
+    ["powers", "periodic:-1,0", "--k", "2", "-L", "20"],
+])
+def test_a_negative_slope_reads_as_its_equals_form(command):
+    # argparse reads a token of '-' and a digit as an option unless it is a plain number
+    got = _main([*command, "--slope", "-1/2"])
+    assert got == _main([*command, "--slope=-1/2"]) and got[0] in (0, 1) and got[1]
+
+
+def test_a_negative_prefix_length_beside_a_negative_slope_is_still_refused(capsys):
+    assert main(["chi", "periodic:-1,0", "--slope", "-1/2", "-L", "-5"]) == 2
+    assert capsys.readouterr().err == "error: prefix length must be >= 1\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["profile", "contract:base=periodic:0;ivals=2-4"],
      "expected contract:base=(<spec>);ivals=..."),

@@ -328,6 +328,23 @@ def test_packed_factor_count_is_not_refused_by_its_rows(monkeypatch):
     assert shared == _bruteforce_shared(xs, ys, 6) > 0
 
 
+TM = [bin(i).count("1") % 2 for i in range(2000)]  # Thue-Morse, and its complement below
+TMC = [1 - x for x in TM]
+
+
+@pytest.mark.parametrize("tier, xs, ys, tail, n", [
+    ("mask", TM[:100], TMC[:100], [], 3),  # binary keys below 2^3
+    ("scan-mask", TM[:100], TMC[:100], [8], 2),  # letter 8 past L: a box of 9^2 values
+    ("table", TM, TMC, [], 10),
+    ("sort", TM[:300], TM[150:449] + [2], [], 20),
+    ("pieces", TM[:300], TMC[:300], [], 70),  # 2^70 values: one piece a letter run
+])
+def test_factor_intersection_takes_each_reduction_tier(tier, xs, ys, tail, n, reduction_tiers):
+    shared = factor_set_intersection(from_finite(xs + tail), from_finite(ys), n, len(xs))
+    assert shared == _bruteforce_shared(xs, ys, n) > 0
+    assert reduction_tiers[:2] == [tier, tier]  # each word's keys; then their union's
+
+
 def test_parikh_map_past_the_memory_guard_is_refused():
     # 6000 images of 6000 coordinates are 288 MB of int64 cells
     with pytest.raises(GuardError, match="Parikh map of 6000 letters"):

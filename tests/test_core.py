@@ -376,6 +376,38 @@ def test_observed_alphabet():
     assert w.observed_alphabet(6).symbols == (-2, 4)
 
 
+@pytest.mark.parametrize("tier, xs, tail", [
+    ("mask", [4, -2, 4, -2, 3], []),  # signed letters in a box of 7 values
+    ("scan-mask", [5, -3, 5, 0], [1000]),  # the cache holds a letter past L: a wide box
+    ("table", list(range(-50, 150)) * 3, []),
+    ("sort", [-(2**40), 3, 2**40, 3], []),
+])
+def test_observed_alphabet_takes_each_reduction_tier(tier, xs, tail, reduction_tiers):
+    w = from_finite(xs + tail)
+    w.prefix(len(xs) + len(tail))
+    assert w.observed_alphabet(len(xs)).symbols == tuple(sorted(set(xs)))
+    assert reduction_tiers == [tier]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-70, 70) | st.sampled_from([-(2**40), 2**40]), min_size=1,
+                max_size=200),
+       st.lists(st.integers(-(2**40), 2**40), max_size=3))
+def test_observed_alphabet_is_the_set_of_the_prefix(xs, tail):
+    w = from_finite(xs + tail)
+    w.prefix(len(xs) + len(tail))  # the cache's range covers the tail
+    assert w.observed_alphabet(len(xs)).symbols == tuple(sorted(set(xs)))
+
+
+def test_observed_alphabet_of_no_symbols_is_refused():
+    w = periodic([1, 2])
+    with pytest.raises(ValueError, match="alphabet must be nonempty"):
+        w.observed_alphabet(0)
+    w.prefix(5)
+    with pytest.raises(ValueError, match="alphabet must be nonempty"):
+        w.observed_alphabet(0)
+
+
 def test_distinct_rows_hold_no_sorted_copy_of_the_table():
     # rows were once gathered into a lexsorted copy of the whole table before they were
     # compared; a column at a time, the extra peak is an order and one gathered column
@@ -383,9 +415,10 @@ def test_distinct_rows_hold_no_sorted_copy_of_the_table():
     table = rng.integers(0, 2, size=(200_000, 8), dtype=np.int64)
     tracemalloc.start()
     try:
-        rows = core._sorted_distinct(table)
+        keep = core._distinct_rows(table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    rows = table[keep]
     assert peak < 0.75 * table.nbytes
     assert np.array_equal(rows, np.unique(table, axis=0))

@@ -263,6 +263,23 @@ def test_factors_with_slope_on_unpacked_rows(xs, alpha, n_max):
     )
 
 
+TM = [bin(i).count("1") % 2 for i in range(2000)]  # Thue-Morse
+
+
+@pytest.mark.parametrize("tier, xs, tail, alpha, n_max", [
+    ("mask", TM[:100], [], Fraction(1, 2), 6),  # binary keys below 2^6
+    ("scan-mask", TM[:100], [8], Fraction(1, 2), 3),  # letter 8 past L: a box of 9^2 values
+    ("table", TM, [], Fraction(1, 2), 8),
+    ("sort", np.random.default_rng(3).integers(0, 3, 300).tolist(), [1000], Fraction(1), 4),
+    ("pieces", [2**40, -(2**40)] * 20 + [0, 1] * 10, [], Fraction(0), 4),
+])
+def test_factors_with_slope_take_each_reduction_tier(tier, xs, tail, alpha, n_max, reduction_tiers):
+    w = from_finite(xs + tail)
+    got = factors_with_slope(w, alpha, len(xs), n_max)
+    assert got == _bruteforce_slope_factors(xs, alpha, n_max) > 0
+    assert tier in reduction_tiers
+
+
 def test_packed_slope_count_is_not_refused_by_its_rows(monkeypatch):
     # 8 * 60 * 8 bytes of factor rows are past the lowered guard; binary rows pack
     # into one key each and are counted, while wider key tables are still refused
