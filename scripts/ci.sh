@@ -43,12 +43,16 @@ fixed-point-fills() {
 
 power-free() {
   # Dekking's abelian-cube-free ternary word and the additive-cube-free word of
-  # Cassaigne, Currie, Schaeffer and Shallit: each full scan must exit 1, not found
+  # Cassaigne, Currie, Schaeffer and Shallit, whose chi coloring at slope 1 therefore holds
+  # no anchored cube either: each full scan must exit 1, not found
   local status=0
   timeout 60 wordsums powers "morphic:0=0,0,1,2;1=1,1,2;2=0,2,2;seed=0" --k 3 --mu "mu:0=1,0,0;1=0,1,0;2=0,0,1" -L 20000 || status=$?
   test "$status" -eq 1
   status=0
   timeout 60 wordsums powers "morphic:0=0,3;1=4,3;3=1;4=0,1;seed=0" --k 3 -L 20000 || status=$?
+  test "$status" -eq 1
+  status=0
+  timeout 60 wordsums powers "morphic:0=0,3;1=4,3;3=1;4=0,1;seed=0" --k 3 --slope 1/1 -L 20000 || status=$?
   test "$status" -eq 1
 }
 

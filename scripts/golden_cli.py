@@ -7,7 +7,8 @@ byte for byte.  A change that alters a transcript says why in CHANGES.md.  The c
 what reads an Alphabet (anchor matrices, Parikh and lattice profiles, power scans modulo a
 lattice map, and the refusals of maps and morphisms that exit 2), factor-set intersections
 whose keys take each tier of the distinct-key reduction, slopes, chi colorings and
-factorizations in both formats, a nested --explain, and values that begin with '-' and a digit.
+factorizations in both formats, a nested --explain, values that begin with '-' and a digit,
+power scans that hit early, late or never, and each subcommand's refusals that exit 2.
 """
 
 import contextlib
@@ -32,6 +33,7 @@ DEKKING3 = "morphic:0=0,0,1,2;1=1,1,2;2=0,2,2;seed=0"
 SHORT = ["-L", "10", "--n-max", "2"]
 TM = "morphic:0=0,1;1=1,0;seed=0"
 NEGATIVE = "-1=-1,3;1=1,1;3=3,-1"
+CCSS = "morphic:0=0,3;1=4,3;3=1;4=0,1;seed=0"
 
 COMMANDS = {
     "anchor": ["anchor", "0=0,4;1=1,3;2=2,2"],
@@ -92,6 +94,32 @@ COMMANDS = {
     "factorize-csv": ["factorize", "mechanical:cf=1,2", "--slope", "1/3", "-L", "60"],
     "factorize-json": ["factorize", "thm11:k=1", "--slope", "1/1", "-L", "200", "--format",
                        "json"],
+    # power scans: an anchored hit past the first starts, the additive-cube-free word of
+    # Cassaigne, Currie, Schaeffer and Shallit with no anchored or additive cube, and an early
+    # hit at the first start of a long prefix
+    "powers-anchored-enum": ["powers", "enum:k=2", "--k", "4", "--slope", "1/1", "--divisor", "3",
+                             "-L", "100000"],
+    "powers-anchored-not-found": ["powers", CCSS, "--k", "3", "--slope", "1/1", "-L", "20000"],
+    "powers-additive-not-found": ["powers", CCSS, "--k", "3", "-L", "3000"],
+    "powers-first-start": ["powers", TM, "--k", "2", "-L", "1000000"],
+    "refuse-slope-prefix-length": ["slope", "periodic:0,1", "-L", "0"],
+    "refuse-slope-past-the-cap": ["slope", "periodic:0,1", "-L", "2000000"],
+    "refuse-slope-overflow": ["slope", f"periodic:{2**63 - 1},1", "-L", "100"],
+    "refuse-chi-bad-slope": ["chi", "sec24", "--slope", "1/0"],
+    "refuse-chi-m-max": ["chi", "sec24", "--slope", "1/1", "--m-max", "0"],
+    "refuse-chi-m-max-past-the-prefix": ["chi", "sec24", "--slope", "1/1", "-L", "10",
+                                         "--m-max", "40"],
+    "refuse-chi-short-prefix": ["chi", "sec24", "--slope", "1/7", "-L", "5"],
+    "refuse-factorize-bad-slope": ["factorize", "sec24", "--slope", "x"],
+    "refuse-factorize-short-prefix": ["factorize", "periodic:0,1", "--slope", "1/7", "-L", "5"],
+    "refuse-intersect-length": ["intersect", "periodic:0,1", "periodic:1,0", "--n", "0",
+                                "-L", "100"],
+    "refuse-intersect-family": ["intersect", "periodic:0,1", "bogus:1", "--n", "2"],
+    "refuse-spread-lattice-without-mu": ["spread", "periodic:0,1", "--kind", "lattice",
+                                         "-L", "100"],
+    "refuse-spread-mu-without-lattice": ["spread", "periodic:0,1", "--kind", "abelian", "--mu",
+                                         "mu:0=1;1=1", "-L", "100"],
+    "refuse-spread-length": ["spread", "periodic:0,1", "--n-max", "0", "-L", "100"],
     "explain-nested": ["profile", "splice:[ thm11:k=1 | contract:base=(periodic:0,1);"
                        "ivals=arith:1,5,2 ];sched=2,3", "--explain"],
 }

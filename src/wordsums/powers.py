@@ -5,11 +5,15 @@ w(start+(k-1)b .. start+kb-1) all share the same sum (or the same
 mu-image).  Every search is one progression scan, start ascending, then
 gap (block length) ascending, so the returned witness is the
 lexicographically first one.  A scan that finds nothing compares about
-L^2/k cells.  Each numpy call compares one tile of about 2^16 cells:
-consecutive gaps × live starts, read as strided views.  The first start
-reads the prefix in place, the rest go gap-major over one copy of it in
-the narrowest integer dtype (int8 to int64) whose wrap-around equality is
-still exact.  The prefix guard (L <= 10^6 unless the caller raises
+L^2/k cells.  Each numpy call compares one tile of at most 2^16 cells:
+consecutive gaps × live starts, read as strided views, where k blocks that
+overlap cost one table that compares each block with the next.  The first
+start reads the prefix in place, in tiles that grow from 32 gaps, so an early
+hit is cheap; the rest go gap-major over one copy of it in the narrowest
+integer dtype (int8 to int64) whose wrap-around equality is still exact.  A
+hit in a value scan leaves the starts before it to check, often faster as
+their same-color pairs, the only candidates for a progression's first two
+terms.  The prefix guard (L <= 10^6 unless the caller raises
 `limit`) bounds that work.  Sums and mu-images share one search over block
 differences of the key prefix (`complexity._key_prefix`): the word's own
 prefix sums, or for mu one int64 or a row of key pieces per position: column
@@ -77,17 +81,22 @@ def _first_progression(
 
     The terms are X[i + j*g] for j < terms, or with blocks=True the blocks
     X[i + (j+1)*g] - X[i + j*g]; g runs over the multiples of step.  Rows of a
-    2-D X compare as wholes.  Start 0 reads X in place, so an early hit pays for
-    no copy; starts 1..n-1 go in one gap-major pass over the _narrow_copy, where
-    each hit narrows the pass to the starts before it.  Every numpy call compares
-    one tile of about _TILE_CELLS cells: consecutive gaps × live starts.
+    2-D X compare as wholes.  Start 0 reads X in place in tiles that grow from 32
+    gaps, so an early hit pays for no copy and few cells; starts 1..n-1 go in one
+    gap-major pass over the _narrow_copy, where each hit narrows the pass to the
+    starts before it.  For values, once the dense cells left pass 4n and so repay a
+    count, _by_color checks those starts' same-color pairs instead, if they are
+    fewer.  Every numpy call compares one tile of at most _TILE_CELLS cells:
+    consecutive gaps × live starts.  Blocks that overlap compare each block with
+    the next once, in one table; blocks that lie apart and values compare one
+    strided view per point.
     """
     n = len(X)
     reach = terms if blocks else terms - 1  # a progression spans reach*g
     tail = X.shape[1:]
 
-    def view(buf: np.ndarray, shape: tuple, offset: int, row: int) -> np.ndarray:
-        """buf[offset + t*row + i] for (t, i) in shape, in whole rows of X."""
+    def view(buf: np.ndarray, shape: tuple, offset: int, row: int, tail=tail) -> np.ndarray:
+        """buf[offset + t*row + i] for (t, i) in shape, in whole rows of `tail` cells."""
         size = buf.itemsize
         rs = size * (tail[0] if tail else 1)
         return np.ndarray(shape + tail, buf.dtype, buf, offset * rs,
@@ -98,21 +107,26 @@ def _first_progression(
         g1 = g0 + (T - 1) * step
         if blocks and g1 <= m:
             # the blocks overlap: one windows array W[t, p] = X[lo+p+g_t] - X[lo+p]
-            # holds them all, block j of (t, i) at W[t, i + j*g_t]
-            P = m + (terms - 1) * g1
+            # holds them all, block j of (t, i) at W[t, i + j*g_t]; Z[t, p] says whether
+            # W[t, p] equals the next block W[t, p+g_t], and equality is transitive
+            P, Q = m + (terms - 1) * g1, m + (terms - 2) * g1
             W = np.subtract(view(buf, (T, P), lo + g0, step), view(buf, (T, P), lo, 0),
                             order="C")
-            vals = [view(W, (T, m), j * g0, P + j * step) for j in range(terms)]
+            Z = np.equal(view(W, (T, Q), g0, P + step), view(W, (T, Q), 0, P), order="C")
+            Z = Z.all(axis=-1) if tail else Z
+            ok = view(Z, (T, m), 0, Q, ())
+            for j in range(1, terms - 1):
+                ok = ok & view(Z, (T, m), j * g0, Q + j * step, ())
         else:
             # values, or blocks that lie apart, where most cells of W would go unread:
             # one strided view per point of the progression; a block is two points' difference
             pts = [view(buf, (T, m), lo + j * g0, j * step) for j in range(reach + 1)]
             vals = [b - a for a, b in zip(pts, pts[1:])] if blocks else pts
-        ok = vals[1] == vals[0]
-        for v in vals[2:]:
-            ok &= v == vals[0]
-        if ok.ndim > 2:
-            ok = ok.all(axis=-1)
+            ok = vals[1] == vals[0]
+            for v in vals[2:]:
+                ok &= v == vals[0]
+            if ok.ndim > 2:
+                ok = ok.all(axis=-1)
         if not ok.any():
             return None
         c0 = max(0, n - lo - reach * g1)  # the staircase: columns past the word at g1
@@ -124,23 +138,54 @@ def _first_progression(
         c = int(np.argmax(ok.any(axis=0)))
         return lo + c, g0 + step * int(np.argmax(ok[:, c]))
 
-    def scan(buf: np.ndarray, lo: int, hi: int) -> Optional[tuple[int, int]]:
-        """First hit among starts [lo, hi), gap-major; each hit narrows hi to its start."""
+    def scan(buf: np.ndarray, lo: int, hi: int, cells: int = _TILE_CELLS):
+        """First hit among starts [lo, hi), gap-major, in tiles of `cells` cells that grow
+        64-fold up to _TILE_CELLS; each hit narrows hi to its start."""
         best, g = None, step
         while (m := min(hi, n - reach * g) - lo) > 0:
             gaps = ((n - 1 - lo) // reach - g) // step + 1  # gaps left for start lo
-            T = min(gaps, max(1, _TILE_CELLS // m))
+            T = min(gaps, max(1, min(cells, _TILE_CELLS) // m))
             hit = tile(buf, lo, m, g, T)
-            g += T * step
+            g, cells = g + T * step, 64 * cells
             if hit:
                 best, hi = hit, hit[0]
+                left = (hi - lo) * (((n - 1 - lo) // reach - g) // step + 1)  # at most
+                by = not blocks and left > 4 * n and _by_color(buf[:n], lo, hit, reach, step, left)
+                if by:
+                    return by
         return best
 
     # start 0 alone never reads past the word
-    if (hit := scan(np.ascontiguousarray(X), 0, 1)) or n - reach * step <= 1:
+    if (hit := scan(np.ascontiguousarray(X), 0, 1, 32)) or n - reach * step <= 1:
         return hit
     # a tile of later starts reads at most this far past the word; a hit there is masked
     return scan(_narrow_copy(X, blocks, min(n, math.isqrt(_TILE_CELLS) * reach * step)), 1, n)
+
+
+def _by_color(
+    X: np.ndarray, lo: int, hit: tuple[int, int], reach: int, step: int, cells: int
+) -> Optional[tuple[int, int]]:
+    """The least (i, g), lo <= i < hit[0], whose terms X[i + j*g], j <= reach, all agree, else
+    hit; None if there are `cells` or more candidates: pairs of a start i and a later position
+    i + g of the same color, which a binary search among the starts' colors finds."""
+    n, s = len(X), hit[0]
+    colors, counts = np.unique(X[lo:s], return_counts=True)
+    R = X[lo + 1 : s + (n - s) // reach]  # i + g for every i < s with i + reach*g < n
+    u = np.minimum(np.searchsorted(colors, R), len(colors) - 1)
+    p = np.flatnonzero(colors[u] == R)
+    u = u[p]
+    rep = counts[u]
+    if rep.sum() >= cells:
+        return None
+    # candidate t pairs p[t] with the starts of its color, a run of the starts sorted by color
+    at = np.repeat((np.cumsum(counts) - counts)[u] - np.cumsum(rep) + rep, rep)
+    i = np.argsort(X[lo:s])[at + np.arange(len(at))] + lo
+    g = np.repeat(p + lo + 1, rep) - i
+    keep = (g > 0) & (g % step == 0) & (i + reach * g < n)
+    for j in range(2, reach + 1):
+        i, g = i[keep], g[keep]
+        keep = X[i + j * g] == X[i]
+    return divmod(int(np.min((i * n + g)[keep])), n) if keep.any() else hit
 
 
 def _block_power(

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import itertools
 import re
 import tracemalloc
 from fractions import Fraction
@@ -21,15 +22,19 @@ from wordsums import (
     find_anchored_power,
     find_kpower_mod_mu,
     from_finite,
+    mechanical,
     monochromatic_ap,
     morphic_fixed_point,
     periodic,
+    unbounded_gap_word,
     verify_power,
 )
 from wordsums import powers
 from wordsums.complexity import _key_prefix
 
 DEKKING3 = {0: (0, 0, 1, 2), 1: (1, 1, 2), 2: (0, 2, 2)}
+# Cassaigne, Currie, Schaeffer and Shallit 2014: no additive cube
+CCSS = {0: (0, 3), 1: (4, 3), 3: (1,), 4: (0, 1)}
 # base-3 numbers with only the digits 0 and 1 hold no 3-term arithmetic progression
 AP_FREE = [int(f"{i:b}", 3) for i in range(1, 2000)]
 
@@ -71,16 +76,20 @@ def test_kpower_scan_order():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.integers(-2, 2), min_size=2, max_size=200), st.integers(2, 4))
-def test_kpower_matches_bruteforce(xs, k):
+@given(st.lists(st.integers(-2, 2), min_size=2, max_size=200), st.integers(2, 5), _SMALL_TILES)
+def test_kpower_matches_bruteforce(xs, k, tiles):
+    # small tiles hold both kinds: overlapping blocks (the adjacent-block table) and blocks
+    # that lie apart (one view per point)
     w = from_finite(xs)
-    wit = find_additive_kpower(w, k, len(xs))
     brute = _bruteforce_kpower(xs, k)
-    if brute is None:
-        assert wit is None
-    else:
-        assert (wit.start, wit.block_length) == brute
-        assert verify_power(w, wit)
+    for budget in (contextlib.nullcontext(), _tiles(tiles)):
+        with budget:
+            wit = find_additive_kpower(w, k, len(xs))
+        if brute is None:
+            assert wit is None
+        else:
+            assert (wit.start, wit.block_length) == brute
+            assert verify_power(w, wit)
 
 
 @settings(max_examples=80, deadline=None)
@@ -205,14 +214,16 @@ def test_mod_mu_matches_bruteforce(quiet, tail, imgs, k, tiles):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(0, 2), max_size=100), st.integers(2, 3))
-def test_mod_mu_unpacked_rows_match_bruteforce(tail, k):
+@given(st.lists(st.integers(0, 2), max_size=100), st.integers(2, 5), _SMALL_TILES)
+def test_mod_mu_unpacked_rows_match_bruteforce(tail, k, tiles):
     # images near 2**40 in both columns leave no room for one int64 key per row
     xs = [0, 1] + tail
     images = {0: (2**40, 1), 1: (1, 2**40), 2: (2**40 - 1, 2**40)}
     # two pieces even at n_max = 1, the narrowest radices
     assert _key_prefix(from_finite(xs), LatticeMap(images), 1, len(xs))[0].shape[1] == 2
-    _check_mod_mu_against_bruteforce(xs, images, k)
+    for budget in (contextlib.nullcontext(), _tiles(tiles)):
+        with budget:
+            _check_mod_mu_against_bruteforce(xs, images, k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,8 +288,7 @@ def test_mod_mu_unpacked_rows_past_the_head():
 @pytest.mark.parametrize(
     "rules, k, L, abelian",
     [
-        # Cassaigne-Currie-Schaeffer-Shallit: no additive cube
-        ({0: (0, 3), 1: (4, 3), 3: (1,), 4: (0, 1)}, 3, 3000, False),
+        (CCSS, 3, 3000, False),
         # Dekking 1979: no abelian 4th power (binary), no abelian cube (ternary)
         ({0: (0, 0, 0, 1), 1: (0, 1, 1)}, 4, 2000, True),
         (DEKKING3, 3, 2000, True),
@@ -291,6 +301,15 @@ def test_power_free_words_have_no_power(rules, k, L, abelian):
         assert find_kpower_mod_mu(w, mu, k, L) is None
     else:
         assert find_additive_kpower(w, k, L) is None
+
+
+@pytest.mark.parametrize("alpha", [1, 2, Fraction(13, 7), Fraction(5, 3)])
+def test_power_free_word_has_no_anchored_power(alpha):
+    # an anchored power is an additive power, so the CCSS word has none of 3 blocks at any
+    # slope: the value scan of its chi coloring must return None after a full scan
+    w = morphic_fixed_point(Morphism(CCSS), 0)
+    for k in (1, 2):
+        assert find_anchored_power(w, alpha, k, 3, 3000) is None
 
 
 def test_abelian_cube_in_thue_morse(thue_morse):
@@ -378,6 +397,64 @@ def test_monochromatic_ap_past_a_distinct_prefix(quiet, tail, terms, k, tiles):
     assert monochromatic_ap(colors, terms, k) == brute
     with _tiles(tiles):
         assert monochromatic_ap(colors, terms, k) == brute
+
+
+@contextlib.contextmanager
+def _color_path_calls():
+    """The list of the calls to powers._by_color made in the block, one entry each."""
+    calls, real = [], powers._by_color
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(powers, "_by_color", lambda *a: calls.append(a) or real(*a))
+        yield calls
+
+
+def test_many_color_colorings_match_bruteforce_through_the_color_path():
+    # random walks of colors: a rising run, where no start pairs with a near position of
+    # its color, then steps of -scale, 0 or +scale; a gap-major hit past the run leaves
+    # the earlier starts to their same-color pairs, which must give the brute-force answer
+    ran = []
+    with _color_path_calls() as calls:
+
+        @settings(max_examples=150, deadline=None)
+        @given(st.integers(1, 4), st.integers(2, 5), st.integers(1, 3), _SMALL_TILES,
+               st.randoms(use_true_random=False))
+        def check(scale, terms, k, tiles, rnd):
+            rise, n = rnd.randint(0, 60), rnd.randint(1, 340)
+            steps = [scale] * rise + [rnd.randint(-1, 1) * scale for _ in range(n)]
+            colors = list(itertools.accumulate(steps))
+            brute = _bruteforce_ap(colors, terms, k)
+            before = len(calls)
+            assert monochromatic_ap(colors, terms, k) == brute
+            with _tiles(tiles):
+                assert monochromatic_ap(colors, terms, k) == brute
+            ran.append(len(calls) > before)
+
+        check()
+    assert sum(ran) > len(ran) / 2
+
+
+def test_the_color_path_counts_its_candidates_before_it_pairs_them():
+    # starts 0..4 before the hit (5, 1) meet five positions of their colors among 1..6
+    X = np.array([3, 0, 1, 3, 2, 4, 4])
+    assert powers._by_color(X, 0, (5, 1), 1, 1, 5) is None
+    assert powers._by_color(X, 0, (5, 1), 1, 1, 6) == (0, 3)
+    assert monochromatic_ap(X, 2) == (1, 3) == _bruteforce_ap(X.tolist(), 2, 1)
+
+
+def test_the_color_path_runs_on_many_colors_only():
+    # the chi colors of an enumeration word take many values, and the gap-major pass first
+    # hits far past the witness (188, 3); sec24's and a mechanical word's few colors hit at
+    # the first start or the next, where no dense work is left to save
+    with _color_path_calls() as calls:
+        wit = find_anchored_power(enumeration_word(2), 1, 3, 4, 100_000)
+    assert (wit.start, wit.block_length) == (188, 3) and calls
+    few = [(unbounded_gap_word(), Fraction(1), 10**5), (mechanical([4, 3]), Fraction(3, 13), 10**6)]
+    for w, alpha, L in few:
+        for k, count in ((2, 3), (3, 4), (4, 4)):
+            with _color_path_calls() as calls:
+                wit = find_anchored_power(w, alpha, k, count, L)
+            assert wit.start <= 2 * alpha.denominator + 1 and verify_power(w, wit)
+            assert not calls
 
 
 def test_anchored_power_structure():
@@ -483,6 +560,22 @@ def test_least_start_beats_the_first_hit_of_the_gap_major_pass(tiles):
         assert monochromatic_ap(colors, 2) == (31, 50)
     assert (wit.start, wit.block_length) == (31, 50)
     assert _bruteforce_kpower(xs[:141], 2) == (31, 50)
+
+
+def test_an_early_hit_at_the_first_start_compares_few_cells(thue_morse):
+    # Thue-Morse's first additive square is (1, 2): the first start's tiles grow from 32
+    # gaps, so the search peaks at a few KB; one tile over all L/2 gaps peaked at 1.1 MB
+    L = 10**6
+    thue_morse.prefix_sums(L)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        wit = find_additive_kpower(thue_morse, 2, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (wit.start, wit.block_length, wit.value) == (1, 2, 1)
+    assert peak < 2**16
 
 
 def test_scans_hold_no_memory_after_they_return():
