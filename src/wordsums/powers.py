@@ -6,14 +6,12 @@ mu-image).  Every search is one progression scan, start ascending, then
 gap (block length) ascending, so the returned witness is the
 lexicographically first one.  A scan that finds nothing compares about
 L^2/k cells.  Each numpy call compares one tile of at most 2^16 cells:
-consecutive gaps × live starts, read as strided views, where k blocks that
-overlap cost one table that compares each block with the next.  The first
-start reads the prefix in place, in tiles that grow from 32 gaps, so an early
-hit is cheap; the rest go gap-major over one copy of it in the narrowest
-integer dtype (int8 to int64) whose wrap-around equality is still exact.  A
-hit in a value scan leaves the starts before it to check, often faster as
-their same-color pairs, the only candidates for a progression's first two
-terms.  The prefix guard (L <= 10^6 unless the caller raises
+consecutive gaps × live starts, read as strided views.  The first start
+reads the prefix in place, in growing tiles; the rest go gap-major over one
+copy of it in the narrowest integer dtype (int8 to int64) whose wrap-around
+equality is still exact, and a value scan may pair the starts before a hit
+with later positions of their colors.  The prefix guard
+(L <= 10^6 unless the caller raises
 `limit`) bounds that work.  Sums and mu-images share one search over block
 differences of the key prefix (`complexity._key_prefix`): the word's own
 prefix sums, or for mu one int64 or a row of key pieces per position: column
@@ -81,15 +79,12 @@ def _first_progression(
 
     The terms are X[i + j*g] for j < terms, or with blocks=True the blocks
     X[i + (j+1)*g] - X[i + j*g]; g runs over the multiples of step.  Rows of a
-    2-D X compare as wholes.  Start 0 reads X in place in tiles that grow from 32
-    gaps, so an early hit pays for no copy and few cells; starts 1..n-1 go in one
-    gap-major pass over the _narrow_copy, where each hit narrows the pass to the
-    starts before it.  For values, once the dense cells left pass 4n and so repay a
-    count, _by_color checks those starts' same-color pairs instead, if they are
-    fewer.  Every numpy call compares one tile of at most _TILE_CELLS cells:
-    consecutive gaps × live starts.  Blocks that overlap compare each block with
-    the next once, in one table; blocks that lie apart and values compare one
-    strided view per point.
+    2-D X compare as wholes.  Start 0 reads X in place, in tiles that grow from 32
+    gaps; starts 1..n-1 go in one gap-major pass over the _narrow_copy, where each
+    hit narrows the pass to the starts before it.  Every numpy call compares one tile
+    of at most _TILE_CELLS cells: consecutive gaps × live starts, overlapping blocks
+    through one table of adjacent-block equalities.  A value scan hands the starts
+    before a hit to _by_color once the cells it has spent since would pay for that.
     """
     n = len(X)
     reach = terms if blocks else terms - 1  # a progression spans reach*g
@@ -106,9 +101,8 @@ def _first_progression(
         """First hit among starts [lo, lo+m) at gaps g0, g0+step, ..., of T gaps."""
         g1 = g0 + (T - 1) * step
         if blocks and g1 <= m:
-            # the blocks overlap: one windows array W[t, p] = X[lo+p+g_t] - X[lo+p]
-            # holds them all, block j of (t, i) at W[t, i + j*g_t]; Z[t, p] says whether
-            # W[t, p] equals the next block W[t, p+g_t], and equality is transitive
+            # the blocks overlap: windows W[t, p] = X[lo+p+g_t] - X[lo+p] hold block j of
+            # (t, i) at W[t, i + j*g_t]; Z[t, p] = W[t, p+g_t] == W[t, p], and == is transitive
             P, Q = m + (terms - 1) * g1, m + (terms - 2) * g1
             W = np.subtract(view(buf, (T, P), lo + g0, step), view(buf, (T, P), lo, 0),
                             order="C")
@@ -139,20 +133,20 @@ def _first_progression(
         return lo + c, g0 + step * int(np.argmax(ok[:, c]))
 
     def scan(buf: np.ndarray, lo: int, hi: int, cells: int = _TILE_CELLS):
-        """First hit among starts [lo, hi), gap-major, in tiles of `cells` cells that grow
-        64-fold up to _TILE_CELLS; each hit narrows hi to its start."""
-        best, g = None, step
+        """First hit among starts [lo, hi), gap-major, in tiles growing 64-fold from `cells`."""
+        best, g, spent, retry = None, step, 0, 0
         while (m := min(hi, n - reach * g) - lo) > 0:
             gaps = ((n - 1 - lo) // reach - g) // step + 1  # gaps left for start lo
-            T = min(gaps, max(1, min(cells, _TILE_CELLS) // m))
+            T = min(gaps, max(1, cells // m))
             hit = tile(buf, lo, m, g, T)
-            g, cells = g + T * step, 64 * cells
-            if hit:
-                best, hi = hit, hit[0]
-                left = (hi - lo) * (((n - 1 - lo) // reach - g) // step + 1)  # at most
-                by = not blocks and left > 4 * n and _by_color(buf[:n], lo, hit, reach, step, left)
-                if by:
+            g, cells, spent = g + T * step, min(64 * cells, _TILE_CELLS), spent + T * m
+            if hit:  # the color path costs about 16 cells a position to count, 64 a pair
+                best, hi, spent, retry = hit, hit[0], 0, 16 * (hit[0] + (n - hit[0]) // reach - lo)
+            elif best and not blocks and spent >= retry < (hi - lo) * (gaps - T):  # cells left
+                by = _by_color(buf[:n], lo, best, reach, step, min(spent // 64, _TILE_CELLS))
+                if isinstance(by, tuple):
                     return by
+                retry = 64 * by if by <= _TILE_CELLS else math.inf
         return best
 
     # start 0 alone never reads past the word
@@ -164,28 +158,34 @@ def _first_progression(
 
 def _by_color(
     X: np.ndarray, lo: int, hit: tuple[int, int], reach: int, step: int, cells: int
-) -> Optional[tuple[int, int]]:
+) -> Union[tuple[int, int], int]:
     """The least (i, g), lo <= i < hit[0], whose terms X[i + j*g], j <= reach, all agree, else
-    hit; None if there are `cells` or more candidates: pairs of a start i and a later position
-    i + g of the same color, which a binary search among the starts' colors finds."""
+    hit; or the number of candidates if it is more than `cells`.  A candidate pairs a start with
+    a later position of its color; they are counted, then paired, in tiles of positions."""
     n, s = len(X), hit[0]
+    end = s + (n - s) // reach  # past every i + g with i < s and i + reach*g < n
     colors, counts = np.unique(X[lo:s], return_counts=True)
-    R = X[lo + 1 : s + (n - s) // reach]  # i + g for every i < s with i + reach*g < n
-    u = np.minimum(np.searchsorted(colors, R), len(colors) - 1)
-    p = np.flatnonzero(colors[u] == R)
-    u = u[p]
-    rep = counts[u]
-    if rep.sum() >= cells:
-        return None
-    # candidate t pairs p[t] with the starts of its color, a run of the starts sorted by color
-    at = np.repeat((np.cumsum(counts) - counts)[u] - np.cumsum(rep) + rep, rep)
-    i = np.argsort(X[lo:s])[at + np.arange(len(at))] + lo
-    g = np.repeat(p + lo + 1, rep) - i
-    keep = (g > 0) & (g % step == 0) & (i + reach * g < n)
-    for j in range(2, reach + 1):
-        i, g = i[keep], g[keep]
-        keep = X[i + j * g] == X[i]
-    return divmod(int(np.min((i * n + g)[keep])), n) if keep.any() else hit
+    tiles = [(a, X[a : min(a + _TILE_CELLS, end)]) for a in range(lo + 1, end, _TILE_CELLS)]
+
+    def runs(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # each start color's run in Y
+        L = np.searchsorted(Y, colors)
+        return L, np.searchsorted(Y, colors, "right") - L
+
+    if (count := sum(int(counts @ runs(np.sort(R))[1]) for _, R in tiles)) > cells:
+        return count
+    order = np.argsort(X[lo:s], kind="stable") + lo  # starts by color, `counts` of each
+    for a, R in tiles:
+        at = np.argsort(R, kind="stable")  # positions by color; each start pairs with its run
+        L, h = (v[np.repeat(np.arange(len(colors)), counts)] for v in runs(R[at]))
+        i = np.repeat(order, h)
+        g = at[np.repeat(L - np.cumsum(h) + h, h) + np.arange(len(i))] + a - i
+        keep = (g > 0) & (g % step == 0) & (i + reach * g < n)
+        for j in range(2, reach + 1):
+            i, g = i[keep], g[keep]
+            keep = X[i + j * g] == X[i]
+        if keep.any():
+            hit = min(hit, divmod(int(np.min((i * n + g)[keep])), n))
+    return hit
 
 
 def _block_power(

@@ -401,50 +401,78 @@ def test_monochromatic_ap_past_a_distinct_prefix(quiet, tail, terms, k, tiles):
 
 @contextlib.contextmanager
 def _color_path_calls():
-    """The list of the calls to powers._by_color made in the block, one entry each."""
+    """The results of the calls to powers._by_color made in the block, one entry each."""
     calls, real = [], powers._by_color
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(powers, "_by_color", lambda *a: calls.append(a) or real(*a))
+        mp.setattr(powers, "_by_color", lambda *a: calls.append(real(*a)) or calls[-1])
         yield calls
 
 
 def test_many_color_colorings_match_bruteforce_through_the_color_path():
     # random walks of colors: a rising run, where no start pairs with a near position of
-    # its color, then steps of -scale, 0 or +scale; a gap-major hit past the run leaves
-    # the earlier starts to their same-color pairs, which must give the brute-force answer
-    ran = []
-    with _color_path_calls() as calls:
+    # its color, then steps of -scale, 0 or +scale.  Given any progression (s, g), the color
+    # path must return the least one before s, else (s, g), at the default tiles and when
+    # its positions span many tiles; a whole search must still match brute force
+    paired = []
 
-        @settings(max_examples=150, deadline=None)
-        @given(st.integers(1, 4), st.integers(2, 5), st.integers(1, 3), _SMALL_TILES,
-               st.randoms(use_true_random=False))
-        def check(scale, terms, k, tiles, rnd):
-            rise, n = rnd.randint(0, 60), rnd.randint(1, 340)
-            steps = [scale] * rise + [rnd.randint(-1, 1) * scale for _ in range(n)]
-            colors = list(itertools.accumulate(steps))
-            brute = _bruteforce_ap(colors, terms, k)
-            before = len(calls)
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 5), st.integers(1, 3), _SMALL_TILES,
+           st.randoms(use_true_random=False))
+    def check(scale, terms, k, tiles, rnd):
+        rise, n = rnd.randint(0, 60), rnd.randint(1, 340)
+        steps = [scale] * rise + [rnd.randint(-1, 1) * scale for _ in range(n)]
+        colors = list(itertools.accumulate(steps))
+        brute = _bruteforce_ap(colors, terms, k)
+        assert monochromatic_ap(colors, terms, k) == brute
+        with _tiles(tiles):
             assert monochromatic_ap(colors, terms, k) == brute
+        cut = rnd.randint(0, len(colors) - 1)
+        if later := _bruteforce_ap(colors[cut:], terms, k):
+            hit = (cut + later[0] - 1, later[1])
+            want = (brute[0] - 1, brute[1]) if brute[0] - 1 < hit[0] else hit
+            X = np.array(colors)
+            assert powers._by_color(X, 0, hit, terms - 1, k, 1 << 40) == want
             with _tiles(tiles):
-                assert monochromatic_ap(colors, terms, k) == brute
-            ran.append(len(calls) > before)
+                assert powers._by_color(X, 0, hit, terms - 1, k, 1 << 40) == want
+            paired.append(hit != want)
 
-        check()
-    assert sum(ran) > len(ran) / 2
+    check()
+    assert len(paired) > 75 and sum(paired) > 30
+
+
+def test_the_color_path_gives_the_dense_answer_on_long_walks():
+    # a rising run of 300 colors, then a random walk: the walk hits first, and the run's
+    # starts leave a long dense rest, which the scan hands to the color path once it has
+    # cost as much as a count; the answer must be the dense scan's
+    rnd, paired = np.random.default_rng(1), 0
+    for scale, terms, k in itertools.product((1, 3), (3, 4), (1, 2)):
+        steps = [scale] * 300 + (rnd.integers(-1, 2, 3000) * scale).tolist()
+        colors = list(itertools.accumulate(steps))
+        with _color_path_calls() as calls:
+            got = monochromatic_ap(colors, terms, k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(powers, "_by_color", lambda *a: 1 << 62)  # too many pairs: stay dense
+            assert got == monochromatic_ap(colors, terms, k)
+        paired += any(isinstance(c, tuple) for c in calls)
+    assert paired >= 6
 
 
 def test_the_color_path_counts_its_candidates_before_it_pairs_them():
-    # starts 0..4 before the hit (5, 1) meet five positions of their colors among 1..6
+    # starts 0..4 before the hit (5, 1) meet five positions of their colors among 1..6; with
+    # room for fewer candidates the path returns their number and pairs none
     X = np.array([3, 0, 1, 3, 2, 4, 4])
-    assert powers._by_color(X, 0, (5, 1), 1, 1, 5) is None
-    assert powers._by_color(X, 0, (5, 1), 1, 1, 6) == (0, 3)
+    assert powers._by_color(X, 0, (5, 1), 1, 1, 4) == 5
+    assert powers._by_color(X, 0, (5, 1), 1, 1, 5) == (0, 3)
+    # start 1's color comes back nowhere after it: no candidate, and the hit stands
+    assert powers._by_color(np.array([1, 2, 3, 3]), 1, (2, 1), 1, 1, 0) == (2, 1)
     assert monochromatic_ap(X, 2) == (1, 3) == _bruteforce_ap(X.tolist(), 2, 1)
 
 
 def test_the_color_path_runs_on_many_colors_only():
     # the chi colors of an enumeration word take many values, and the gap-major pass first
-    # hits far past the witness (188, 3); sec24's and a mechanical word's few colors hit at
-    # the first start or the next, where no dense work is left to save
+    # hits past the witness (188, 3), leaving a dense rest that costs more than its few
+    # candidates; sec24's and a mechanical word's few colors hit at the first start or the
+    # next, where no dense work is left to save
     with _color_path_calls() as calls:
         wit = find_anchored_power(enumeration_word(2), 1, 3, 4, 100_000)
     assert (wit.start, wit.block_length) == (188, 3) and calls
@@ -455,6 +483,21 @@ def test_the_color_path_runs_on_many_colors_only():
                 wit = find_anchored_power(w, alpha, k, count, L)
             assert wit.start <= 2 * alpha.denominator + 1 and verify_power(w, wit)
             assert not calls
+
+
+def test_a_late_first_hit_among_few_colors_holds_little_memory():
+    # the gap-major pass first hits at (1001, 1), where a thousand starts meet some 5e8
+    # same-color positions; the scan goes on in dense tiles and finds (1, 2) in the next one,
+    # where pairing every candidate would take gigabytes
+    X = np.array([9] + [0, 1] * 500 + [5, 5] + [0, 1] * 499_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ap = monochromatic_ap(X, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ap == (2, 2) and peak < 2**23
 
 
 def test_anchored_power_structure():
