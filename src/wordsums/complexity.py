@@ -314,8 +314,6 @@ def abelian_complexity(w: WordStream, n: int, L: int) -> int:
 def _points_diameter_sq(U: np.ndarray) -> int:
     """Exact max squared distance between rows of the unique-point array."""
     D, t = U.shape
-    if D == 1:
-        return 0
     if t == 1:
         d = int(U.max()) - int(U.min())
         return d * d

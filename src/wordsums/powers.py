@@ -161,22 +161,22 @@ def _by_color(
 ) -> Union[tuple[int, int], int]:
     """The least (i, g), lo <= i < hit[0], whose terms X[i + j*g], j <= reach, all agree, else
     hit; or the number of candidates if it is more than `cells`.  A candidate pairs a start with
-    a later position of its color; they are counted, then paired, in tiles of positions."""
+    a later position of its color.  The starts are sorted by color once; in each sorted tile of
+    positions, each start reads its color's run, to count the candidates and then to pair them."""
     n, s = len(X), hit[0]
     end = s + (n - s) // reach  # past every i + g with i < s and i + reach*g < n
-    colors, counts = np.unique(X[lo:s], return_counts=True)
+    order = np.argsort(X[lo:s], kind="stable") + lo  # starts by color, ascending within one
     tiles = [(a, X[a : min(a + _TILE_CELLS, end)]) for a in range(lo + 1, end, _TILE_CELLS)]
 
-    def runs(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # each start color's run in Y
-        L = np.searchsorted(Y, colors)
-        return L, np.searchsorted(Y, colors, "right") - L
+    def runs(Y: np.ndarray, c: np.ndarray = X[order]) -> tuple[np.ndarray, np.ndarray]:
+        L = np.searchsorted(Y, c)  # each start's run of its color c in Y
+        return L, np.searchsorted(Y, c, "right") - L
 
-    if (count := sum(int(counts @ runs(np.sort(R))[1]) for _, R in tiles)) > cells:
+    if (count := sum(int(runs(np.sort(R))[1].sum()) for _, R in tiles)) > cells:
         return count
-    order = np.argsort(X[lo:s], kind="stable") + lo  # starts by color, `counts` of each
     for a, R in tiles:
         at = np.argsort(R, kind="stable")  # positions by color; each start pairs with its run
-        L, h = (v[np.repeat(np.arange(len(colors)), counts)] for v in runs(R[at]))
+        L, h = runs(R[at])
         i = np.repeat(order, h)
         g = at[np.repeat(L - np.cumsum(h) + h, h) + np.arange(len(i))] + a - i
         keep = (g > 0) & (g % step == 0) & (i + reach * g < n)

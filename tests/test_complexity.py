@@ -985,7 +985,7 @@ def test_t1_lattice_profile_equals_additive(xs, data):
 
 
 @pytest.mark.parametrize(
-    "D, t, span", [(513, 2, 100), (800, 2, 100), (600, 3, 100), (777, 3, 2**30)]
+    "D, t, span", [(513, 2, 100), (800, 2, 100), (600, 3, 100), (777, 3, 2**30), (1, 2, 100)]
 )
 def test_diameter_block_path_matches_bruteforce(D, t, span, monkeypatch):
     # span 2^30 at t = 3 keeps t * span^2 under 2^62, so the numpy path runs

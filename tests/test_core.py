@@ -1,7 +1,9 @@
+import ast
 import gc
 import itertools
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,3 +424,21 @@ def test_distinct_rows_hold_no_sorted_copy_of_the_table():
     rows = table[keep]
     assert peak < 0.75 * table.nbytes
     assert np.array_equal(rows, np.unique(table, axis=0))
+
+
+def test_np_unique_is_called_only_for_the_mode_of_chi_factorization():
+    # core._reduce finds distinct keys and rows; the chi coloring's mode is the one np.unique
+    def unique_calls(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from unique_calls(child, f"{where}.{child.name}")
+                continue
+            f = getattr(child, "func", None)
+            if isinstance(f, ast.Attribute) and f.attr == "unique":
+                if isinstance(f.value, ast.Name) and f.value.id == "np":
+                    yield where
+            yield from unique_calls(child, where)
+
+    src = sorted((Path(__file__).resolve().parents[1] / "src" / "wordsums").glob("*.py"))
+    callers = [c for p in src for c in unique_calls(ast.parse(p.read_text()), p.stem)]
+    assert callers == ["slopes.chi_factorization"]
