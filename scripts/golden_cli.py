@@ -76,7 +76,7 @@ COMMANDS = {
     "refuse-seed-outside-source": ["profile", "morphic:0=0,1;1=1;seed=5", *SHORT],
     "refuse-image-past-int64": ["profile", f"morphic:0=0,{BIG};{BIG}=0;seed=0", *SHORT],
     # each word's factor keys take one tier: a mask with no scan, a mask after the scan, a
-    # presence table, a sort, and rows of key pieces
+    # presence table, a sort, and a sort of keys re-ranked past 2^62
     "intersect-mask": ["intersect", "periodic:0,1", "periodic:1,0", "--n", "3", "-L", "100"],
     "intersect-mask-after-scan": ["intersect", "periodic:0,1", "periodic:1,0", "--n", "7",
                                   "-L", "100"],
@@ -85,6 +85,14 @@ COMMANDS = {
     "intersect-sort": ["intersect", TM, "sec24", "--n", "20", "-L", "5000", "--format", "json"],
     "intersect-pieces": ["intersect", "periodic:0,1", "periodic:1,0", "--n", "1000",
                          "-L", "30000"],
+    # letters +-2^40 that rank to three, binary keys at n = 62, the first length after a
+    # re-rank, and two prefixes whose concatenation holds the pair 0, 1 only at the junction
+    "intersect-wide-letters": ["intersect", f"periodic:{2**40},{-2**40},0",
+                               f"periodic:{2**40},{-2**40},0,0", "--n", "3", "-L", "100"],
+    "intersect-past-the-rerank": ["intersect", TM, "morphic:0=0,1;1=1,0;seed=1", "--n", "62",
+                                  "-L", "5000"],
+    "intersect-across-the-junction": ["intersect", "periodic:0", "periodic:1", "--n", "2",
+                                      "-L", "50"],
     "slope-csv": ["slope", "mechanical:cf=2,2", "-L", "5000"],
     "slope-json": ["slope", "sec24", "-L", "3000", "--format", "json"],
     "chi-csv": ["chi", "sec24", "--slope", "1/1", "--m-max", "40"],

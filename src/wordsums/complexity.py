@@ -7,21 +7,20 @@ images under an additive map mu: S* -> Z^t.  Bounded complexity is
 equivalent to bounded spread, where spread is max - min of the sums
 (t = 1) or the max squared Euclidean distance between images (t > 1).
 
-Every count runs one kernel on one int64 key prefix per call, built by
-`_key_prefix`, the only place letters become window keys: the key of a length-n
-window is a difference S[i + n] - S[i] of that prefix, and for symbol sums, the
-sum map's keys, that prefix is the word's own cached prefix sums.  Each length n
+Every count of images runs one kernel on one int64 key prefix per call, built by `_key_prefix`:
+the key of a length-n window is a difference S[i + n] - S[i] of that prefix, and for symbol
+sums, the sum map's keys, that prefix is the word's own cached prefix sums.  Each length n
 subtracts into one reused buffer, and `core._reduce`, the one reduction, finds the distinct
 keys in the box [n * lo, n * hi] for letter weights in [lo, hi]: a 64-bit mask, a presence
-table or a sort, picked by the box and the keys' span.  It also counts the distinct factors
-of `factors_with_slope` and of factor-set intersections, packed under one letter box, and
-finds `observed_alphabet`'s letters.  Sums read their count and spread off the mask or the
-sorted keys, and distinct keys decode into image points only for the spreads of lattice
-images.  Images that share one coordinate sum c (Parikh maps, c = 1) lie on a hyperplane, so
-their keys weigh only the first t - 1 columns and decoding writes the last back as n * c
-minus the others: fewer radices, so fewer key pieces and narrower power-scan copies.  The
-same key prefix serves the additive and mod-mu power scans and `window_images`; the
-unbounding guess in `morphisms` takes spreads of those Parikh images.
+table or a sort, picked by the box and the keys' span.  It also finds `observed_alphabet`'s
+letters and the distinct factors of `factors_with_slope` and `factor_set_intersection`, on
+ranked Horner keys from `_factor_keys`: one int64 per window, in O(L) memory.  Sums read their
+count and spread off the mask or the sorted keys, and distinct keys decode into image points
+only for the spreads of lattice images.  Images that share one coordinate sum c (Parikh maps,
+c = 1) lie on a hyperplane, so their keys weigh only the first t - 1 columns and decoding
+writes the last back as n * c minus the others: fewer radices, so fewer key pieces and narrower
+power-scan copies.  The same key prefix serves the additive and mod-mu power scans and
+`window_images`; the unbounding guess in `morphisms` takes spreads of those Parikh images.
 """
 
 from __future__ import annotations
@@ -391,20 +390,33 @@ def naive_complexity_oracle(
     return len(seen)
 
 
-def _factor_keys(prefix: np.ndarray, n: int, lo: int, hi: int) -> np.ndarray:
-    """Keys of the length-n factors of the prefix in the letter box [lo, hi], in the box
-    [0, (hi - lo + 1)^n - 1] when they fit one piece; refused past the memory guard by the
-    (L - n + 1) x p table of pieces they fill."""
-    radix, R = [hi - lo + 1] * n, np.lib.stride_tricks.sliding_window_view(prefix, n)
-    _check_table(len(R), len(_pieces(radix)), f"factor keys for n={n}, L={len(prefix)}")
-    return _pack(R, [lo] * n, radix)
+def _factor_keys(X: np.ndarray, n_max: int) -> Iterator[tuple[np.ndarray, int]]:
+    """(K, top) for n = 1..n_max: one int64 key K[i] in [0, top] per length-n window of X,
+    equal exactly when the factors are.  Keys step in place by Horner's rule over the ranks d
+    of the b distinct letters, K <- K[:-1] * b + d[n - 1:], and are re-ranked among the
+    distinct keys before (top + 1) * b could reach 2^62; still past it, at about 2^30 windows,
+    they are refused.  Callers copy K, as the next step and `_reduce` overwrite it."""
+    letters = _distinct(X.copy(), int(X.min()), int(X.max()))
+    d, b = np.searchsorted(letters, X), len(letters)
+    K, top = np.zeros(len(X) + 1, dtype=np.int64), 0  # the empty factor at each place
+    for n in range(1, n_max + 1):
+        if (top + 1) * b >= _SUM_LIMIT:
+            U = _distinct(K.copy(), 0, top)
+            K, top = np.searchsorted(U, K), len(U) - 1
+            if (top + 1) * b >= _SUM_LIMIT:
+                raise GuardError(f"keys of {len(K) - 1} factors of length {n} may overflow int64")
+        K = K[:-1]  # in place: key i reads only key i and the letter after its window
+        K *= b
+        K += d[n - 1 :]
+        top = (top + 1) * b - 1
+        yield K, top
 
 
 def factor_set_intersection(w1: WordStream, w2: WordStream, n: int, L: int) -> int:
     """How many distinct length-n factors the two prefixes share."""
     _check_window(n, L)
-    X1, X2 = w1.prefix(L), w2.prefix(L)  # read first: the box is the range the caches hold
-    lo, hi = min(w1._lo, w2._lo), max(w1._hi, w2._hi)  # one box, so equal rows get equal keys
-    top = (hi - lo + 1) ** n - 1
-    U1, U2 = (_distinct(_factor_keys(X, n, lo, hi), 0, top) for X in (X1, X2))
+    for K, top in _factor_keys(np.concatenate((w1.prefix(L), w2.prefix(L))), n):
+        pass  # K ends as the keys of length n
+    # w1's windows are [0, L - n], w2's [L, 2L - n]; one across the junction is neither's
+    U1, U2 = (_distinct(K[a : a + L - n + 1].copy(), 0, top) for a in (0, L))
     return len(U1) + len(U2) - len(_distinct(np.concatenate((U1, U2)), 0, top))

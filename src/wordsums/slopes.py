@@ -176,16 +176,14 @@ def factors_with_slope(w: WordStream, alpha: Rational, L: int, n_max: int) -> in
     """Count distinct factors of length <= n_max and slope exactly alpha.
 
     Only lengths divisible by alpha's denominator can qualify; candidate
-    windows are located through the window kernel, and the distinct keys of
-    their rows, packed under the word's letter box, are counted.
+    windows are located through the window kernel, and their distinct factor
+    keys, ranked Horner keys of one int64 per window in O(L) memory, are counted.
     """
     _check_window(n_max, L)
     a = _as_fraction(alpha)
     p, q = a.numerator, a.denominator
-    prefix, b = w.prefix(L), w._hi - w._lo + 1  # the letter box of the cache the prefix filled
     total = 0
-    for n in range(q, n_max + 1, q):
-        hits = np.flatnonzero(window_sums(w, n, L) == p * (n // q))
-        if hits.size:
-            total += len(_distinct(_factor_keys(prefix, n, w._lo, w._hi)[hits], 0, b**n - 1))
+    for n, (K, top) in enumerate(_factor_keys(w.prefix(L), n_max - n_max % q), 1):
+        if n % q == 0 and (hits := np.flatnonzero(window_sums(w, n, L) == p * (n // q))).size:
+            total += len(_distinct(K[hits], 0, top))
     return total

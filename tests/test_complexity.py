@@ -15,16 +15,19 @@ from wordsums import (
     FiniteWord,
     GuardError,
     LatticeMap,
+    Morphism,
     abelian_complexity,
     additive_complexity,
     constant_complexity_word,
     enumeration_word,
     factor_set_intersection,
+    factors_with_slope,
     find_additive_kpower,
     find_kpower_mod_mu,
     from_finite,
     lattice_complexity,
     lattice_spread,
+    morphic_fixed_point,
     naive_complexity_oracle,
     parikh,
     periodic,
@@ -286,25 +289,27 @@ def test_oracle_guard():
 
 
 def test_window_table_guard(monkeypatch):
-    # binary factors of length 100 take two pieces of at most 61 letters each, so
-    # each word's key table holds (1000 - 100 + 1) * 2 * 8 = 14416 bytes
-    w1, w2 = periodic([0, 1]), periodic([1, 0])
-    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 14_415)
-    with pytest.raises(GuardError, match="factor keys for n=100, L=1000"):
-        factor_set_intersection(w1, w2, 100, 1000)
-    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 14_416)
-    assert factor_set_intersection(w1, w2, 100, 1000) == 2
+    # factor keys are one int64 per window, so a lowered table guard refuses neither count,
+    # though binary rows of length 100 and rows of letters +-2^40 fill 1000 bytes of cells
+    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 1000)
+    shared = factor_set_intersection(periodic([0, 1]), periodic([1, 0]), 100, 1000)
+    assert shared == _bruteforce_shared([0, 1] * 500, [1, 0] * 500, 100) == 2
+    xs = [2**40, -(2**40)] * 30
+    slope_0 = {tuple(xs[i : i + n]) for n in range(1, 9) for i in range(61 - n)
+               if sum(xs[i : i + n]) == 0}
+    assert factors_with_slope(from_finite(xs), 0, 60, 8) == len(slope_0) == 8
 
 
 def test_long_factors_intersect_through_their_pieces():
-    # rows of 1000 letters were refused as an n * L table of cells; 17 pieces fit
+    # rows of 1000 letters were refused as an n * L table of cells; their keys re-rank as
+    # they step, one int64 a window
     shared = factor_set_intersection(periodic([0, 1]), periodic([1, 0]), 1000, 30_000)
     assert shared == _bruteforce_shared([0, 1] * 15_000, [1, 0] * 15_000, 1000) == 2
 
 
 def test_factor_intersection_of_rows_too_wide_to_pack_stays_small(thue_morse):
-    # 40 letters over {0, 1, 2} take two pieces per factor: a few MB of keys, where a
-    # set of 10^5 row objects per word took 70 MB
+    # 40 letters over {0, 1, 2} span 3^40 > 2^62 keys, re-ranked once: a few MB of keys,
+    # where a set of 10^5 row objects per word took 70 MB
     sec24 = unbounded_gap_word()
     gc.collect()
     tracemalloc.start()
@@ -319,8 +324,8 @@ def test_factor_intersection_of_rows_too_wide_to_pack_stays_small(thue_morse):
 
 
 def test_packed_factor_count_is_not_refused_by_its_rows(monkeypatch):
-    # 6 * 60 * 8 bytes of factor rows are past the lowered guard, but binary rows of
-    # length 6 pack into one key each, and only rows too wide to pack are held as a table
+    # 6 * 60 * 8 bytes of factor rows are past the lowered guard; their keys are one int64
+    # a window, and are counted
     monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 1000)
     xs = [bin(i).count("1") % 2 for i in range(60)]
     ys = [bin(i).count("1") % 2 for i in range(101, 161)]
@@ -334,15 +339,53 @@ TMC = [1 - x for x in TM]
 
 @pytest.mark.parametrize("tier, xs, ys, tail, n", [
     ("mask", TM[:100], TMC[:100], [], 3),  # binary keys below 2^3
-    ("scan-mask", TM[:100], TMC[:100], [8], 2),  # letter 8 past L: a box of 9^2 values
+    ("mask", TM[:100], TMC[:100], [8], 2),  # the letter 8 past L is not ranked
     ("table", TM, TMC, [], 10),
     ("sort", TM[:300], TM[150:449] + [2], [], 20),
-    ("pieces", TM[:300], TMC[:300], [], 70),  # 2^70 values: one piece a letter run
+    ("sort", TM[:300], TMC[:300], [], 70),  # re-ranked at n = 62, then 2^8 times their number
+    ("scan-mask", [0, 1] * 50, [1, 0] * 50, [], 7),  # keys 42 and 85 below 2^7
 ])
 def test_factor_intersection_takes_each_reduction_tier(tier, xs, ys, tail, n, reduction_tiers):
     shared = factor_set_intersection(from_finite(xs + tail), from_finite(ys), n, len(xs))
     assert shared == _bruteforce_shared(xs, ys, n) > 0
-    assert reduction_tiers[:2] == [tier, tier]  # each word's keys; then their union's
+    # the letters' ranks, one re-rank once binary keys reach 2^62, each word's keys, their union
+    assert len(reduction_tiers) == 4 + (n >= 62)
+    assert reduction_tiers[-3:-1] == [tier, tier]
+    assert "pieces" not in reduction_tiers  # no 2-D table of keys
+
+
+@pytest.mark.parametrize("letters, ns", [
+    (2, (61, 62, 63)),  # (top + 1) * 2 first reaches 2^62 before n = 62
+    (3, (39, 40, 41)),  # and (top + 1) * 3 before n = 40
+])
+def test_factor_intersection_on_each_side_of_the_first_rerank(letters, ns, reduction_tiers):
+    # Thue-Morse against its complement, and the ternary word of 0 -> 012, 1 -> 120, 2 -> 201
+    # against its image under 0 -> 1 -> 2 -> 0: each pair shares one factor set
+    k = range(letters)
+    rule = Morphism({a: tuple((a + b) % letters for b in k) for a in k})
+    w1, w2, L = morphic_fixed_point(rule, 0), morphic_fixed_point(rule, 1), 300
+    xs, ys = w1.prefix(L).tolist(), w2.prefix(L).tolist()
+    for n in ns:
+        reduction_tiers.clear()
+        assert factor_set_intersection(w1, w2, n, L) == _bruteforce_shared(xs, ys, n) > 0
+        assert len(reduction_tiers) == 4 + (n > ns[0])  # a re-rank from the middle length on
+
+
+def test_no_factor_lies_across_the_junction_of_the_two_prefixes():
+    # the keys of both prefixes are stepped as one word, whose only 0, 1 window is the junction
+    assert factor_set_intersection(from_finite([0] * 50), from_finite([1] * 50), 2, 50) == 0
+
+
+def test_factor_keys_that_pass_int64_after_a_rerank_are_refused(monkeypatch, thue_morse):
+    # under a limit of 16, binary keys re-rank before n = 4 into the 6 factors of length 3,
+    # then before n = 5 into the 10 of length 4, and 10 * 2 >= 16 is still past the limit
+    monkeypatch.setattr(complexity, "_SUM_LIMIT", 16)
+    xs = thue_morse.prefix(100).tolist()
+    assert factor_set_intersection(thue_morse, thue_morse, 4, 100) == _bruteforce_shared(xs, xs, 4)
+    with pytest.raises(GuardError, match="may overflow int64"):
+        factor_set_intersection(thue_morse, thue_morse, 5, 100)
+    with pytest.raises(GuardError, match="may overflow int64"):
+        factors_with_slope(thue_morse, 1, 100, 5)
 
 
 def test_parikh_map_past_the_memory_guard_is_refused():

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from wordsums import (
     GuardError,
+    Morphism,
     block_slope,
     chi,
     chi_factorization,
@@ -19,6 +20,7 @@ from wordsums import (
     find_anchored_power,
     from_finite,
     greedy_slope_cuts,
+    morphic_fixed_point,
     periodic,
     slope_estimate,
     unbounded_gap_word,
@@ -268,30 +270,47 @@ TM = [bin(i).count("1") % 2 for i in range(2000)]  # Thue-Morse
 
 @pytest.mark.parametrize("tier, xs, tail, alpha, n_max", [
     ("mask", TM[:100], [], Fraction(1, 2), 6),  # binary keys below 2^6
-    ("scan-mask", TM[:100], [8], Fraction(1, 2), 3),  # letter 8 past L: a box of 9^2 values
+    ("mask", TM[:100], [8], Fraction(1, 2), 3),  # the letter 8 past L is not ranked
     ("table", TM, [], Fraction(1, 2), 8),
-    ("sort", np.random.default_rng(3).integers(0, 3, 300).tolist(), [1000], Fraction(1), 4),
-    ("pieces", [2**40, -(2**40)] * 20 + [0, 1] * 10, [], Fraction(0), 4),
+    ("table", np.random.default_rng(3).integers(0, 3, 300).tolist(), [1000], Fraction(1), 4),
+    ("sort", [2**40, -(2**40)] * 20 + [0, 1] * 10, [], Fraction(0), 4),  # 4 letters, 4^4 keys
+    ("scan-mask", [0, 2] * 50 + [1], [], Fraction(1), 4),  # keys 20 and 60 below 3^4
+    ("sort", TM[:300], [], Fraction(1, 2), 70),  # re-ranked at n = 62
 ])
 def test_factors_with_slope_take_each_reduction_tier(tier, xs, tail, alpha, n_max, reduction_tiers):
     w = from_finite(xs + tail)
     got = factors_with_slope(w, alpha, len(xs), n_max)
     assert got == _bruteforce_slope_factors(xs, alpha, n_max) > 0
-    assert tier in reduction_tiers
+    assert tier in reduction_tiers[1:]  # past the letters' ranks
+    assert "pieces" not in reduction_tiers  # no 2-D table of keys
+    # the letters' ranks, one count per length with a factor of the slope, and a re-rank
+    # once binary keys reach 2^62
+    lengths = sum(any(Fraction(sum(xs[i : i + n]), n) == alpha for i in range(len(xs) - n + 1))
+                  for n in range(1, n_max + 1))
+    assert len(reduction_tiers) == 1 + lengths + (n_max >= 62)
 
 
 def test_packed_slope_count_is_not_refused_by_its_rows(monkeypatch):
-    # 8 * 60 * 8 bytes of factor rows are past the lowered guard; binary rows pack
-    # into one key each and are counted, while wider key tables are still refused
+    # 8 * 60 * 8 bytes of factor rows are past the lowered guard; their keys are one int64
+    # a window, and are counted
     monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 1000)
     xs = [bin(i).count("1") % 2 for i in range(60)]
     half = Fraction(1, 2)
     got = factors_with_slope(from_finite(xs), half, 60, 8)
     assert got == _bruteforce_slope_factors(xs, half, 8) > 0
-    # letters +-2^40 take one piece each, and the first length of slope 0 past the guard
-    # is n = 4, whose table of 57 * 4 pieces needs 1824 > 1000 bytes
-    with pytest.raises(GuardError):
-        factors_with_slope(from_finite([2**40, -(2**40)] * 30), 0, 60, 8)
+
+
+@pytest.mark.parametrize("letters, ns, alpha", [
+    (2, (61, 62, 63), Fraction(1, 2)),  # (top + 1) * 2 first reaches 2^62 before n = 62
+    (3, (39, 40, 41), Fraction(1)),  # and (top + 1) * 3 before n = 40
+])
+def test_factors_with_slope_on_each_side_of_the_first_rerank(letters, ns, alpha):
+    # Thue-Morse and the ternary word of 0 -> 012, 1 -> 120, 2 -> 201
+    k = range(letters)
+    w = morphic_fixed_point(Morphism({a: tuple((a + b) % letters for b in k) for a in k}), 0)
+    xs = w.prefix(300).tolist()
+    for n in ns:
+        assert factors_with_slope(w, alpha, 300, n) == _bruteforce_slope_factors(xs, alpha, n) > 0
 
 
 def test_scaled_prefix_guard():
