@@ -8,7 +8,8 @@ what reads an Alphabet (anchor matrices, Parikh and lattice profiles, power scan
 lattice map, and the refusals of maps and morphisms that exit 2), factor-set intersections
 whose keys take each tier of the distinct-key reduction, slopes, chi colorings and
 factorizations in both formats, a nested --explain, values that begin with '-' and a digit,
-power scans that hit early, late or never, and each subcommand's refusals that exit 2.
+power scans that hit early, late or never, additive profiles over negative letters, into the
+presence table and in 4-byte lanes, and each subcommand's refusals that exit 2.
 """
 
 import contextlib
@@ -110,6 +111,11 @@ COMMANDS = {
     "powers-anchored-not-found": ["powers", CCSS, "--k", "3", "--slope", "1/1", "-L", "20000"],
     "powers-additive-not-found": ["powers", CCSS, "--k", "3", "-L", "3000"],
     "powers-first-start": ["powers", TM, "--k", "2", "-L", "1000000"],
+    # additive profiles in narrow key lanes: negative letters in 2-byte lanes, CCSS's rows
+    # past the 64-value mask into the presence table, and letters 10^5 apart in 4-byte lanes
+    "profile-negative-letters": ["profile", "periodic:-3,0,5", "--n-max", "40"],
+    "profile-presence": ["profile", CCSS, "-L", "10000", "--n-max", "100"],
+    "profile-wide-letters": ["profile", "periodic:0,100000", "--n-max", "100"],
     "refuse-slope-prefix-length": ["slope", "periodic:0,1", "-L", "0"],
     "refuse-slope-past-the-cap": ["slope", "periodic:0,1", "-L", "2000000"],
     "refuse-slope-overflow": ["slope", f"periodic:{2**63 - 1},1", "-L", "100"],

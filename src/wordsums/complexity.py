@@ -9,18 +9,24 @@ equivalent to bounded spread, where spread is max - min of the sums
 
 Every count of images runs one kernel on one int64 key prefix per call, built by `_key_prefix`:
 the key of a length-n window is a difference S[i + n] - S[i] of that prefix, and for symbol
-sums, the sum map's keys, that prefix is the word's own cached prefix sums.  Each length n
-subtracts into one reused buffer, and `core._reduce`, the one reduction, finds the distinct
-keys in the box [n * lo, n * hi] for letter weights in [lo, hi]: a 64-bit mask, a presence
-table or a sort, picked by the box and the keys' span.  It also finds `observed_alphabet`'s
-letters and the distinct factors of `factors_with_slope` and `factor_set_intersection`, on
-ranked Horner keys from `_factor_keys`: one int64 per window, in O(L) memory.  Sums read their
-count and spread off the mask or the sorted keys, and distinct keys decode into image points
-only for the spreads of lattice images.  Images that share one coordinate sum c (Parikh maps,
-c = 1) lie on a hyperplane, so their keys weigh only the first t - 1 columns and decoding
-writes the last back as n * c minus the others: fewer radices, so fewer key pieces and narrower
-power-scan copies.  The same key prefix serves the additive and mod-mu power scans and
-`window_images`; the unbounding guess in `morphisms` takes spreads of those Parikh images.
+sums, the sum map's keys, that prefix is the word's own cached prefix sums.  For letter weights
+in [lo, hi], 1-D keys are counted in a copy of the prefix in the narrowest unsigned lanes (1 to
+8 bytes) whose modulus exceeds n_max * (hi - lo), where a row's keys, taken less the least of
+their box when they could wrap, are exact by wrap-around; 8-byte lanes read the prefix in
+place.  The first row's box is n * [lo, hi], and each later row's is the last row's extremes
+widened by [lo, hi], so a word of bounded spread keeps every row in a box a few values wide.
+Rows of key pieces subtract into an int64 buffer.  `core._reduce`, the one reduction, finds the
+distinct keys of each row: a mask with no min/max scan while the box is narrower than 64 values
+and than the lanes' bits, else a mask, a presence table or a sort, picked by the keys' span.
+It also finds `observed_alphabet`'s letters and the distinct factors of `factors_with_slope`
+and `factor_set_intersection`, on ranked Horner keys from `_factor_keys`: one int64 per window,
+in O(L) memory.  Sums read their count, spread and extremes off the mask or the sorted keys,
+and distinct keys decode into image points only for the spreads of lattice images.  Images that
+share one coordinate sum c (Parikh maps, c = 1) lie on a hyperplane, so their keys weigh only
+the first t - 1 columns and decoding writes the last back as n * c minus the others: fewer
+radices, so fewer key pieces and narrower lanes.  The same key prefix serves the additive and
+mod-mu power scans and `window_images`; the unbounding guess in `morphisms` takes spreads of
+those Parikh images.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from .core import (_SUM_LIMIT, Alphabet, FiniteWord, GuardError, WordStream, _distinct,
-                   _integer, _rank_letters, _reduce)
+                   _integer, _narrowest, _rank_letters, _reduce)
 
 _ORACLE_MAX_PREFIX = 10_000
 _DIAMETER_MAX_POINTS = 100_000
@@ -141,9 +147,10 @@ def _check_window(n: int, L: int) -> None:
         raise ValueError(f"window lengths must lie in 1..L, got {n} with L = {L}")
 
 
-def _check_table(rows: int, cols: int, what: str) -> None:
-    """Refuse a table of rows x cols int64 cells past the memory guard, before it is built."""
-    if rows * cols * 8 > _WINDOW_BYTES_LIMIT:
+def _check_table(rows: int, cols: int, what: str, itemsize: int = 8) -> None:
+    """Refuse a table of rows x cols cells, int64 unless itemsize says otherwise, past the
+    memory guard, before it is built."""
+    if rows * cols * itemsize > _WINDOW_BYTES_LIMIT:
         raise GuardError(f"{what} exceeds the memory guard")
 
 
@@ -261,23 +268,56 @@ def _key_rows(
     """The kernel: a ProfileRow for each n in ns, from one `_key_prefix` of w(1..L).
 
     Spreads are max - min for symbol sums (mu None); image spreads decode the distinct
-    keys into points, and are 0 unless `spreads`.
+    keys into points, and are 0 unless `spreads`.  1-D keys are counted in a copy of the
+    prefix in the `_narrowest` unsigned dtype for ns[-1] * (high - low) (64-bit lanes read
+    the prefix in place): as they are while their row's box lies in [0, 2^bits), else less
+    the box's least key, an offset exact by wrap-around.  The first row's box is
+    n * [low, high]; a window of length n + 1 is one of length n and a letter of weight in
+    [low, high], so the next row's box is [min + low, max + high] over the extremes this
+    row's reduction found.  A word of bounded spread so keeps every row in the mask tier.
     """
     S, lo, radix, (low, high) = _key_prefix(w, mu, ns[-1], L)
-    _check_table(L, S[0].size, f"window keys for L={L}")  # the buffer, before it is built
-    buf = np.empty((L,) + S.shape[1:], dtype=np.int64)
+    if S.ndim > 1:  # rows of key pieces, one distinct-row reduction each
+        _check_table(L, S.shape[1], f"window keys for L={L}")  # the buffer, before it is built
+        buf = np.empty((L, S.shape[1]), dtype=np.int64)
+        for n in ns:
+            K = np.subtract(S[n:], S[:-n], out=buf[: L - n + 1])
+            if spreads:
+                U = _decode(_distinct(K, 0, 0), n, lo, radix)
+                yield ProfileRow(n, len(U), _points_diameter_sq(U))
+            else:
+                yield ProfileRow(n, len(_reduce(K, 0, 0)[2]), 0)
+        return
+    dt = _narrowest(ns[-1] * (high - low))
+    copy, wrap = dt is not np.uint64, 1 << np.iinfo(dt).bits
+    _check_table(L + copy * (L + 1), 1, f"window keys for L={L}", np.dtype(dt).itemsize)
+    # the keys, then the copy, in one block: two blocks freed together were handed back to
+    # the system and faulted in afresh on the next call
+    buf = np.empty(L + copy * (L + 1), dtype=dt)
+    N = buf[L:] if copy else S.view(dt)
+    if copy:
+        np.copyto(N, S, casting="unsafe")  # each prefix sum wraps into its lane
+    del S  # a lattice prefix is freed once narrowed
+    bottom, top = ns[0] * low, ns[0] * high  # the box of row n's keys
     for n in ns:
-        K = np.subtract(S[n:], S[:-n], out=buf[: L - n + 1])
+        K = np.subtract(N[n:], N[:-n], out=buf[: L - n + 1])
+        off = bottom if bottom < 0 or top >= wrap else 0  # keys that would wrap: offsets
+        if off:
+            K -= dt(off % wrap)
         if mu is not None and spreads:  # the distinct keys decode into image points
-            U = _decode(_distinct(K, n * low, n * high), n, lo, radix)
+            D = _distinct(K, bottom - off, top - off)
+            least, most = int(D[0]), int(D[-1])
+            U = _decode(D.astype(np.int64) + np.int64(off), n, lo, radix)
             yield ProfileRow(n, len(U), _points_diameter_sq(U))
-            continue
-        mask, _, keys = _reduce(K, n * low, n * high)
-        if keys is None:  # symbol sums read their spread straight off the mask or sorted keys
-            count, spread = mask.bit_count(), mask.bit_length() - (mask & -mask).bit_length()
         else:
-            count, spread = len(keys), int(keys[-1]) - int(keys[0])
-        yield ProfileRow(n, count, spread if mu is None else 0)
+            mask, base, keys = _reduce(K, bottom - off, top - off)
+            if keys is None:  # the extremes are the mask's lowest and highest bits
+                count = mask.bit_count()
+                least, most = base + (mask & -mask).bit_length() - 1, base + mask.bit_length() - 1
+            else:
+                count, least, most = len(keys), int(keys[0]), int(keys[-1])
+            yield ProfileRow(n, count, most - least if mu is None else 0)
+        bottom, top = off + least + low, off + most + high
 
 
 def _row(w: WordStream, mu: Optional[LatticeMap], n: int, L: int, spreads: bool) -> ProfileRow:
@@ -292,7 +332,7 @@ def additive_complexity(w: WordStream, n: int, L: int) -> int:
 
 def sum_spread(w: WordStream, n: int, L: int) -> int:
     """max - min of the length-n window sums; bounded iff complexity is."""
-    return int(np.ptp(window_sums(w, n, L)))
+    return _row(w, None, n, L, True).spread
 
 
 def lattice_complexity(w: WordStream, mu: LatticeMap, n: int, L: int) -> int:

@@ -58,23 +58,44 @@ def _int64(values: Sequence[int], what: str) -> np.ndarray:
         raise GuardError(f"{what} does not fit int64") from None
 
 
+_LANES = ((1 << 8, np.uint8), (1 << 16, np.uint16), (1 << 32, np.uint32))
+_WIDEN_CHUNK = 1 << 16  # keys widened at a time past their lanes: bounded temporaries
+
+
+def _narrowest(width: int) -> type:
+    """The narrowest unsigned dtype whose modulus exceeds width (uint64 from 2^32 on).
+
+    Values at most width apart keep their differences exactly in it by wrap-around, whatever
+    their sign: so their equality, and their offsets from the least of them, are exact.
+    """
+    for modulus, dt in _LANES:
+        if width < modulus:
+            return dt
+    return np.uint64
+
+
 def _reduce(K: np.ndarray, low: int, high: int) -> tuple[int, int, Optional[np.ndarray]]:
     """The one reduction, of profile rows, `factors_with_slope`, `factor_set_intersection` and
-    `observed_alphabet`: the distinct keys of K, each in the box [low, high].
+    `observed_alphabet`: the distinct keys of K, each in the box [low, high].  Keys are int64,
+    or unsigned offsets of the keys from the least of their box (low = 0).
 
     Returns (mask, base, None), where bit i of the Python int mask marks the key base + i,
     when 1-D keys span fewer than 64 values; else (0, 0, the distinct keys ascending), or for
     a 2-D table of key pieces (0, 0, the row numbers of its distinct rows), so a count gathers
-    no row.  Tiers: a box narrower than 64 values needs no min/max scan; past that the keys'
-    span picks a mask, a presence table when they span at most their number, or a sort.
-    1-D keys are overwritten.
+    no row.  So the keys' extremes are the mask's lowest and highest set bits, or the first
+    and last keys.  Tiers: a box of fewer values than 64 and than K's lanes have bits is
+    masked in K's lanes with no min/max scan; past that the keys' span picks a mask, a
+    presence table when they span at most their number, or a sort.  Keys too narrow to hold
+    their mask bits, or to index the table fast, are widened 2^16 at a time, the mask into
+    the narrowest unsigned lanes that hold it.  1-D keys are overwritten.
     """
     if K.ndim > 1:
         return 0, 0, _distinct_rows(K)
-    base = 0 if 0 <= low and high < 64 else low  # keys already below 64 need no shift
-    if high - base >= 64:
-        base = int(K.min())
-        span = int(K.max()) - base
+    room = min(64, 8 * K.itemsize)  # mask bits that K's lanes hold
+    base = 0 if 0 <= low and high < room else low  # keys already below it need no shift
+    if high - base >= room:
+        base, high = int(K.min()), int(K.max())
+        span = high - base
         if span >= 64:
             if span >= len(K):
                 K.sort()
@@ -82,13 +103,22 @@ def _reduce(K: np.ndarray, low: int, high: int) -> tuple[int, int, Optional[np.n
                 np.not_equal(K[1:], K[:-1], out=keep[1:])
                 return 0, 0, K[keep]
             seen = np.zeros(span + 1, dtype=bool)
-            seen[np.subtract(K, base, out=K)] = True
+            for a in range(0, len(K), _WIDEN_CHUNK):
+                at = K[a : a + _WIDEN_CHUNK].astype(np.intp, copy=False)  # faster indices
+                at -= base
+                seen[at] = True
             return 0, 0, np.flatnonzero(seen) + base
     if base:
-        K -= base
-    bits = K.view(np.uint64)
-    np.left_shift(np.uint64(1), bits, out=bits)
-    return int(np.bitwise_or.reduce(bits)), base, None
+        K -= K.dtype.type(base)
+    keys = K if K.dtype.kind == "u" else K.view(np.uint64)
+    if high - base < room:
+        np.left_shift(1, keys, out=keys, dtype=keys.dtype)
+        return int(np.bitwise_or.reduce(keys)), base, None
+    lanes, mask = _narrowest(1 << (high - base)), 0
+    for a in range(0, len(K), _WIDEN_CHUNK):
+        bits = np.left_shift(1, keys[a : a + _WIDEN_CHUNK], dtype=lanes)
+        mask |= int(np.bitwise_or.reduce(bits))
+    return mask, base, None
 
 
 def _distinct(K: np.ndarray, low: int, high: int) -> np.ndarray:

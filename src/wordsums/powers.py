@@ -8,7 +8,7 @@ lexicographically first one.  A scan that finds nothing compares about
 L^2/k cells.  Each numpy call compares one tile of at most 2^16 cells:
 consecutive gaps × live starts, read as strided views.  The first start
 reads the prefix in place, in growing tiles; the rest go gap-major over one
-copy of it in the narrowest integer dtype (int8 to int64) whose wrap-around
+copy of it in the narrowest unsigned dtype (uint8 to uint64) whose wrap-around
 equality is still exact, and a value scan may pair the starts before a hit
 with later positions of their colors.  The prefix guard
 (L <= 10^6 unless the caller raises
@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import GuardError, WordStream, _int64, word_sum
+from .core import GuardError, WordStream, _int64, _narrowest, word_sum
 from .complexity import LatticeMap, _decode, _key_prefix
 from .slopes import Rational, _as_fraction, chi_sequence
 
@@ -65,9 +65,7 @@ def _narrow_copy(X: np.ndarray, blocks: bool, pad: int) -> np.ndarray:
     max - min for values; below 2^bits that difference wraps to 0 only if it is 0.
     """
     reach = (int(X.max()) - int(X.min())) * (2 if blocks else 1)
-    dt = next((dt for dt in (np.int8, np.int16, np.int32) if reach < 1 << np.iinfo(dt).bits),
-              np.int64)
-    Xp = np.zeros((len(X) + pad,) + X.shape[1:], dt)
+    Xp = np.zeros((len(X) + pad,) + X.shape[1:], _narrowest(reach))
     Xp[: len(X)] = X
     return Xp
 

@@ -1,6 +1,6 @@
 import pytest
 
-from wordsums import Morphism, core, morphic_fixed_point
+from wordsums import Morphism, complexity, core, morphic_fixed_point
 
 
 @pytest.fixture
@@ -15,15 +15,16 @@ def fibonacci():
 
 @pytest.fixture
 def reduction_tiers(monkeypatch):
-    """The tier of each later `core._reduce` call, by its rule: "pieces" for a table of key
-    pieces, "mask" when the box spans fewer than 64 values, "scan-mask" when the keys do,
-    "table" when they span fewer values than there are keys, and "sort" otherwise."""
+    """The tier of each later `core._reduce` call, the profile kernel's too, by its rule:
+    "pieces" for a table of key pieces, "mask" when the box spans fewer values than 64 and
+    than the keys' lanes have bits, "scan-mask" when the keys span fewer than 64, "table"
+    when they span fewer values than there are keys, and "sort" otherwise."""
     tiers, reduce = [], core._reduce
 
     def spy(K, low, high):
         if K.ndim > 1:
             tiers.append("pieces")
-        elif high - (0 if 0 <= low and high < 64 else low) < 64:
+        elif high - low < min(64, 8 * K.itemsize):
             tiers.append("mask")
         else:
             span = int(K.max()) - int(K.min())
@@ -31,4 +32,5 @@ def reduction_tiers(monkeypatch):
         return reduce(K, low, high)
 
     monkeypatch.setattr(core, "_reduce", spy)
+    monkeypatch.setattr(complexity, "_reduce", spy)
     return tiers

@@ -166,7 +166,8 @@ def test_sum_map_equals_additive():
 
 
 def test_symbol_sums_hold_no_copy_of_the_prefix():
-    # sums over a least letter 2 once shifted a copy of the whole prefix beside the buffer
+    # sums over a least letter 2 once shifted an int64 copy of the whole prefix beside the
+    # buffer; now the prefix is copied once into byte lanes, beside a byte buffer
     w, L = periodic([5, 3, 2, 7]), 10**6
     w.prefix_sums(L)
     gc.collect()
@@ -176,7 +177,7 @@ def test_symbol_sums_hold_no_copy_of_the_prefix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * L
+    assert peak <= 2.25 * L
     assert count == 4
 
 
@@ -651,23 +652,33 @@ def _branch(windows):
 
 def _tier(xs, n, n_max, images):
     """The tier the profile kernel takes on the length-n rows of xs, by its rule, where
-    `images` maps every letter the box covers to its image: "mask" when n * top < 64,
-    "scan-mask" when the keys span fewer than 64 values, "table" when they span fewer
-    values than there are windows, "sort" otherwise, and "pieces" past 2^62."""
+    `images` maps every letter the box covers to its image: "mask" when the row's box spans
+    fewer values than 64 and than the key lanes have bits (the letter weights' range w at
+    n = 1, and the last row's key span plus w after it; the lanes the narrowest of 8 to 64
+    bits that hold n_max * w), "scan-mask" when the keys span fewer than 64 values, "table"
+    when they span fewer values than there are windows, "sort" otherwise, and "pieces" past
+    2^62."""
     cols = list(zip(*images.values()))
+    if len(cols) > 1 and len(set(map(sum, images.values()))) == 1:
+        cols.pop()  # images on a hyperplane weigh their first t - 1 columns
     radix = [n_max * (max(col) - min(col)) + 1 for col in cols]
     if len(radix) > 1 and math.prod(radix) >= 2**62:
         return "pieces"
     place = [math.prod(radix[c + 1 :]) for c in range(len(radix))]
     omega = {s: sum((v - min(col)) * p for v, col, p in zip(img, cols, place))
              for s, img in images.items()}
-    if n * max(omega.values()) < 64:
+
+    def span(m):
+        keys = {sum(omega[x] for x in xs[i : i + m]) for i in range(len(xs) - m + 1)}
+        return max(keys) - min(keys)
+
+    w = max(omega.values()) - min(omega.values())
+    bits = next(b for b in (8, 16, 32, 64) if n_max * w < 2**b or b == 64)
+    if w + (n > 1 and span(n - 1)) < min(64, bits):
         return "mask"
-    keys = {sum(omega[x] for x in xs[i : i + n]) for i in range(len(xs) - n + 1)}
-    span = max(keys) - min(keys)
-    if span < 64:
+    if span(n) < 64:
         return "scan-mask"
-    return "table" if span < len(xs) - n + 1 else "sort"
+    return "table" if span(n) < len(xs) - n + 1 else "sort"
 
 
 def _check_profile(xs, kind, n_max, branch, images=None, branch_from=1, tier=None, tail=()):
@@ -833,11 +844,13 @@ def test_additive_profile_when_the_cache_holds_wider_letters(late, fits, xs, n_m
                     min_size=3, max_size=3),
 )
 def test_profile_tier_mask_without_a_scan(xs, n_max, images):
-    # letters 0..2: n * top is at most 3 * 2 (sums), 3 * 16 (Parikh) or 3 * 5 (images)
+    # letters 0..2 take byte lanes, masked with no scan while a row's box spans fewer than
+    # 8 values: at most 2n for sums, 3n for Parikh keys in radix 3 (n_max <= 2) and 3 for
+    # images in radix 2 (n_max = 1)
     n_max = min(n_max, len(xs))
     _check_profile(xs, "additive", n_max, None, tier="mask")
-    _check_profile(xs, "abelian", n_max, None, tier="mask")
-    _check_profile(xs, "lattice", n_max, None, images, tier="mask")
+    _check_profile(xs, "abelian", min(n_max, 2), None, tier="mask")
+    _check_profile(xs, "lattice", 1, None, images, tier="mask")
 
 
 @settings(max_examples=30, deadline=None)
@@ -849,21 +862,23 @@ def test_profile_tier_mask_after_the_scan(xs, n_max):
     _check_profile(xs, "additive", n_max, None, tier="scan-mask", tail=[100])
     images = {0: (5, 0), 1: (5, 1), 9: (-40, 40)}  # 9 is past L: column 0 is constant
     _check_profile(xs, "lattice", n_max, None, images, tier="scan-mask", tail=[9])
-    # the Parikh column of -1 is the most significant, so top = (n_max + 1)^2 >= 49
-    _check_profile(xs, "abelian", 6, None, tier="scan-mask", tail=[-1], branch_from=2)
+    # the Parikh column of -3 is the most significant of three, so the letter weights span
+    # (n_max + 1)^3 >= 343 values: every row's box is that wide, past the last row's keys
+    _check_profile(xs, "abelian", 6, None, tier="scan-mask", tail=[-3, -2, -1])
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(0, 9), min_size=250, max_size=300))
 def test_profile_tier_presence_table(body):
     # runs up front fix the extreme keys: sums span 9n, images 129n (top 97 + 32), and
-    # binary Parikh keys n_max * n; each stays below the window count
+    # ternary Parikh keys, which weigh the counts of 0 and 1 in radix 11 (a 1 past L puts
+    # it in the alphabet), 11n; each stays below the window count
     xs = [0] * 10 + [9] * 10 + [8] * 10 + body
     _check_profile(xs, "additive", 10, None, tier="table", branch_from=8)
     images = {d: (d % 2, 8 * (d // 2)) for d in range(10)}
     _check_profile(xs, "lattice", 2, None, images, tier="table")
-    bits = [x % 2 for x in xs[10:]]
-    _check_profile(bits, "abelian", 10, None, tier="table", branch_from=7)
+    _check_profile([x % 3 for x in xs], "abelian", 10, None, tier="table", branch_from=6,
+                   tail=[1])
 
 
 @settings(max_examples=30, deadline=None)
@@ -874,8 +889,9 @@ def test_profile_tier_sort(tail, n_max):
     images = {s: (s * 2**13, s * 2**13 - s) for s in range(5)}
     _check_profile(xs, "lattice", n_max, None, images, tier="sort")
     _check_profile([B40 * x - x for x in xs], "additive", n_max, None, tier="sort")
-    # runs of 8 per letter: from n = 2, Parikh keys span 80n of at most 140 windows
-    blocks = [s for s in range(5) for _ in range(8)] + tail
+    # runs of 8 per letter: Parikh keys weigh the counts of 0..5 in radix at least 3, so
+    # they span at least 3^5 n of at most 156 windows
+    blocks = [s for s in range(7) for _ in range(8)] + tail
     _check_profile(blocks, "abelian", max(n_max, 2), None, tier="sort", branch_from=2)
 
 
@@ -887,6 +903,134 @@ def test_profile_tier_pieces(tail, n_max):
     images = {s: ((s - 31) * B40 + s, (s % 7) * B30 - s) for s in range(63)}
     _check_profile(xs, "lattice", n_max, None, images, tier="pieces")
     _check_profile(xs, "abelian", n_max, None, tier="pieces", tail=range(63))
+
+
+# -- the kernel's narrow lanes: each unsigned rung, and boxes from the last row -----------
+
+
+def _lanes(mp):
+    """The key dtype of each later profile kernel call."""
+    seen, real = [], complexity._narrowest
+    mp.setattr(complexity, "_narrowest", lambda width: seen.append(real(width)) or seen[-1])
+    return seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2**7, 2**14, 2**40]),
+    st.integers(-(2**20), 2**20),
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 12)), min_size=1, max_size=20),
+    st.data(),
+)
+def test_kernel_rows_match_the_oracle_in_every_lane(scale, shift, runs, data):
+    # runs of letters shift + scale * d, often negative, spanning 6 * scale: n_max * 6 * scale
+    # picks byte lanes at scale 1 up to n_max = 42, 2-byte lanes past it and at 2^7, 4-byte
+    # lanes at 2^14 and 8-byte lanes at 2^40; runs spread the sums, so rows leave the mask
+    # for the scan, the presence table or the sort
+    xs = [shift + scale * d for d, r in runs for _ in range(r)]
+    w, L = from_finite(xs), len(xs)
+    n_max = data.draw(st.integers(1, min(L, 48)))
+    P = list(itertools.accumulate(xs, initial=0))
+    sums = {n: {P[i + n] - P[i] for i in range(L - n + 1)} for n in range(1, n_max + 1)}
+    for row in profile(w, n_max, L).rows:
+        assert row.count == naive_complexity_oracle(w, None, row.n, L) == len(sums[row.n])
+        assert row.spread == max(sums[row.n]) - min(sums[row.n])
+    n = data.draw(st.integers(1, n_max))  # one row alone, from the box n * [low, high]
+    assert additive_complexity(w, n, L) == len(sums[n])
+    assert sum_spread(w, n, L) == max(sums[n]) - min(sums[n])
+    # 1-D lattice keys: images on a line, and Parikh vectors of at most 7 letters, whose
+    # keys weigh their first columns in radix n_max + 1 <= 61
+    mu = LatticeMap({x: (scale * data.draw(st.integers(-3, 3)),) for x in set(xs)})
+    C = list(itertools.accumulate((mu.images[x][0] for x in xs), initial=0))
+    images = {m: {C[i + m] - C[i] for i in range(L - m + 1)} for m in range(1, n_max + 1)}
+    for row in profile(w, n_max, L, kind="lattice", mu=mu).rows:
+        assert row.count == naive_complexity_oracle(w, mu, row.n, L) == len(images[row.n])
+        assert row.spread == (max(images[row.n]) - min(images[row.n])) ** 2
+    assert lattice_complexity(w, mu, n, L) == len(images[n])
+    assert lattice_spread(w, mu, n, L) == (max(images[n]) - min(images[n])) ** 2
+    pk = LatticeMap.parikh_map(Alphabet(xs))
+    rows = profile(w, n_max, L, kind="abelian").rows
+    assert [r.count for r in rows] == [naive_complexity_oracle(w, pk, r.n, L) for r in rows]
+    vectors = {parikh(FiniteWord(xs[i : i + n]), pk.alphabet) for i in range(L - n + 1)}
+    assert rows[n - 1].spread == lattice_spread(w, pk, n, L) == _bruteforce_diameter(vectors)
+    assert abelian_complexity(w, n, L) == len(vectors)
+
+
+@pytest.mark.parametrize("scale, n_max, lane", [
+    (1, 42, np.uint8), (1, 43, np.uint16), (2**14, 2, np.uint32), (2**40, 1, np.uint64),
+])
+def test_kernel_keys_take_the_narrowest_lane(scale, n_max, lane):
+    # letters -3, 3, 0 and 1 times scale: the keys of n_max rows span n_max * 6 * scale
+    xs = [scale * d for d in (-3, 3, 0, 1)] * 20
+    w = from_finite(xs)
+    with pytest.MonkeyPatch.context() as mp:
+        lanes = _lanes(mp)
+        prof = profile(w, n_max, 80)
+    assert lanes == [lane]
+    assert prof.counts() == [naive_complexity_oracle(w, None, n, 80) for n in range(1, n_max + 1)]
+
+
+def test_bounded_rows_stay_in_the_mask(thue_morse, reduction_tiers):
+    # Thue-Morse's sums of one length span at most 2, so each row's box, the last row's
+    # extremes widened by the letter range [0, 1], spans at most 3 values: every row takes
+    # the mask with no scan, where the box n * [0, 1] needed one from n = 64
+    prof = profile(thue_morse, 100, 2000)
+    assert reduction_tiers == ["mask"] * 100
+    assert prof.counts() == [2, 3] * 50 and prof.spreads() == [1, 2] * 50
+    reduction_tiers.clear()  # one row alone starts from its a-priori box
+    assert additive_complexity(thue_morse, 100, 2000) == 3
+    assert reduction_tiers == ["scan-mask"]
+
+
+def test_growing_rows_move_from_the_mask_to_the_table_and_the_sort(reduction_tiers):
+    # 100 zeros, then 100 threes: the sums of length n span 3n over 201 - n windows, and
+    # the box from the last row spans 3n too; keys up to 60 * 3 take byte lanes, so rows 1
+    # and 2 take the mask with no scan, 3..21 the mask after it, 22..50 the presence table
+    # and 51..60 the sort
+    w = from_finite([0] * 100 + [3] * 100)
+    prof = profile(w, 60, 200)
+    assert reduction_tiers == (["mask"] * 2 + ["scan-mask"] * 19 + ["table"] * 29
+                               + ["sort"] * 10)
+    assert prof.counts() == [naive_complexity_oracle(w, None, n, 200) for n in range(1, 61)]
+    assert prof.spreads() == [3 * n for n in range(1, 61)]
+
+
+def test_thue_morse_profile_holds_byte_lanes(thue_morse):
+    # 100 rows of 0/1 sums fit bytes: a copy of the prefix and a buffer of keys, 1 MB each,
+    # where a buffer of 8-byte keys took 8 MB
+    L = 10**6
+    thue_morse.prefix_sums(L)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        prof = profile(thue_morse, 100, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+    assert prof.counts() == [2, 3] * 50
+
+
+def test_wide_rows_widen_their_keys_a_chunk_at_a_time(reduction_tiers):
+    # CCSS's sums spread past 16 and then past 64 values: its rows, in 2-byte lanes, mask
+    # their keys in wider lanes and then index the presence table by intp keys, 2^16 at a
+    # time, beside a copy and a buffer of 2 bytes a key; whole 8-byte keys took 8 bytes a key
+    w = morphic_fixed_point(Morphism({0: (0, 3), 1: (4, 3), 3: (1,), 4: (0, 1)}), 0)
+    L = 10**6
+    w.prefix_sums(L)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        prof = profile(w, 100, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * L
+    assert {"scan-mask", "table"} <= set(reduction_tiers)
+    for n in (1, 20, 100):
+        sums = window_sums(w, n, L)
+        assert prof.rows[n - 1].count == len(np.unique(sums))
+        assert prof.rows[n - 1].spread == int(sums.max() - sums.min())
 
 
 def test_lattice_keys_whose_prefix_wraps_int64():
@@ -927,14 +1071,17 @@ def test_kernel_table_guard_at_its_edge(monkeypatch):
     monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 201)
     prof = profile(w, 2, 100, kind="lattice", mu=mu)
     assert prof.counts() == [2, 1] and prof.spreads() == [2 * B40**2, 0]
-    # symbol sums from the least letter 0 read the cache in place: the buffer alone
-    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 100 - 1)
-    with pytest.raises(GuardError, match="window keys for L=100"):
-        additive_complexity(w, 1, 100)
-    monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 100)
-    assert additive_complexity(w, 1, 100) == 2
-    # and so do they from any least letter: no shifted copy of the prefix
-    w = from_finite([1, 2] * 50)
+    # symbol sums of letters 0 and 1 at n_max = 1 take byte lanes: a copy of the 101 prefix
+    # sums and a buffer of 100 keys, one byte each, from any least letter
+    for xs in ([0, 1] * 50, [1, 2] * 50):
+        w = from_finite(xs)
+        monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 201 - 1)
+        with pytest.raises(GuardError, match="window keys for L=100"):
+            additive_complexity(w, 1, 100)
+        monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 201)
+        assert additive_complexity(w, 1, 100) == 2
+    # letters 2^40 apart need 64-bit lanes, which read the cache in place: the buffer alone
+    w = from_finite([0, B40] * 50)
     monkeypatch.setattr(complexity, "_WINDOW_BYTES_LIMIT", 8 * 100 - 1)
     with pytest.raises(GuardError, match="window keys for L=100"):
         additive_complexity(w, 1, 100)

@@ -530,7 +530,7 @@ def test_verify_power_rejects_wrong_witness(thue_morse):
     assert not verify_power(thue_morse, bogus)
 
 
-# -- the narrowed copy: each side of the int8, int16 and int32 limits ------------
+# -- the narrowed copy: each side of the uint8, uint16 and uint32 limits ---------
 
 
 @settings(max_examples=60, deadline=None)
@@ -544,7 +544,7 @@ def test_verify_power_rejects_wrong_witness(thue_morse):
 )
 def test_colors_each_side_of_a_narrow_dtype(bits, wide, lo, s, g, terms):
     # colors lo and lo + span alternate along (s, g) in the narrow copy; with span = 2^bits
-    # a wrap-around int<bits> compare would take them for one color
+    # a wrap-around uint<bits> compare would take them for one color
     span = 2**bits if wide else 2**bits - 1
     colors = [lo + 1 + i for i in range(40)]
     for j in range(terms):
@@ -574,8 +574,8 @@ def test_blocks_each_side_of_a_narrow_dtype(bits, wide, s, g, rnd):
 
 
 @pytest.mark.parametrize("images, L, dtype", [
-    ({0: (1, 0), 1: (0, 1)}, 2100, np.int16),  # the Parikh map: int32 with both columns
-    ({0: (1, -1), 1: (-1, 1)}, 60_000, np.int32),  # images that cancel: int64 with both
+    ({0: (1, 0), 1: (0, 1)}, 2100, np.uint16),  # the Parikh map: uint32 with both columns
+    ({0: (1, -1), 1: (-1, 1)}, 60_000, np.uint32),  # images that cancel: uint64 with both
 ])
 def test_hyperplane_keys_take_a_narrower_copy(images, L, dtype, monkeypatch):
     # both maps have one coordinate sum, so the key prefix of Dekking's binary word is
