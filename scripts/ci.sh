@@ -31,6 +31,10 @@ installed-script() {
   # values that begin with '-' and a digit: a morphism spec and a negative slope
   wordsums anchor "-1=-1,3;1=1,1;3=3,-1"
   wordsums chi "periodic:-1,0" --slope -1/2 -L 6
+  # a refusal of the prelude, which exits before the package loads numpy
+  local status=0
+  wordsums profile sec24 -L 1500000 || status=$?
+  test "$status" -eq 2
 }
 
 fixed-point-fills() {

@@ -29,31 +29,32 @@ with a mu: prefix.  Symbols may be negative.
 Each library word is labelled with its canonical spec, which --explain
 prints and error messages and repr name the word by.  A word with no spec
 (an image, a finite word) has a label <...> that no spec parses to.
+
+This module imports only the standard library.  main's prelude (the -L
+cap, then each spec's bracket check and family lookup) runs before numpy
+or any module that computes is loaded, so those refusals cost about one
+bare interpreter start.  Each family builder and each command imports
+what it calls: profile, spread, intersect and anchor never load slopes or
+powers, and slope, chi and factorize never load powers.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import functools
 import io
-import json
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .core import GuardError, WordStream, from_finite
-from .complexity import LatticeMap, factor_set_intersection, profile
-from .generators import (
-    SeparatedIntervalSet, SpliceSchedule, constant_complexity_word, constant_tail_word, contract,
-    enumeration_word, mechanical, morphic_fixed_point, periodic, splice, unbounded_gap_word,
-)
-from .morphisms import Morphism, is_anchor
-from .powers import find_additive_kpower, find_anchored_power, find_kpower_mod_mu, verify_power
-from .slopes import chi_factorization, chi_sequence, slope_estimate
+from ._errors import GuardError
+
+if TYPE_CHECKING:  # annotations only: each builder and command imports what it calls
+    from .complexity import LatticeMap
+    from .core import WordStream
+    from .morphisms import Morphism
 
 DEFAULT_PREFIX = 100_000
 DEFAULT_NMAX = 100
@@ -141,6 +142,7 @@ def _spec_errors(parse):
 @_spec_errors
 def parse_morphism_spec(spec: str) -> Morphism:
     """<s>=<c,...>;<s>=<c,...> with integer letters."""
+    from .morphisms import Morphism
     return Morphism(_letters(_fields(spec, "morphism"), "morphism"))
 
 
@@ -150,6 +152,7 @@ def parse_mu_spec(spec: str) -> LatticeMap:
     head, *body = _split_top(spec, ":")
     if head != "mu" or len(body) != 1:
         raise WordSpecError(f"lattice map spec must start with 'mu:': {spec!r}")
+    from .complexity import LatticeMap
     return LatticeMap(_letters(_fields(body[0], "lattice map"), "lattice map"))
 
 
@@ -160,9 +163,16 @@ def parse_slope(s: str) -> Fraction:
         raise WordSpecError(f"bad slope {s!r}; expected p/q or an integer") from None
 
 
+def _periodic(body: str) -> WordStream:
+    from .generators import periodic
+    return periodic(_ints(body, "period"))
+
+
 def _morphic(body: str) -> WordStream:
     fields = _fields(body, "morphic")
     seed = _pop_int(fields, "seed", "morphic:<s>=<c,...>;...;seed=<s>")
+    from .generators import morphic_fixed_point
+    from .morphisms import Morphism
     return morphic_fixed_point(Morphism(_letters(fields, "morphic")), seed)
 
 
@@ -173,16 +183,23 @@ def _mechanical(body: str) -> WordStream:
     repeat = _pop_int(fields, "repeat", usage) if "repeat" in fields else None
     if cf is None or fields:
         raise WordSpecError(f"expected {usage}")
+    from .generators import mechanical
     return mechanical(cf, repeat)
 
 
-def _one_int(head: str, key: str, build, body: str) -> WordStream:
-    """The families that take exactly one key=<int> field."""
+def _one_int(head: str, key: str, build: str, body: str) -> WordStream:
+    """The families that take exactly one key=<int> field; build names their generator."""
     fields = _fields(body, head)
     val = _pop_int(fields, key, f"{head}:{key}=<int>")
     if fields:
         raise WordSpecError(f"unknown {head} fields {sorted(fields)}")
-    return build(val)
+    from . import generators
+    return getattr(generators, build)(val)
+
+
+def _sec24(body: str) -> WordStream:
+    from .generators import unbounded_gap_word
+    return unbounded_gap_word()
 
 
 def _splice(body: str) -> WordStream:
@@ -191,6 +208,7 @@ def _splice(body: str) -> WordStream:
     if not (srcs.startswith("[") and srcs.endswith("]") and list(sched) == ["sched"]):
         raise WordSpecError("expected splice:[<spec>|<spec>|...];sched=<l11,l21,...;l12,...>")
     sources = [parse_word_spec(sub)[0] for sub in _split_top(srcs[1:-1], "|")]
+    from .generators import SpliceSchedule, splice
     rows = [sched["sched"], *(_ints(row, "schedule row") for row in rows)]
     return splice(sources, SpliceSchedule(rows))
 
@@ -201,6 +219,7 @@ def _contract(body: str) -> WordStream:
     if set(fields) != {"base", "ivals"} or not (base.startswith("(") and base.endswith(")")):
         raise WordSpecError("expected contract:base=(<spec>);ivals=...")
     sub = parse_word_spec(base[1:-1])[0]
+    from .generators import SeparatedIntervalSet, contract
     if iv.startswith("arith:"):
         nums = _ints(iv[len("arith:") :], "arithmetic interval rule")
         if len(nums) != 3:
@@ -221,18 +240,20 @@ def _file(body: str) -> WordStream:
         raise WordSpecError(f"{body!r} must contain whitespace-separated integers") from None
     if not symbols:
         raise WordSpecError(f"{body!r} holds no symbols")
+    from .core import from_finite
     return from_finite(symbols, label=f"file:{body}")
 
 
-# family head -> builder(body) returning the stream, whose label is its canonical spec
+# family head -> builder(body) returning the stream, whose label is its canonical spec;
+# each builder imports the generators it calls
 _FAMILIES = {
-    "periodic": lambda body: periodic(_ints(body, "period")),
+    "periodic": _periodic,
     "morphic": _morphic,
     "mechanical": _mechanical,
-    "enum": functools.partial(_one_int, "enum", "k", enumeration_word),
-    "thm11": functools.partial(_one_int, "thm11", "k", constant_complexity_word),
-    "sec24": lambda body: unbounded_gap_word(),
-    "ladder": functools.partial(_one_int, "ladder", "n", constant_tail_word),
+    "enum": functools.partial(_one_int, "enum", "k", "enumeration_word"),
+    "thm11": functools.partial(_one_int, "thm11", "k", "constant_complexity_word"),
+    "sec24": _sec24,
+    "ladder": functools.partial(_one_int, "ladder", "n", "constant_tail_word"),
     "splice": _splice,
     "contract": _contract,
     "file": _file,
@@ -272,9 +293,15 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(payload, out: Optional[str]) -> None:
+    import json
+    _emit(json.dumps(payload, indent=2) + "\n", out)
+
+
 def _emit_table(header: list[str], rows: list[list], args) -> None:
     if args.format == "json":
-        return _emit(json.dumps([dict(zip(header, r)) for r in rows], indent=2) + "\n", args.out)
+        return _emit_json([dict(zip(header, r)) for r in rows], args.out)
+    import csv
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     _emit(buf.getvalue(), args.out)
@@ -286,6 +313,7 @@ def _emit_table(header: list[str], rows: list[list], args) -> None:
 
 def _cmd_profile(args, w) -> Optional[int]:
     """profile and spread; spread leaves out the count column."""
+    from .complexity import profile
     mu = parse_mu_spec(args.mu) if args.mu else None
     prof = profile(w, args.n_max, args.prefix_length, kind=args.kind, mu=mu)
     cols = ["n", "count", "spread"] if args.command == "profile" else ["n", "spread"]
@@ -293,11 +321,13 @@ def _cmd_profile(args, w) -> Optional[int]:
 
 
 def _cmd_slope(args, w) -> Optional[int]:
+    from .slopes import slope_estimate
     rows = [[n, s.numerator, s.denominator] for n, s in slope_estimate(w, args.prefix_length)]
     _emit_table(["n", "slope_p", "slope_q"], rows, args)
 
 
 def _cmd_chi(args, w) -> Optional[int]:
+    from .slopes import chi_sequence
     alpha = parse_slope(args.slope)
     if args.m_max is not None and args.m_max < 1:
         raise WordSpecError(f"--m-max must be >= 1, got {args.m_max}")
@@ -311,15 +341,17 @@ def _cmd_chi(args, w) -> Optional[int]:
 
 
 def _cmd_factorize(args, w) -> Optional[int]:
+    from .slopes import chi_factorization
     fact = chi_factorization(w, parse_slope(args.slope), args.prefix_length)
     if args.format == "json":
         payload = {"alpha": _frac_str(fact.alpha), "color": fact.color, "cuts": list(fact.cuts)}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
         _emit_table(["cut"], [[c] for c in fact.cuts], args)
 
 
 def _cmd_anchor(args, phi) -> Optional[int]:
+    from .morphisms import is_anchor
     report = is_anchor(phi)
     wit = report.witness
     payload = {
@@ -331,11 +363,14 @@ def _cmd_anchor(args, phi) -> Optional[int]:
         "matrix": report.matrix.tolist(),
         "witness": wit and {"b1": list(wit[0].symbols), "b2": list(wit[1].symbols)},
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit_json(payload, args.out)
     return 0 if report.is_anchor else 1
 
 
 def _cmd_powers(args, w) -> Optional[int]:
+    from dataclasses import asdict
+
+    from .powers import find_additive_kpower, find_anchored_power, find_kpower_mod_mu, verify_power
     if args.slope is not None and args.mu is not None:
         raise WordSpecError("--slope and --mu are mutually exclusive")
     if args.divisor is not None and args.slope is None:
@@ -351,14 +386,15 @@ def _cmd_powers(args, w) -> Optional[int]:
     else:
         witness = find_additive_kpower(w, args.k, args.prefix_length, limit=limit)
     if witness is None:
-        _emit(json.dumps({"found": False}, indent=2) + "\n", args.out)
+        _emit_json({"found": False}, args.out)
         return 1
     verified = verify_power(w, witness, mu)
-    payload = {"found": True, **dataclasses.asdict(witness), "verified": verified}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    payload = {"found": True, **asdict(witness), "verified": verified}
+    _emit_json(payload, args.out)
 
 
 def _cmd_intersect(args, w1, w2) -> Optional[int]:
+    from .complexity import factor_set_intersection
     shared = factor_set_intersection(w1, w2, args.n, args.prefix_length)
     _emit_table(["n", "shared"], [[args.n, shared]], args)
 
@@ -430,7 +466,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # The prelude of every command: check -L, parse the specs, then --explain.
+        # The prelude of every command: check -L, parse the specs, then --explain.  The -L
+        # checks and each spec's brackets and family head need no library module.
         L = getattr(args, "prefix_length", 1)
         if L < 1:
             raise WordSpecError("prefix length must be >= 1")

@@ -21,15 +21,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._errors import GuardError
+
 # int64 stays exact while |prefix sum| < 2**62; leave a factor-2 margin.
 _SUM_LIMIT = 2**62
 
 _CHUNK = 1 << 13
 _MAX_CHUNK = 1 << 16  # symbols pulled into one list: bounds the fill's temporaries
-
-
-class GuardError(RuntimeError):
-    """A computation would exceed a configured safety guard."""
 
 
 def _integer(s, what: str = "symbol") -> int:
